@@ -22,7 +22,7 @@ import numpy as np
 from .games import (
     ZeroSumGame,
     make_spd_dataset,
-    ne_diagnostics,
+    ne_diagnostics,  # noqa: F401 - kept importable from riopt.bench
     quad_logdet_game,
     rceg_step,
     rgda_step,
@@ -127,6 +127,17 @@ class ExperimentConfig:
             raise ConfigError("S must be >= 1")
         if min(self.dim, self.n_points, self.d, self.n_samples) < 1:
             raise ConfigError("dim, n_points, d and n_samples must be >= 1")
+        if self.experiment == "robust_pca" and self.d < 2:
+            raise ConfigError(
+                f"d must be >= 2 for robust_pca (the max player lives on S^(d-1)), got {self.d}"
+            )
+        if not self.eig_low > 0:
+            raise ConfigError(f"eig_low must be > 0, got {self.eig_low!r}")
+        if not self.eig_low <= self.eig_high:
+            raise ConfigError(
+                f"eig_high must be >= eig_low, got eig_low={self.eig_low!r}, "
+                f"eig_high={self.eig_high!r}"
+            )
         allowed = self._allowed_algorithms()
         algs = self.algorithms or self._default_algorithms()
         for spec in algs:
@@ -492,7 +503,7 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     states: dict[str, dict] = {}
     for spec in cfg.algorithms:
         eta = spec.eta if spec.eta is not None else default_eta(cfg, spec.name)
-        st = {"eta": eta, "diag": None, "grad_norms": []}
+        st = {"eta": eta, "grad_norms": []}
         if spec.name == "rogda":
             st["state"] = rogda_init(game, z0)
         else:
@@ -509,15 +520,15 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
             else:
                 z_t = st["z"]
             inst = game.value(z_t)
-            gn = m.norm(z_t, game.field(z_t))
+            F = game.field(z_t)
+            gn = m.norm(z_t, F)
             st["grad_norms"].append(gn)
             if spec.name == "rogda":
-                st["diag"] = ne_diagnostics(game, st["state"], st["diag"])
-                st["state"] = rogda_step(game, st["state"], st["eta"])
+                st["state"] = rogda_step(game, st["state"], st["eta"], F)
             elif spec.name == "rgda":
-                st["z"] = rgda_step(game, z_t, st["eta"])
+                st["z"] = rgda_step(game, z_t, st["eta"], F)
             else:
-                st["z"] = rceg_step(game, z_t, st["eta"])
+                st["z"] = rceg_step(game, z_t, st["eta"], F)
             wall = (_now_micros() - tic) if cfg.record_timing else 0
             cum = st.get("cum", 0.0) + inst
             st["cum"] = cum
@@ -558,7 +569,7 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
             entry["ne_residual_averaged"] = [
                 float(r) for r in game.residual(final_state.z_bar)
             ]
-            entry["best_grad_norm"] = st["diag"].best_grad_norm
+            entry["best_grad_norm"] = entry["grad_norm_min"]
         summary["algorithms"][spec.name] = entry
     return rows, summary
 

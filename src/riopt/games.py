@@ -101,17 +101,20 @@ def rogda_init(game: ZeroSumGame, z0: Point) -> GameState:
     )
 
 
-def rogda_step(game: ZeroSumGame, state: GameState, eta: float) -> GameState:
+def rogda_step(
+    game: ZeroSumGame, state: GameState, eta: float, F: Optional[TangentVector] = None
+) -> GameState:
     """Optimistic descent on x / ascent on y with transported memory.
 
     z_{t+1} = exp_{z_t}(-2 eta F(z_t) + eta transported F(z_{t-1})); on the
     first step the missing previous field is taken equal to the current one.
     The geodesic running average folds in the new point with weight 1/(t+1).
+    ``F`` is F(z_t) when the caller has already evaluated it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = game.space
-    F_cur = game.field(state.z_cur)
+    F_cur = game.field(state.z_cur) if F is None else F
     m._require_finite(F_cur)
     if state.round == 0:
         prev_at_cur = F_cur
@@ -141,23 +144,35 @@ def geodesic_average(manifold: Manifold, z_bar: Point, z_new: Point, t: int) -> 
     return manifold.exp(z_bar, step)
 
 
-def rgda_step(game: ZeroSumGame, z: Point, eta: float) -> Point:
-    """Simultaneous gradient descent-ascent: exp_z(-eta F(z))."""
+def rgda_step(
+    game: ZeroSumGame, z: Point, eta: float, F: Optional[TangentVector] = None
+) -> Point:
+    """Simultaneous gradient descent-ascent: exp_z(-eta F(z)).
+
+    ``F`` is F(z) when the caller has already evaluated it.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return game.space.exp(z, -eta * game.field(z))
+    if F is None:
+        F = game.field(z)
+    return game.space.exp(z, -eta * F)
 
 
-def rceg_step(game: ZeroSumGame, z: Point, eta: float) -> Point:
+def rceg_step(
+    game: ZeroSumGame, z: Point, eta: float, F: Optional[TangentVector] = None
+) -> Point:
     """Corrected extragradient: midpoint step, then correction toward z.
 
     w = exp_z(-eta F(z));  z+ = exp_w(-eta F(w) + log_w(z)). In flat space
     the correction term cancels and this is the classical extragradient.
+    ``F`` is F(z) when the caller has already evaluated it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = game.space
-    w = m.exp(z, -eta * game.field(z))
+    if F is None:
+        F = game.field(z)
+    w = m.exp(z, -eta * F)
     return m.exp(w, -eta * game.field(w) + m.log(w, z))
 
 
@@ -250,6 +265,11 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     distance of a matrix to itself is rounding noise, not 0. The payoff is not
     geodesically concave in X, so this family is a stress benchmark rather
     than a guaranteed-convergence target.
+
+    The anchors are stacked once, so each payoff or gradient evaluation gets
+    all n anchor distances (and, for the gradient, all n logs) from one
+    batched evaluation: SPD.dist_many / SPD.log_many. Sums run in anchor
+    order, as n single calls would.
     """
     if len(data) == 0:
         raise ValueError("data must be nonempty")
@@ -259,24 +279,25 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     sphere = Sphere(d - 1)
     space = Product([spd, sphere])
     n = len(mats)
-    anchors = [spd.project(A) for A in mats]
+    anchors = np.stack([spd.project(A).coords for A in mats])
     eigs = [np.linalg.eigvalsh(A) for A in mats]
     eps = np.finfo(float).eps
-    anchor_tols = [_ANCHOR_TOL_FACTOR * d * (w[-1] / w[0]) * eps for w in eigs]
+    anchor_tols = np.array([_ANCHOR_TOL_FACTOR * d * (w[-1] / w[0]) * eps for w in eigs])
 
     def payoff(a: Point, x: Point) -> float:
         quad = float(x.coords @ a.coords @ x.coords)
-        spread = sum(spd.dist(a, Ai) for Ai in anchors)
+        spread = sum(spd.dist_many(a, anchors).tolist())
         return quad + alpha / n * spread
 
     def grad_min_player(a: Point, x: Point) -> TangentVector:
         A = a.coords
         xx = np.outer(x.coords, x.coords)
         g = A @ xx @ A
-        for Ai, tol in zip(anchors, anchor_tols):
-            dist = spd.dist(a, Ai)
-            if dist > tol:
-                g = g - (alpha / n) * spd.log(a, Ai).coords / dist
+        dists = spd.dist_many(a, anchors)
+        far = dists > anchor_tols
+        logs = spd.log_many(a, anchors)
+        for term in (alpha / n) * logs[far] / dists[far, None, None]:
+            g = g - term
         return spd.to_tangent(a, g)
 
     def grad_max_player(a: Point, x: Point) -> TangentVector:

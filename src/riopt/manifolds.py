@@ -274,13 +274,14 @@ class Hyperbolic(Manifold):
         return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
 
 
+# Both helpers act on a single (d, d) matrix or on a stack (n, d, d) of them.
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def _eig_apply(fn: Callable[[np.ndarray], np.ndarray], M: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(_sym(M))
-    return (V * fn(w)) @ V.T
+    return (V * fn(w)[..., None, :]) @ V.mT
 
 
 class SPD(Manifold):
@@ -331,9 +332,7 @@ class SPD(Manifold):
         return (V * s) @ V.T, (V / s) @ V.T
 
     def dist(self, x, y):
-        _, Si = self._sqrt_pair(x.coords)
-        w = np.linalg.eigvalsh(_sym(Si @ y.coords @ Si))
-        return float(np.linalg.norm(np.log(np.maximum(w, 1e-300))))
+        return float(self.dist_many(x, y.coords))
 
     def exp(self, x, v):
         self._require_base(x, v)
@@ -343,9 +342,7 @@ class SPD(Manifold):
         return self.project(S @ inner @ S)
 
     def log(self, x, y):
-        S, Si = self._sqrt_pair(x.coords)
-        inner = _eig_apply(np.log, Si @ y.coords @ Si)
-        return TangentVector(x, _sym(S @ inner @ S))
+        return TangentVector(x, self.log_many(x, y.coords))
 
     def transport(self, x, y, v):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
@@ -354,6 +351,21 @@ class SPD(Manifold):
         middle = _eig_apply(np.sqrt, Si @ y.coords @ Si)
         E = S @ middle @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.T))
+
+    # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
+    # x and one stacked eigvalsh/eigh give the same bits as n single calls.
+    # dist and log pass a single (d, d) matrix, so the formula lives here only.
+    def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
+        """dist(x, Y_i) for every matrix of `targets`; returns shape (n,)."""
+        _, Si = self._sqrt_pair(x.coords)
+        lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ targets @ Si)), 1e-300))
+        # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
+        return np.sqrt(np.vecdot(lw, lw))
+
+    def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
+        """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
+        S, Si = self._sqrt_pair(x.coords)
+        return _sym(S @ _eig_apply(np.log, Si @ targets @ Si) @ S)
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

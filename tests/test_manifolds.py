@@ -11,8 +11,9 @@ from riopt import (
     SPD,
     Sphere,
     make_manifold,
+    make_spd_dataset,
 )
-from riopt.geometry import TangentVector
+from riopt.geometry import Point, TangentVector
 
 
 def test_make_manifold_kinds():
@@ -99,6 +100,49 @@ def test_spd_affine_invariance(rng):
         Xc = m.project(A @ X.coords @ A.T)
         Yc = m.project(A @ Y.coords @ A.T)
         assert m.dist(Xc, Yc) == pytest.approx(m.dist(X, Y), abs=1e-8)
+
+
+def _spd_dist_log_reference(X, Y):
+    """The single-matrix affine-invariant dist and log, written out longhand."""
+    w, V = np.linalg.eigh(0.5 * (X + X.T))
+    S, Si = (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+    M = Si @ Y @ Si
+    M = 0.5 * (M + M.T)
+    dist = float(np.linalg.norm(np.log(np.maximum(np.linalg.eigvalsh(M), 1e-300))))
+    wm, Vm = np.linalg.eigh(M)
+    L = S @ ((Vm * np.log(wm)) @ Vm.T) @ S
+    return dist, 0.5 * (L + L.T)
+
+
+def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
+    m = SPD(10)
+    anchors = np.stack(make_spd_dataset(10, 40, (0.2, 4.5), seed=3))
+    at_anchor = Point(anchors[7].copy(), m.manifold_id)
+    for x in (m.random_point(11), at_anchor):
+        dists = m.dist_many(x, anchors)
+        logs = m.log_many(x, anchors)
+        for i, A in enumerate(anchors):
+            y = Point(A, m.manifold_id)
+            ref_dist, ref_log = _spd_dist_log_reference(x.coords, A)
+            assert dists[i] == m.dist(x, y) == ref_dist
+            assert np.array_equal(logs[i], m.log(x, y).coords)
+            assert np.array_equal(logs[i], ref_log)
+    # the distance of an anchor to itself is rounding noise, not exactly 0
+    assert m.dist_many(at_anchor, anchors)[7] < 1e-12
+
+
+def test_spd_batched_shapes_and_non_pd_base():
+    m = SPD(3)
+    for n in (1, 5):
+        targets = np.stack(make_spd_dataset(3, n, (0.5, 2.0), seed=0))
+        x = m.random_point(1)
+        assert m.dist_many(x, targets).shape == (n,)
+        assert m.log_many(x, targets).shape == (n, 3, 3)
+    bad = Point(np.diag([1.0, -1.0, 2.0]), m.manifold_id)
+    with pytest.raises(GeometryError):
+        m.dist_many(bad, targets)
+    with pytest.raises(GeometryError):
+        m.log_many(bad, targets)
 
 
 def test_spd_reported_curvature():
