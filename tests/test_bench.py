@@ -24,7 +24,20 @@ GOLDEN_CONFIGS = {
             "algorithms": ["rogda", "rgda", "rceg"],
         },
     ),
+    "frechet": (
+        "frechet",
+        {
+            "experiment": "frechet",
+            "dim": 4,
+            "n_points": 6,
+            "T": 12,
+            "S": 4,
+            "algorithms": ["rogd", "roogd", "roogd_corrected", "raoogd"],
+        },
+    ),
+    "verify": ("verify", {"experiment": "verify", "n_triangles": 50}),
 }
+GAMES = ("quadgame", "robust_pca")
 
 
 def _run_cli(tmp_path, command, config):
@@ -33,13 +46,25 @@ def _run_cli(tmp_path, command, config):
     return main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "0"])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_game_outputs_match_golden_files(tmp_path, name):
+def _assert_outputs_match_golden_files(tmp_path, name):
     command, config = GOLDEN_CONFIGS[name]
     assert _run_cli(tmp_path, command, config) == 0
-    for fname in ("results.csv", "summary.json"):
-        got = (tmp_path / "out" / fname).read_bytes()
-        assert got == (GOLDEN / name / fname).read_bytes(), fname
+    out = tmp_path / "out"
+    written = sorted(p.name for p in out.iterdir() if p.name != "config.json")
+    assert written == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for fname in written:
+        assert (out / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_game_outputs_match_golden_files(tmp_path, name):
+    _assert_outputs_match_golden_files(tmp_path, name)
+
+
+# verify writes no results.csv, only summary.json
+@pytest.mark.parametrize("name", ["frechet", "verify"])
+def test_frechet_and_verify_outputs_match_golden_files(tmp_path, name):
+    _assert_outputs_match_golden_files(tmp_path, name)
 
 
 @pytest.mark.parametrize(
