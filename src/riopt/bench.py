@@ -394,26 +394,26 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
             st["beta"] = beta
         states[spec.name] = st
 
+    # The probes never move, so each loss's probe gradients are computed once
+    # and serve as the next round's previous-loss values.
     rows: list[ResultRow] = []
     prev_loss = None
+    prev_probe_grads: list = []
     u_prev = None
     for t in range(1, cfg.T + 1):
         loss = stream.losses[t - 1]
         u_t = frechet_mean(manifold, loss.point_list())
         comp_val = loss.value(u_t)
+        probe_grads = [loss.grad(p) for p in probes]
         shared_pairs = []
         if prev_loss is not None:
-            for p in probes + [u_t]:
-                shared_pairs.append((loss.grad(p), prev_loss.grad(p)))
+            shared_pairs = list(zip(probe_grads, prev_probe_grads))
+            shared_pairs.append((loss.grad(u_t), prev_loss.grad(u_t)))
         for spec in cfg.algorithms:
             st = states[spec.name]
             tic = _now_micros() if cfg.record_timing else 0
-            if spec.name == "rogd":
-                x_t = st["x"]
-            elif spec.name in ("roogd", "roogd_corrected"):
-                x_t = st["state"].x_cur
-            else:
-                x_t, st["experts"], st["weights"], _ = aoogd_round(
+            if spec.name == "raoogd":
+                x_t, st["experts"], st["weights"], diag = aoogd_round(
                     manifold,
                     st["experts"],
                     st["weights"],
@@ -421,20 +421,24 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                     loss.grad,
                     prev_loss.grad if prev_loss is not None else None,
                 )
+                g_t = diag.g_play
+            else:
+                x_t = st["x"] if spec.name == "rogd" else st["state"].x_cur
+                g_t = loss.grad(x_t)
             inst = loss.value(x_t)
             pairs = shared_pairs
             if prev_loss is not None:
-                pairs = shared_pairs + [(loss.grad(x_t), prev_loss.grad(x_t))]
+                pairs = shared_pairs + [(g_t, prev_loss.grad(x_t))]
             st["ledger"] = regret_update(
                 st["ledger"], inst, comp_val, u_t, u_prev, pairs, manifold
             )
             st["max_dist"] = max(st["max_dist"], manifold.dist(x_t, anchor))
             if spec.name == "rogd":
-                st["x"] = rogd_step(manifold, x_t, loss.grad(x_t), st["eta"])
+                st["x"] = rogd_step(manifold, x_t, g_t, st["eta"])
             elif spec.name == "roogd":
-                st["state"] = roogd_step(manifold, st["state"], loss.grad(x_t))
+                st["state"] = roogd_step(manifold, st["state"], g_t)
             elif spec.name == "roogd_corrected":
-                st["state"] = roogd_corrected_step(manifold, st["state"], loss.grad(x_t))
+                st["state"] = roogd_corrected_step(manifold, st["state"], g_t)
             wall = (_now_micros() - tic) if cfg.record_timing else 0
             led = st["ledger"]
             rows.append(
@@ -449,6 +453,7 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                 )
             )
         prev_loss = loss
+        prev_probe_grads = probe_grads
         u_prev = u_t
 
     any_ledger = next(iter(states.values()))["ledger"]

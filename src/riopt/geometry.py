@@ -69,8 +69,10 @@ class TangentVector:
     coords: np.ndarray
 
     def _check_same_base(self, other: "TangentVector") -> None:
-        if self.base.manifold_id != other.base.manifold_id or not np.array_equal(
-            self.base.coords, other.base.coords
+        # identity first: np.array_equal is the cost, not the check
+        if self.base is not other.base and (
+            self.base.manifold_id != other.base.manifold_id
+            or not np.array_equal(self.base.coords, other.base.coords)
         ):
             raise GeometryError("tangent vectors live at different base points")
 
@@ -214,6 +216,15 @@ class Manifold(ABC):
     def transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
         """Parallel transport of v along the minimizing geodesic x -> y."""
 
+    # -- batched forms: a stack of target coordinates along axis 0 -----------
+    def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
+        """log_x of every stacked target; default loops over ``log``."""
+        return np.stack([self.log(x, Point(y, self.manifold_id)).coords for y in targets])
+
+    def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
+        """dist(x, .) of every stacked target, shape (n,); default loops over ``dist``."""
+        return np.array([self.dist(x, Point(y, self.manifold_id)) for y in targets])
+
     # -- sampling ----------------------------------------------------------
     @abstractmethod
     def random_point(
@@ -262,7 +273,9 @@ class Manifold(ABC):
             raise GeometryError("tangent vector has non-finite coordinates")
 
     def _require_base(self, x: Point, v: TangentVector) -> None:
-        if v.base.manifold_id != x.manifold_id or not np.array_equal(v.base.coords, x.coords):
+        if v.base is not x and (
+            v.base.manifold_id != x.manifold_id or not np.array_equal(v.base.coords, x.coords)
+        ):
             raise GeometryError("tangent vector is not based at the given point")
 
 
@@ -278,6 +291,13 @@ def weighted_frechet_mean(
     Runs the fixed-point iteration x <- exp_x(sum_i w_i log_x(p_i)) with unit
     step, which is contractive inside the injectivity ball. The result
     satisfies the first-order condition ||sum_i w_i log_x(p_i)|| <= tol.
+
+    Points of weight zero are dropped; the others are stacked once, and each
+    iteration takes all their logs from one ``manifold.log_many`` call and
+    sums the weighted rows in point order (the bits of a pointwise loop
+    wherever ``log_many`` gives the bits of ``log``). Each iteration makes
+    exactly one ``manifold.exp`` call. Raises FrechetMeanError, carrying the
+    last iterate and its residual, after ``max_iter`` iterations.
     """
     if len(points) == 0:
         raise GeometryError("points must be nonempty")
@@ -293,14 +313,12 @@ def weighted_frechet_mean(
         return points[0]
 
     x = points[int(np.argmax(w))]
+    keep = np.flatnonzero(w != 0.0)
+    targets = np.stack([points[i].coords for i in keep])
+    w_k = w[keep].reshape((-1,) + (1,) * x.coords.ndim)
     residual = math.inf
     for _ in range(max_iter):
-        step = np.zeros_like(x.coords)
-        for wi, p in zip(w, points):
-            if wi == 0.0:
-                continue
-            step = step + wi * manifold.log(x, p).coords
-        direction = TangentVector(x, step)
+        direction = TangentVector(x, (w_k * manifold.log_many(x, targets)).sum(axis=0))
         residual = manifold.norm(x, direction)
         if residual <= tol:
             return x

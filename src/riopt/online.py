@@ -204,6 +204,7 @@ class AoogdDiagnostics:
     x_bar: Point
     optimism: np.ndarray
     surrogate_losses: np.ndarray
+    g_play: TangentVector
 
 
 def _hedge_weights(beta: float, scores: np.ndarray) -> np.ndarray:
@@ -211,6 +212,14 @@ def _hedge_weights(beta: float, scores: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def _linear_scores(
+    manifold: Manifold, x: Point, g: TangentVector, targets: np.ndarray
+) -> np.ndarray:
+    """<g, log_x(p_i)>_x for every stacked point p_i, logs from one log_many call."""
+    logs = manifold.log_many(x, targets)
+    return np.array([manifold.inner(x, g, TangentVector(x, v)) for v in logs])
 
 
 def aoogd_round(
@@ -229,32 +238,35 @@ def aoogd_round(
     exists), re-weights by hedge over cumulative surrogates plus optimism,
     plays the mean under the new weights, scores every expert against the
     revealed gradient, and advances each expert with its own step size.
+
+    The expert points are stacked once; the optimism and the surrogate
+    scores each take their logs from one ``log_many`` call. The gradient at
+    the played point comes back as ``diag.g_play``, so a caller that needs it
+    does not evaluate it again.
     """
     n = len(experts)
     if weights.w.shape != (n,):
         raise ValueError("weights length must match the number of experts")
     xs = [s.x_cur for s in experts]
+    stacked = np.stack([x.coords for x in xs])
 
     x_bar = weighted_frechet_mean(manifold, xs, weights.w)
     if prev_grad_fn is None:
         optimism = np.zeros(n)
     else:
-        g_opt = prev_grad_fn(x_bar)
-        optimism = np.array(
-            [manifold.inner(x_bar, g_opt, manifold.log(x_bar, xi)) for xi in xs]
-        )
+        optimism = _linear_scores(manifold, x_bar, prev_grad_fn(x_bar), stacked)
 
     w_new = _hedge_weights(beta, weights.cumulative_surrogate + optimism)
     x_play = weighted_frechet_mean(manifold, xs, w_new)
 
     g_play = grad_fn(x_play)
-    surrogate = np.array(
-        [manifold.inner(x_play, g_play, manifold.log(x_play, xi)) for xi in xs]
-    )
+    surrogate = _linear_scores(manifold, x_play, g_play, stacked)
     meta = MetaWeights(w_new, weights.cumulative_surrogate + surrogate)
 
     advanced = [roogd_step(manifold, s, grad_fn(s.x_cur)) for s in experts]
-    diag = AoogdDiagnostics(x_bar=x_bar, optimism=optimism, surrogate_losses=surrogate)
+    diag = AoogdDiagnostics(
+        x_bar=x_bar, optimism=optimism, surrogate_losses=surrogate, g_play=g_play
+    )
     return x_play, advanced, meta, diag
 
 

@@ -11,7 +11,6 @@ determine the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,39 +32,28 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 class FrechetMeanLoss:
-    """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i)."""
+    """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
-    def __init__(self, manifold: Manifold, points: Sequence[Point] | np.ndarray):
+    The N points A_i are stored once, stacked along axis 0 of ``targets``
+    (ambient coordinates). Value and gradient each take every distance or
+    log from one ``dist_many`` / ``log_many`` call of the manifold.
+    """
+
+    def __init__(self, manifold: Manifold, targets: np.ndarray):
         self.manifold = manifold
-        if isinstance(manifold, Hyperbolic) and isinstance(points, np.ndarray):
-            self.targets = points
-            self.points = None
-        else:
-            self.points = list(points)
-            self.targets = None
-        self.n = len(self.targets) if self.targets is not None else len(self.points)
+        self.targets = np.asarray(targets, dtype=float)
+        self.n = len(self.targets)
 
     def value(self, x: Point) -> float:
-        if self.targets is not None:
-            d = self.manifold.dist_many(x, self.targets)
-            return float(np.sum(d * d)) / (2.0 * self.n)
-        return sum(self.manifold.dist(x, p) ** 2 for p in self.points) / (2.0 * self.n)
+        d = self.manifold.dist_many(x, self.targets)
+        return float(np.sum(d * d)) / (2.0 * self.n)
 
     def grad(self, x: Point) -> TangentVector:
-        if self.targets is not None:
-            logs = self.manifold.log_many(x, self.targets)
-            return self.manifold.to_tangent(x, -logs.sum(axis=0) / self.n)
-        acc = np.zeros_like(x.coords)
-        for p in self.points:
-            acc -= self.manifold.log(x, p).coords
-        return TangentVector(x, acc / self.n)
+        logs = self.manifold.log_many(x, self.targets)
+        return self.manifold.to_tangent(x, -logs.sum(axis=0) / self.n)
 
     def point_list(self) -> list[Point]:
-        if self.points is not None:
-            return self.points
-        return [
-            Point(row.copy(), self.manifold.manifold_id) for row in self.targets
-        ]
+        return [Point(row.copy(), self.manifold.manifold_id) for row in self.targets]
 
 
 @dataclass(frozen=True)
@@ -133,24 +121,3 @@ def fixed_probe_points(
         for i in range(count)
     ]
 
-
-def hyperbolic_mean_of_rows(
-    manifold: Hyperbolic,
-    rows: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> Point:
-    """Equal-weight Frechet mean of a large stacked point set, batched.
-
-    Same fixed-point iteration as weighted_frechet_mean but with the log maps
-    evaluated in one vectorized sweep; used for offline comparators over whole
-    streams, where the pointwise loop would dominate the runtime.
-    """
-    x = Point(rows[0].copy(), manifold.manifold_id)
-    for _ in range(max_iter):
-        step = manifold.log_many(x, rows).mean(axis=0)
-        direction = manifold.to_tangent(x, step)
-        if manifold.norm(x, direction) <= tol:
-            return x
-        x = manifold.exp(x, direction)
-    raise RuntimeError("batched Frechet mean did not converge")

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from riopt import ExperimentConfig, ZeroSumGame, run_experiment
+from riopt import ExperimentConfig, FrechetMeanLoss, ZeroSumGame, run_experiment
+from riopt.bench import N_FIXED_PROBES
 from riopt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,3 +101,23 @@ def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
     run_experiment(cfg)
     # one point each for R-OGDA and RGDA, two (z and the midpoint) for RCEG
     assert len(calls) == 4 * cfg.T
+
+
+def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
+    calls = []
+    original = FrechetMeanLoss.grad
+
+    def counting_grad(self, x):
+        calls.append((id(self), x.coords.tobytes()))
+        return original(self, x)
+
+    monkeypatch.setattr(FrechetMeanLoss, "grad", counting_grad)
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 10, "S": 4, "algorithms": ["roogd"]}
+    )
+    run_experiment(cfg)
+    # every round: the probes and x_t under this round's loss; from round 2
+    # on also the comparator under this and the previous loss, and x_t under
+    # the previous loss (18T - 3 with 14 probes)
+    assert len(calls) == (N_FIXED_PROBES + 4) * cfg.T - 3
+    assert len(set(calls)) == len(calls)

@@ -12,6 +12,7 @@ from riopt import (
     GeometryError,
     GeometryParams,
     Hyperbolic,
+    Product,
     SPD,
     Sphere,
     frechet_mean,
@@ -107,6 +108,26 @@ def test_tangent_vector_algebra():
 
 
 # ------------------------------------------------------- core invariants
+def test_base_checks_compare_values_not_identity(rng):
+    m = Hyperbolic(2)
+    x = m.random_point(rng)
+    twin = x.copy()  # equal coordinates, a distinct Point
+    u = m.random_tangent(x, rng)
+    v = m.random_tangent(twin, rng)
+    assert m.dist(m.exp(x, v), m.exp(twin, v)) == 0.0
+    assert np.array_equal((u + v).coords, u.coords + v.coords)
+    assert np.array_equal((u - v).coords, u.coords - v.coords)
+    elsewhere = m.random_tangent(m.random_point(rng), rng)
+    renamed = TangentVector(Point(x.coords, "other"), v.coords)
+    for bad in (elsewhere, renamed):
+        with pytest.raises(GeometryError):
+            m.exp(x, bad)
+        with pytest.raises(GeometryError):
+            u + bad
+        with pytest.raises(GeometryError):
+            u - bad
+
+
 @pytest.mark.parametrize("m", all_manifolds(), ids=lambda m: m.manifold_id)
 def test_roundtrip_isometry_distlog(m, rng):
     cap = (math.pi / 2 - 0.1) / 2 if isinstance(m, Sphere) else 0.9
@@ -175,6 +196,78 @@ def test_frechet_stationarity_hyperbolic(rng):
     for wi, p in zip(w, pts):
         resid += wi * m.log(out, p).coords
     assert m.norm(out, TangentVector(out, resid)) < 1e-10
+
+
+def _pointwise_frechet_mean(m, points, weights, tol=1e-9, max_iter=200):
+    """The Karcher iteration with one log call per point, written out longhand."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    x = points[int(np.argmax(w))]
+    for _ in range(max_iter):
+        step = np.zeros_like(x.coords)
+        for wi, p in zip(w, points):
+            if wi != 0.0:
+                step = step + wi * m.log(x, p).coords
+        direction = TangentVector(x, step)
+        if m.norm(x, direction) <= tol:
+            return x
+        x = m.exp(x, direction)
+    raise AssertionError("the reference iteration did not converge")
+
+
+def _weighted_cloud(m, seed, n=6):
+    rng = np.random.default_rng(seed)
+    center = m.random_point(rng)
+    points = [m.random_point(rng, center=center, radius=0.8) for _ in range(n)]
+    weights = rng.dirichlet(np.ones(n))
+    weights[2] = 0.0  # a skipped point
+    return points, weights / weights.sum()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Sphere(3), SPD(3), Euclidean(4), Product([SPD(2), Sphere(2)])],
+    ids=lambda m: m.manifold_id,
+)
+def test_frechet_mean_bitwise_equal_to_pointwise_loop(m):
+    # log_many gives the bits of log here, and the weighted rows are summed
+    # in point order, so the batched iteration retraces the pointwise one
+    for seed in range(4):
+        points, weights = _weighted_cloud(m, seed)
+        got = weighted_frechet_mean(m, points, weights)
+        want = _pointwise_frechet_mean(m, points, weights)
+        assert np.array_equal(got.coords, want.coords)
+
+
+def test_frechet_mean_hyperbolic_matches_pointwise_loop_and_is_stationary():
+    # Hyperbolic.log_many rounds differently from log: close, not bitwise
+    m = Hyperbolic(4)
+    for seed in range(4):
+        points, weights = _weighted_cloud(m, seed)
+        got = weighted_frechet_mean(m, points, weights, tol=1e-11)
+        assert m.dist(got, _pointwise_frechet_mean(m, points, weights, tol=1e-11)) < 1e-12
+        resid = sum(wi * m.log(got, p).coords for wi, p in zip(weights, points))
+        assert m.norm(got, TangentVector(got, resid)) < 1e-11
+
+
+def test_frechet_skips_zero_weight_points(monkeypatch, rng):
+    m = Sphere(2)
+    p = m.base_point()
+    q = m.exp(p, m.random_tangent(p, rng, norm=0.5))
+    antipode = Point(-p.coords, m.manifold_id)
+    with pytest.raises(GeometryError):
+        m.log(p, antipode)
+    logged = []
+    original = m.log
+
+    def recording_log(x, y):
+        logged.append(y.coords.copy())
+        return original(x, y)
+
+    monkeypatch.setattr(m, "log", recording_log)
+    out = weighted_frechet_mean(m, [p, q, antipode], [0.5, 0.5, 0.0])
+    assert logged and not any(np.array_equal(y, antipode.coords) for y in logged)
+    assert np.array_equal(out.coords, weighted_frechet_mean(m, [p, q], [0.5, 0.5]).coords)
 
 
 def test_frechet_permutation_invariance(rng):

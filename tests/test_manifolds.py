@@ -13,7 +13,7 @@ from riopt import (
     make_manifold,
     make_spd_dataset,
 )
-from riopt.geometry import Point, TangentVector
+from riopt.geometry import Manifold, Point, TangentVector
 
 
 def test_make_manifold_kinds():
@@ -129,6 +129,23 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
             assert np.array_equal(logs[i], ref_log)
     # the distance of an anchor to itself is rounding noise, not exactly 0
     assert m.dist_many(at_anchor, anchors)[7] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Sphere(3), Euclidean(4), Product([SPD(2), Sphere(2), Hyperbolic(2)])],
+    ids=lambda m: m.manifold_id,
+)
+def test_default_batched_forms_equal_stacked_single_calls(m):
+    assert type(m).log_many is Manifold.log_many
+    assert type(m).dist_many is Manifold.dist_many
+    x = m.random_point(1)
+    pts = [m.random_point(np.random.default_rng(i), center=x, radius=1.0) for i in range(5)]
+    targets = np.stack([p.coords for p in pts])
+    logs = m.log_many(x, targets)
+    assert logs.shape == targets.shape
+    assert np.array_equal(logs, np.stack([m.log(x, p).coords for p in pts]))
+    assert np.array_equal(m.dist_many(x, targets), [m.dist(x, p) for p in pts])
 
 
 def test_spd_batched_shapes_and_non_pd_base():
