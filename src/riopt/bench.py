@@ -448,7 +448,7 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                     instantaneous_loss=inst,
                     cumulative_loss=led.cum_alg_loss,
                     cumulative_regret=led.regret,
-                    grad_norm=0.0,
+                    grad_norm=manifold.norm(x_t, g_t),
                     wall_micros=wall,
                 )
             )
