@@ -292,12 +292,9 @@ def weighted_frechet_mean(
     step, which is contractive inside the injectivity ball. The result
     satisfies the first-order condition ||sum_i w_i log_x(p_i)|| <= tol.
 
-    Points of weight zero are dropped; the others are stacked once, and each
-    iteration takes all their logs from one ``manifold.log_many`` call and
-    sums the weighted rows in point order (the bits of a pointwise loop
-    wherever ``log_many`` gives the bits of ``log``). Each iteration makes
-    exactly one ``manifold.exp`` call. Raises FrechetMeanError, carrying the
-    last iterate and its residual, after ``max_iter`` iterations.
+    Points of weight zero are skipped. Each iteration takes the logs of the
+    others from one ``log_many`` call, sums them in point order and makes one
+    ``exp`` call; FrechetMeanError (last iterate, residual) after max_iter.
     """
     if len(points) == 0:
         raise GeometryError("points must be nonempty")

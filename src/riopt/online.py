@@ -239,10 +239,8 @@ def aoogd_round(
     plays the mean under the new weights, scores every expert against the
     revealed gradient, and advances each expert with its own step size.
 
-    The expert points are stacked once; the optimism and the surrogate
-    scores each take their logs from one ``log_many`` call. The gradient at
-    the played point comes back as ``diag.g_play``, so a caller that needs it
-    does not evaluate it again.
+    Optimism and surrogate scores each take their logs from one ``log_many``
+    call; ``diag.g_play`` is the gradient at the played point.
     """
     n = len(experts)
     if weights.w.shape != (n,):

@@ -34,9 +34,8 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 class FrechetMeanLoss:
     """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
-    The N points A_i are stored once, stacked along axis 0 of ``targets``
-    (ambient coordinates). Value and gradient each take every distance or
-    log from one ``dist_many`` / ``log_many`` call of the manifold.
+    ``targets`` stacks the A_i along axis 0; value and gradient each make one
+    ``dist_many`` / ``log_many`` call.
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):
@@ -120,4 +119,3 @@ def fixed_probe_points(
         manifold.random_point(child_rng(seed, TAG_PROBE, i), center=anchor, radius=radius)
         for i in range(count)
     ]
-
