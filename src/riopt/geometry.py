@@ -216,14 +216,9 @@ class Manifold(ABC):
     def transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
         """Parallel transport of v along the minimizing geodesic x -> y."""
 
-    # -- batched forms: a stack of target coordinates along axis 0 -----------
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x of every stacked target; default loops over ``log``."""
+        """log_x of every target stacked along axis 0; default loops over ``log``."""
         return np.stack([self.log(x, Point(y, self.manifold_id)).coords for y in targets])
-
-    def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """dist(x, .) of every stacked target, shape (n,); default loops over ``dist``."""
-        return np.array([self.dist(x, Point(y, self.manifold_id)) for y in targets])
 
     # -- sampling ----------------------------------------------------------
     @abstractmethod

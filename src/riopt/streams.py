@@ -35,7 +35,7 @@ class FrechetMeanLoss:
     """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
     ``targets`` stacks the A_i along axis 0; value and gradient each make one
-    ``dist_many`` / ``log_many`` call.
+    ``dist_many`` / ``log_many`` call (Hyperbolic and SPD have ``dist_many``).
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):
