@@ -121,3 +121,58 @@ def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
     # the previous loss (18T - 3 with 14 probes)
     assert len(calls) == (N_FIXED_PROBES + 4) * cfg.T - 3
     assert len(set(calls)) == len(calls)
+
+
+# ------------------------------------------------------------- CLI exit paths
+UNSTABLE_QUADGAME = {"experiment": "quadgame", "d": 2, "c1": 0.5, "T": 20}
+
+
+@pytest.mark.parametrize("name", ["rogda", "rgda", "rceg"])
+def test_diverging_solver_exits_3(tmp_path, capsys, name):
+    config = dict(UNSTABLE_QUADGAME, algorithms=[{"name": name, "eta": 10.0}])
+    assert _run_cli(tmp_path, "quadgame", config) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
+def _run_sweep(tmp_path, configs):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"configs": configs}), encoding="utf-8")
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "sweep_summary.json").read_text(encoding="utf-8"))
+    return code, report
+
+
+def test_sweep_with_one_failed_run_exits_0_and_aggregates_the_rest(tmp_path):
+    bad = dict(UNSTABLE_QUADGAME, algorithms=[{"name": "rogda", "eta": 10.0}])
+    ok = dict(UNSTABLE_QUADGAME, algorithms=["rogda"])
+    code, report = _run_sweep(tmp_path, [bad, ok])
+    assert code == 0
+    assert [r["status"] for r in report["runs"]] == ["error", "ok"]
+    ok_stats = report["runs"][1]["summary"]["algorithms"]["rogda"]
+    assert list(report["aggregate"]) == ["rogda"]
+    for key, agg in report["aggregate"]["rogda"].items():
+        assert agg["values"] == [ok_stats[key]]
+
+
+def test_sweep_with_every_run_failed_exits_3(tmp_path, capsys):
+    bad = [
+        dict(UNSTABLE_QUADGAME, algorithms=[{"name": name, "eta": 10.0}])
+        for name in ("rogda", "rgda")
+    ]
+    code, report = _run_sweep(tmp_path, bad)
+    assert code == 3
+    assert [r["status"] for r in report["runs"]] == ["error", "error"]
+    assert report["aggregate"] == {}
+    assert capsys.readouterr().err.startswith("run 0:")
+
+
+# ------------------------------------------------------ independent players
+@pytest.mark.parametrize("name", ["frechet", "quadgame", "robust_pca"])
+def test_each_algorithm_alone_reproduces_its_share_of_the_joint_run(name):
+    _, config = GOLDEN_CONFIGS[name]
+    joint = run_experiment(ExperimentConfig.from_dict(config))
+    for alg in config["algorithms"]:
+        alone = run_experiment(ExperimentConfig.from_dict(dict(config, algorithms=[alg])))
+        assert alone.rows == [r for r in joint.rows if r.algorithm == alg], alg
+        assert alone.summary["algorithms"] == {alg: joint.summary["algorithms"][alg]}
+        assert alone.summary["comparator_path_length"] == joint.summary["comparator_path_length"]
