@@ -6,7 +6,6 @@ from .geometry import (
     CurvatureBounds,
     FrechetMeanError,
     GeometryError,
-    GeometryParams,
     Manifold,
     Point,
     TangentVector,
@@ -15,7 +14,7 @@ from .geometry import (
     weighted_frechet_mean,
     zeta_constant,
 )
-from .manifolds import SPD, Euclidean, Hyperbolic, Product, Sphere, make_manifold
+from .manifolds import SPD, Euclidean, Hyperbolic, Product, Sphere
 from .online import (
     CorrectedState,
     MetaWeights,

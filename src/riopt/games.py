@@ -49,26 +49,22 @@ class ZeroSumGame:
     params: dict = field(default_factory=dict)
     residual_fn: Optional[Callable[[Point], np.ndarray]] = None
 
-    def split(self, z: Point) -> tuple[Point, Point]:
-        a, b = self.space.split(z)
-        return a, b
-
     def join(self, x: Point, y: Point) -> Point:
         return self.space.join([x, y])
 
     def value(self, z: Point) -> float:
-        x, y = self.split(z)
+        x, y = self.space.split(z)
         return self.payoff(x, y)
 
     def field(self, z: Point) -> TangentVector:
-        x, y = self.split(z)
+        x, y = self.space.split(z)
         gx = self.grad_x(x, y)
         gy = self.grad_y(x, y)
         return self.space.join_tangent(z, [gx, -1.0 * gy])
 
     def gradient(self, z: Point) -> TangentVector:
         """Joint Riemannian gradient of the payoff on the product manifold."""
-        x, y = self.split(z)
+        x, y = self.space.split(z)
         return self.space.join_tangent(z, [self.grad_x(x, y), self.grad_y(x, y)])
 
     def residual(self, z: Point) -> np.ndarray:

@@ -109,27 +109,6 @@ class CurvatureBounds:
         return max(abs(self.kappa), abs(self.K))
 
 
-@dataclass(frozen=True)
-class GeometryParams:
-    """Diameter bound of a feasible region plus its distortion constants."""
-
-    D: float
-    sigma: float
-    zeta: float
-
-    def __post_init__(self):
-        if self.D < 0:
-            raise GeometryError("diameter must be non-negative")
-        if not (0.0 < self.sigma <= 1.0 <= self.zeta):
-            raise GeometryError("need 0 < sigma <= 1 <= zeta")
-
-    @classmethod
-    def from_bounds(cls, bounds: CurvatureBounds, D: float) -> "GeometryParams":
-        if bounds.K > 0 and D >= math.pi / (2.0 * math.sqrt(bounds.K)):
-            raise GeometryError("diameter too large for positive upper curvature")
-        return cls(D=D, sigma=sigma_constant(bounds.K, D), zeta=zeta_constant(bounds.kappa, D))
-
-
 def sigma_constant(K: float, D: float) -> float:
     """Minimum distortion rate sigma(K, D) = sqrt(K) D / tan(sqrt(K) D).
 

@@ -496,31 +496,3 @@ class Product(Manifold):
         r = radius * rng.uniform()
         return self.exp(center, r * direction)
 
-
-def make_manifold(kind: str, **params) -> Manifold:
-    """Factory keyed by manifold kind.
-
-    kinds: euclidean(n), sphere(n), hyperbolic(n), spd(d[, eig_range]),
-    product(factors=[manifolds or (kind, params) specs]).
-    """
-    kind = kind.lower()
-    if kind == "euclidean":
-        return Euclidean(int(params["n"]))
-    if kind == "sphere":
-        return Sphere(int(params["n"]))
-    if kind == "hyperbolic":
-        return Hyperbolic(int(params["n"]))
-    if kind == "spd":
-        if "eig_range" in params:
-            return SPD(int(params["d"]), tuple(params["eig_range"]))
-        return SPD(int(params["d"]))
-    if kind == "product":
-        factors = []
-        for spec in params["factors"]:
-            if isinstance(spec, Manifold):
-                factors.append(spec)
-            else:
-                sub_kind, sub_params = spec
-                factors.append(make_manifold(sub_kind, **sub_params))
-        return Product(factors)
-    raise GeometryError(f"unknown manifold kind: {kind!r}")

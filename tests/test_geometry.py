@@ -10,7 +10,6 @@ from riopt import (
     Euclidean,
     FrechetMeanError,
     GeometryError,
-    GeometryParams,
     Hyperbolic,
     Product,
     SPD,
@@ -55,6 +54,7 @@ def test_zeta_flat_branch_and_known_value():
     assert zeta_constant(0.5, 2.0) == 1.0
     assert zeta_constant(0.0, 2.0) == 1.0
     assert zeta_constant(-1.0, 1.0) == pytest.approx(1.3130352854993313, abs=1e-12)
+    assert zeta_constant(-1.0, 2.0) == pytest.approx(2.0 / math.tanh(2.0))
 
 
 def test_zeta_limit_small_distance():
@@ -80,16 +80,6 @@ def test_curvature_bounds_validation():
     assert b.K_m == 1.0
     with pytest.raises(GeometryError):
         CurvatureBounds(1.0, 0.0)
-
-
-def test_geometry_params_from_bounds():
-    p = GeometryParams.from_bounds(CurvatureBounds(-1.0, -1.0), 2.0)
-    assert p.sigma == 1.0
-    assert p.zeta == pytest.approx(2.0 / math.tanh(2.0))
-    with pytest.raises(GeometryError):
-        GeometryParams.from_bounds(CurvatureBounds(1.0, 1.0), 2.0)
-    with pytest.raises(GeometryError):
-        GeometryParams(D=1.0, sigma=1.5, zeta=1.0)
 
 
 # ------------------------------------------------------------ tangent algebra

@@ -10,23 +10,25 @@ from riopt import (
     Product,
     SPD,
     Sphere,
-    make_manifold,
     make_spd_dataset,
 )
 from riopt.geometry import Manifold, Point, TangentVector
 
 
-def test_make_manifold_kinds():
-    assert make_manifold("euclidean", n=3).curvature.K == 0.0
-    h = make_manifold("hyperbolic", n=2)
+@pytest.mark.parametrize("cls", [Euclidean, Sphere, Hyperbolic, SPD])
+def test_constructors_reject_dimension_0(cls):
+    with pytest.raises(GeometryError):
+        cls(0)
+
+
+def test_curvature_bounds_of_each_manifold():
+    assert Euclidean(3).curvature.K == 0.0
+    h = Hyperbolic(2)
     assert h.curvature.kappa == -1.0 and h.curvature.K == -1.0
-    p = make_manifold("product", factors=[("spd", {"d": 2}), ("sphere", {"n": 2})])
+    p = Product([SPD(2), Sphere(2)])
+    assert (p.curvature.kappa, p.curvature.K) == (-0.5, 1.0)
     x = p.base_point()
     assert p.dist(x, x) == 0.0
-    with pytest.raises(GeometryError):
-        make_manifold("euclidean", n=0)
-    with pytest.raises(GeometryError):
-        make_manifold("nope")
 
 
 def test_sphere_quarter_circle():
