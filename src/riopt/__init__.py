@@ -23,6 +23,7 @@ from .online import (
     StepSizePool,
     aoogd_configure,
     aoogd_round,
+    grad_variation,
     regret_update,
     rogd_step,
     roogd_corrected_init,

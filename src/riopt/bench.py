@@ -43,6 +43,7 @@ from .online import (
     RegretLedger,
     aoogd_configure,
     aoogd_round,
+    grad_variation,
     regret_update,
     rogd_step,
     roogd_corrected_init,
@@ -67,6 +68,19 @@ from .verify import (
 EXPERIMENTS = ("frechet", "quadgame", "robust_pca", "verify")
 ONLINE_ALGORITHMS = ("rogd", "roogd", "roogd_corrected", "raoogd")
 GAME_ALGORITHMS = ("rogda", "rgda", "rceg")
+# The algorithms each experiment accepts, and those it runs when none are named.
+ALGORITHMS = {
+    "frechet": ONLINE_ALGORITHMS,
+    "quadgame": GAME_ALGORITHMS,
+    "robust_pca": GAME_ALGORITHMS,
+    "verify": (),
+}
+DEFAULT_ALGORITHMS = {
+    "frechet": ("rogd", "roogd", "raoogd"),
+    "quadgame": GAME_ALGORITHMS,
+    "robust_pca": ("rogda",),
+    "verify": (),
+}
 
 CSV_HEADER = "round,algorithm,instantaneous_loss,cumulative_loss,cumulative_regret,grad_norm,wall_micros"
 
@@ -138,8 +152,10 @@ class ExperimentConfig:
                 f"eig_high must be >= eig_low, got eig_low={self.eig_low!r}, "
                 f"eig_high={self.eig_high!r}"
             )
-        allowed = self._allowed_algorithms()
-        algs = self.algorithms or self._default_algorithms()
+        allowed = ALGORITHMS[self.experiment]
+        algs = self.algorithms or tuple(
+            AlgorithmSpec(name) for name in DEFAULT_ALGORITHMS[self.experiment]
+        )
         for spec in algs:
             if spec.name not in allowed:
                 raise ConfigError(
@@ -148,23 +164,10 @@ class ExperimentConfig:
                 )
             if spec.eta is not None and spec.eta <= 0:
                 raise ConfigError(f"algorithm {spec.name!r}: eta must be positive")
+        names = [spec.name for spec in algs]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"each algorithm may be listed once, got {names}")
         object.__setattr__(self, "algorithms", tuple(algs))
-
-    def _allowed_algorithms(self) -> tuple[str, ...]:
-        if self.experiment == "frechet":
-            return ONLINE_ALGORITHMS
-        if self.experiment in ("quadgame", "robust_pca"):
-            return GAME_ALGORITHMS
-        return ()
-
-    def _default_algorithms(self) -> tuple[AlgorithmSpec, ...]:
-        if self.experiment == "frechet":
-            return (AlgorithmSpec("rogd"), AlgorithmSpec("roogd"), AlgorithmSpec("raoogd"))
-        if self.experiment == "quadgame":
-            return (AlgorithmSpec("rogda"), AlgorithmSpec("rgda"), AlgorithmSpec("rceg"))
-        if self.experiment == "robust_pca":
-            return (AlgorithmSpec("rogda"),)
-        return ()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -266,18 +269,10 @@ def frechet_meta_constants(cfg: ExperimentConfig) -> FrechetConstants:
     """
     kappa = -abs(cfg.curvature_mag)
     D = cfg.center_diam
-    G = cfg.center_diam / 2.0 + cfg.ball_radius
+    zeta = zeta_constant(kappa, D)
     return FrechetConstants(
-        D0=D,
-        G=G,
-        L=zeta_constant(kappa, D),
-        sigma0=sigma_constant(kappa, D),
-        zeta0=zeta_constant(kappa, D),
+        D0=D, G=D / 2.0 + cfg.ball_radius, L=zeta, sigma0=sigma_constant(kappa, D), zeta0=zeta
     )
-
-
-def quadgame_reference_eta(c1: float) -> float:
-    return 0.5 if c1 < 0.25 else 0.2
 
 
 def default_eta(cfg: ExperimentConfig, name: str) -> Optional[float]:
@@ -299,7 +294,7 @@ def default_eta(cfg: ExperimentConfig, name: str) -> Optional[float]:
             return c.D0 / (c.G * math.sqrt(cfg.T))
         return None  # raoogd uses the step-size pool
     if cfg.experiment == "quadgame":
-        return quadgame_reference_eta(cfg.c1) / cfg.d**2
+        return (0.5 if cfg.c1 < 0.25 else 0.2) / cfg.d**2
     if cfg.experiment == "robust_pca":
         return 0.07
     return None
@@ -309,12 +304,10 @@ def run_experiment(cfg: ExperimentConfig, out: Optional[str] = None) -> BenchRes
     """Run one experiment; write CSV + summary JSON when an out dir is given."""
     if cfg.experiment == "frechet":
         rows, summary = _run_frechet(cfg)
-    elif cfg.experiment == "quadgame" or cfg.experiment == "robust_pca":
+    elif cfg.experiment in ("quadgame", "robust_pca"):
         rows, summary = _run_game(cfg)
-    elif cfg.experiment == "verify":
+    else:
         rows, summary = [], run_verification(cfg)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     result = BenchResult(config=cfg, rows=rows, summary=summary)
     target = out or cfg.out
     if target is not None:
@@ -322,30 +315,82 @@ def run_experiment(cfg: ExperimentConfig, out: Optional[str] = None) -> BenchRes
     return result
 
 
-def write_outputs(result: BenchResult, out_dir: Path) -> dict:
+def write_outputs(result: BenchResult, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
     if result.rows:
-        csv_path = out_dir / "results.csv"
-        csv_path.write_text(result.csv_text(), encoding="utf-8", newline="")
-        paths["csv"] = str(csv_path)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(
+        (out_dir / "results.csv").write_text(result.csv_text(), encoding="utf-8", newline="")
+    (out_dir / "summary.json").write_text(
         json.dumps(result.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    paths["summary"] = str(summary_path)
-    config_path = out_dir / "config.json"
-    config_path.write_text(
+    (out_dir / "config.json").write_text(
         json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    paths["config"] = str(config_path)
-    return paths
 
 
 def _now_micros() -> int:
     return time.perf_counter_ns() // 1000
+
+
+def _step_sizes(cfg: ExperimentConfig) -> dict[str, Optional[float]]:
+    """Each algorithm's step size: the configured eta, else its default."""
+    return {
+        spec.name: spec.eta if spec.eta is not None else default_eta(cfg, spec.name)
+        for spec in cfg.algorithms
+    }
+
+
+def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
+    """Online learner ``name`` started at x0, as a ``play`` callable.
+
+    ``play(loss, prev_loss)`` returns ``(x_t, loss.grad(x_t))``: the point
+    x_t, fixed before ``loss`` is touched, and the gradient there, computed
+    once. It then advances the learner. ``prev_loss`` is None in round 1;
+    only R-AOOGD reads it, for its optimism term. R-AOOGD ignores ``eta`` and
+    hedges over its own pool of R-OOGD experts.
+    """
+    if name == "raoogd":
+        mc = frechet_meta_constants(cfg)
+        # the hedge rate wants the true gradient variation, which is not
+        # causal; default to the sqrt-horizon scale (slowly mixing stream)
+        v_bound = cfg.v_t_bound if cfg.v_t_bound is not None else mc.G**2 * math.sqrt(cfg.T)
+        pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
+        experts = [roogd_init(manifold, x0, e) for e in pool.etas]
+        weights = MetaWeights.uniform(pool.N)
+
+        def play(loss, prev_loss):
+            nonlocal experts, weights
+            prev_grad = prev_loss.grad if prev_loss is not None else None
+            x_t, experts, weights, diag = aoogd_round(
+                manifold, experts, weights, beta, loss.grad, prev_grad
+            )
+            return x_t, diag.g_play
+
+        return play
+
+    if name == "rogd":
+        state = x0
+        point = lambda x: x  # noqa: E731
+        advance = lambda x, g: rogd_step(manifold, x, g, eta)  # noqa: E731
+    else:
+        init, step = (
+            (roogd_init, roogd_step)
+            if name == "roogd"
+            else (roogd_corrected_init, roogd_corrected_step)
+        )
+        state = init(manifold, x0, eta)
+        point = lambda s: s.x_cur  # noqa: E731
+        advance = lambda s, g: step(manifold, s, g)  # noqa: E731
+
+    def play(loss, prev_loss):
+        nonlocal state
+        x_t = point(state)
+        g_t = loss.grad(x_t)
+        state = advance(state, g_t)
+        return x_t, g_t
+
+    return play
 
 
 def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
@@ -362,40 +407,21 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         seed=cfg.seed,
     )
     anchor = stream.anchor
-    consts = frechet_constants(cfg)
     probe_radius = cfg.center_diam / 2.0 + cfg.ball_radius
     probes = fixed_probe_points(manifold, anchor, probe_radius, N_FIXED_PROBES, cfg.seed)
 
-    x0 = anchor
-    states: dict[str, dict] = {}
-    for spec in cfg.algorithms:
-        eta = spec.eta if spec.eta is not None else default_eta(cfg, spec.name)
-        st: dict = {"eta": eta, "ledger": RegretLedger(), "max_dist": 0.0}
-        if spec.name == "rogd":
-            st["x"] = x0
-        elif spec.name == "roogd":
-            st["state"] = roogd_init(manifold, x0, eta)
-        elif spec.name == "roogd_corrected":
-            st["state"] = roogd_corrected_init(manifold, x0, eta)
-        elif spec.name == "raoogd":
-            mc = frechet_meta_constants(cfg)
-            # the hedge rate wants the true gradient variation, which is not
-            # causal; default to the sqrt-horizon scale (slowly mixing stream)
-            v_bound = (
-                cfg.v_t_bound
-                if cfg.v_t_bound is not None
-                else mc.G**2 * math.sqrt(cfg.T)
-            )
-            pool, beta = aoogd_configure(
-                cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound
-            )
-            st["experts"] = [roogd_init(manifold, x0, e) for e in pool.etas]
-            st["weights"] = MetaWeights.uniform(pool.N)
-            st["beta"] = beta
-        states[spec.name] = st
+    etas = _step_sizes(cfg)
+    players = {
+        name: _online_learner(cfg, name, manifold, anchor, eta) for name, eta in etas.items()
+    }
+    ledgers = dict.fromkeys(players, RegretLedger())
+    max_dist = dict.fromkeys(players, 0.0)
 
-    # The probes never move, so each loss's probe gradients are computed once
-    # and serve as the next round's previous-loss values.
+    # Each round, the comparator's move and the gradient variation at the
+    # shared probes (the fixed points and the comparator) are computed once;
+    # each learner then folds in only its own point. The probes never move,
+    # so each loss's probe gradients also serve as the next round's previous
+    # values.
     rows: list[ResultRow] = []
     prev_loss = None
     prev_probe_grads: list = []
@@ -405,46 +431,26 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         u_t = frechet_mean(manifold, loss.point_list())
         comp_val = loss.value(u_t)
         probe_grads = [loss.grad(p) for p in probes]
-        shared_pairs = []
+        hop = manifold.dist(u_t, u_prev) if u_prev is not None else 0.0
+        shared_vt = 0.0
         if prev_loss is not None:
             shared_pairs = list(zip(probe_grads, prev_probe_grads))
             shared_pairs.append((loss.grad(u_t), prev_loss.grad(u_t)))
-        for spec in cfg.algorithms:
-            st = states[spec.name]
+            shared_vt = grad_variation(manifold, shared_pairs)
+        for name, play in players.items():
             tic = _now_micros() if cfg.record_timing else 0
-            if spec.name == "raoogd":
-                x_t, st["experts"], st["weights"], diag = aoogd_round(
-                    manifold,
-                    st["experts"],
-                    st["weights"],
-                    st["beta"],
-                    loss.grad,
-                    prev_loss.grad if prev_loss is not None else None,
-                )
-                g_t = diag.g_play
-            else:
-                x_t = st["x"] if spec.name == "rogd" else st["state"].x_cur
-                g_t = loss.grad(x_t)
+            x_t, g_t = play(loss, prev_loss)
             inst = loss.value(x_t)
-            pairs = shared_pairs
+            vt = shared_vt
             if prev_loss is not None:
-                pairs = shared_pairs + [(g_t, prev_loss.grad(x_t))]
-            st["ledger"] = regret_update(
-                st["ledger"], inst, comp_val, u_t, u_prev, pairs, manifold
-            )
-            st["max_dist"] = max(st["max_dist"], manifold.dist(x_t, anchor))
-            if spec.name == "rogd":
-                st["x"] = rogd_step(manifold, x_t, g_t, st["eta"])
-            elif spec.name == "roogd":
-                st["state"] = roogd_step(manifold, st["state"], g_t)
-            elif spec.name == "roogd_corrected":
-                st["state"] = roogd_corrected_step(manifold, st["state"], g_t)
+                vt = grad_variation(manifold, [(g_t, prev_loss.grad(x_t))], start=shared_vt)
+            led = ledgers[name] = regret_update(ledgers[name], inst, comp_val, hop, vt)
+            max_dist[name] = max(max_dist[name], manifold.dist(x_t, anchor))
             wall = (_now_micros() - tic) if cfg.record_timing else 0
-            led = st["ledger"]
             rows.append(
                 ResultRow(
                     round=t,
-                    algorithm=spec.name,
+                    algorithm=name,
                     instantaneous_loss=inst,
                     cumulative_loss=led.cum_alg_loss,
                     cumulative_regret=led.regret,
@@ -456,25 +462,22 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         prev_probe_grads = probe_grads
         u_prev = u_t
 
-    any_ledger = next(iter(states.values()))["ledger"]
     summary = {
         "experiment": cfg.experiment,
         "T": cfg.T,
         "seed": cfg.seed,
-        "comparator_path_length": any_ledger.path_length,
-        "constants": dataclasses.asdict(consts),
+        "comparator_path_length": next(iter(ledgers.values())).path_length,
+        "constants": dataclasses.asdict(frechet_constants(cfg)),
         "algorithms": {},
     }
-    for spec in cfg.algorithms:
-        st = states[spec.name]
-        led = st["ledger"]
-        summary["algorithms"][spec.name] = {
-            "eta": st["eta"],
+    for name, led in ledgers.items():
+        summary["algorithms"][name] = {
+            "eta": etas[name],
             "final_cumulative_loss": led.cum_alg_loss,
             "final_cumulative_regret": led.regret,
             "comparator_cumulative_loss": led.cum_comparator_loss,
             "grad_variation_estimate": led.grad_variation,
-            "max_dist_to_center": st["max_dist"],
+            "max_dist_to_center": max_dist[name],
         }
     return rows, summary
 
@@ -500,52 +503,65 @@ def game_initial_point(cfg: ExperimentConfig, game: ZeroSumGame):
     return game.join(a0, x0)
 
 
+def _game_solver(name: str, game: ZeroSumGame, z0, eta: float):
+    """Game solver ``name`` started at z0 with step eta, as a ``play`` callable.
+
+    ``play()`` returns ``(z_t, F(z_t))``: the point it plays this round and
+    the game field there, evaluated once and handed to the step. It then
+    advances to z_{t+1}. R-OGDA's ``play`` also carries its current
+    ``GameState`` as ``play.state``, whose running average the summary reports.
+    """
+    if name == "rogda":
+
+        def play():
+            state = play.state
+            F = game.field(state.z_cur)
+            play.state = rogda_step(game, state, eta, F)
+            return state.z_cur, F
+
+        play.state = rogda_init(game, z0)
+        return play
+
+    step = rgda_step if name == "rgda" else rceg_step
+    z = z0
+
+    def play():
+        nonlocal z
+        z_t = z
+        F = game.field(z_t)
+        z = step(game, z_t, eta, F)
+        return z_t, F
+
+    return play
+
+
 def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
     m = game.space
 
-    states: dict[str, dict] = {}
-    for spec in cfg.algorithms:
-        eta = spec.eta if spec.eta is not None else default_eta(cfg, spec.name)
-        st = {"eta": eta, "grad_norms": []}
-        if spec.name == "rogda":
-            st["state"] = rogda_init(game, z0)
-        else:
-            st["z"] = z0
-        states[spec.name] = st
+    etas = _step_sizes(cfg)
+    players = {name: _game_solver(name, game, z0, eta) for name, eta in etas.items()}
+    cum = dict.fromkeys(players, 0.0)
 
     rows: list[ResultRow] = []
     for t in range(1, cfg.T + 1):
-        for spec in cfg.algorithms:
-            st = states[spec.name]
+        for name, play in players.items():
             tic = _now_micros() if cfg.record_timing else 0
-            if spec.name == "rogda":
-                z_t = st["state"].z_cur
-            else:
-                z_t = st["z"]
+            z_t, F = play()
             inst = game.value(z_t)
-            F = game.field(z_t)
             gn = m.norm(z_t, F)
-            st["grad_norms"].append(gn)
-            if spec.name == "rogda":
-                st["state"] = rogda_step(game, st["state"], st["eta"], F)
-            elif spec.name == "rgda":
-                st["z"] = rgda_step(game, z_t, st["eta"], F)
-            else:
-                st["z"] = rceg_step(game, z_t, st["eta"], F)
+            cum[name] += inst
             wall = (_now_micros() - tic) if cfg.record_timing else 0
-            cum = st.get("cum", 0.0) + inst
-            st["cum"] = cum
             rows.append(
                 ResultRow(
                     round=t,
-                    algorithm=spec.name,
+                    algorithm=name,
                     instantaneous_loss=inst,
-                    cumulative_loss=cum,
+                    cumulative_loss=cum[name],
                     # games play against the equilibrium value 0, so the
                     # regret column coincides with the cumulative payoff
-                    cumulative_regret=cum,
+                    cumulative_regret=cum[name],
                     grad_norm=gn,
                     wall_micros=wall,
                 )
@@ -558,24 +574,21 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
         "comparator_path_length": 0.0,
         "algorithms": {},
     }
-    for spec in cfg.algorithms:
-        st = states[spec.name]
-        gns = np.array(st["grad_norms"])
+    for name, play in players.items():
+        gns = np.array([r.grad_norm for r in rows if r.algorithm == name])
         entry = {
-            "eta": st["eta"],
-            "final_cumulative_loss": st["cum"],
-            "final_cumulative_regret": st["cum"],
+            "eta": etas[name],
+            "final_cumulative_loss": cum[name],
+            "final_cumulative_regret": cum[name],
             "grad_norm_final": float(gns[-1]),
             "grad_norm_min": float(gns.min()),
         }
-        if spec.name == "rogda":
-            final_state = st["state"]
-            entry["ne_residual"] = [float(r) for r in game.residual(final_state.z_cur)]
-            entry["ne_residual_averaged"] = [
-                float(r) for r in game.residual(final_state.z_bar)
-            ]
+        state = getattr(play, "state", None)
+        if state is not None:
+            entry["ne_residual"] = [float(r) for r in game.residual(state.z_cur)]
+            entry["ne_residual_averaged"] = [float(r) for r in game.residual(state.z_bar)]
             entry["best_grad_norm"] = entry["grad_norm_min"]
-        summary["algorithms"][spec.name] = entry
+        summary["algorithms"][name] = entry
     return rows, summary
 
 

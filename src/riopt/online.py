@@ -268,27 +268,31 @@ def aoogd_round(
     return x_play, advanced, meta, diag
 
 
-def regret_update(
-    ledger: RegretLedger,
-    f_val_alg: float,
-    f_val_comp: float,
-    u_t: Point,
-    u_prev: Optional[Point],
-    grad_samples: Sequence[tuple[TangentVector, TangentVector]],
+def grad_variation(
     manifold: Manifold,
-) -> RegretLedger:
-    """Fold one round into the ledger.
+    grad_samples: Sequence[tuple[TangentVector, TangentVector]],
+    start: float = 0.0,
+) -> float:
+    """Largest squared gradient difference over the probes, folded onto ``start``.
 
     ``grad_samples`` pairs the current and previous losses' gradients taken at
-    identical probe points; the gradient-variation increment is the largest
-    squared norm of their difference, a deterministic lower bound on the
-    supremum over the feasible set.
+    identical probe points. The result is a deterministic lower bound on the
+    round's gradient variation, the supremum over the feasible set; probes
+    shared by several learners are folded once and passed on as ``start``.
     """
-    hop = manifold.dist(u_t, u_prev) if u_prev is not None else 0.0
-    vt = 0.0
+    vt = start
     for g_now, g_before in grad_samples:
         diff = g_now - g_before
         vt = max(vt, manifold.norm(g_now.base, diff) ** 2)
+    return vt
+
+
+def regret_update(
+    ledger: RegretLedger, f_val_alg: float, f_val_comp: float, hop: float, vt: float
+) -> RegretLedger:
+    """Fold one round into the ledger: the losses of the learner and of the
+    comparator, the comparator's move ``hop`` and the round's gradient
+    variation ``vt``."""
     return RegretLedger(
         cum_alg_loss=ledger.cum_alg_loss + f_val_alg,
         cum_comparator_loss=ledger.cum_comparator_loss + f_val_comp,

@@ -13,6 +13,7 @@ from riopt import (
     StepSizePool,
     aoogd_configure,
     aoogd_round,
+    grad_variation,
     regret_update,
     rogd_step,
     roogd_corrected_init,
@@ -216,13 +217,13 @@ def test_meta_weights_validation():
 # -------------------------------------------------------------------- ledger
 def test_regret_update_examples(rng):
     m = Hyperbolic(2)
-    led = RegretLedger()
     u1 = m.base_point()
     u2 = m.exp(u1, m.random_tangent(u1, rng, norm=1.0))
-    led = regret_update(led, 1.0, 0.5, u1, None, [], m)
+    led = regret_update(RegretLedger(), 1.0, 0.5, 0.0, grad_variation(m, []))
     assert led.path_length == 0.0
+    assert led.grad_variation == 0.0
     g = m.random_tangent(u1, rng, norm=0.7)
-    led = regret_update(led, 2.0, 0.5, u2, u1, [(g, g)], m)
+    led = regret_update(led, 2.0, 0.5, m.dist(u2, u1), grad_variation(m, [(g, g)]))
     assert led.path_length == pytest.approx(1.0, abs=1e-10)
     assert led.grad_variation == 0.0  # identical gradients
     assert led.regret == pytest.approx((1.0 + 2.0) - (0.5 + 0.5))
@@ -236,7 +237,11 @@ def test_regret_update_vt_is_max_over_probes(rng):
         (grad_at(x, [1.0, 0.0]), grad_at(x, [0.0, 0.0])),
         (grad_at(x, [3.0, 0.0]), grad_at(x, [0.0, 0.0])),
     ]
-    led = regret_update(RegretLedger(), 0.0, 0.0, x, None, pairs, m)
+    assert grad_variation(m, pairs) == pytest.approx(9.0)
+    # folding one pair onto the maximum of the others gives the same value
+    assert grad_variation(m, pairs[:1], start=grad_variation(m, pairs[1:])) == pytest.approx(9.0)
+    assert grad_variation(m, pairs, start=10.0) == 10.0
+    led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, grad_variation(m, pairs))
     assert led.grad_variation == pytest.approx(9.0)
 
 
