@@ -1,10 +1,9 @@
 """Experiment runner: seeded synthetic benchmarks with CSV/JSON emission.
 
-Reruns with an identical config and seed produce byte-identical CSV output;
-wall-clock timing is therefore opt-in (``record_timing``) and kept out of the
-default artifacts. Experiments: the moving Frechet-mean stream on hyperbolic
-space, the quadratic logdet game, synthetic robust PCA, and the geometry
-verification suite.
+Reruns with an identical config and seed produce byte-identical outputs.
+Experiments: the moving Frechet-mean stream on hyperbolic space, the
+quadratic logdet game, synthetic robust PCA, and the geometry verification
+suite.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,13 +28,7 @@ from .games import (
     rogda_init,
     rogda_step,
 )
-from .geometry import (
-    FrechetMeanError,
-    GeometryError,
-    frechet_mean,
-    sigma_constant,
-    zeta_constant,
-)
+from .geometry import frechet_mean, sigma_constant, zeta_constant
 from .manifolds import SPD, Euclidean, Hyperbolic, Sphere
 from .online import (
     MetaWeights,
@@ -82,7 +74,7 @@ DEFAULT_ALGORITHMS = {
     "verify": (),
 }
 
-CSV_HEADER = "round,algorithm,instantaneous_loss,cumulative_loss,cumulative_regret,grad_norm,wall_micros"
+CSV_HEADER = "round,algorithm,instantaneous_loss,cumulative_loss,cumulative_regret,grad_norm"
 
 # Probe-set size for the gradient-variation estimate: comparator, iterate,
 # plus this many fixed random points, never refreshed.
@@ -128,7 +120,6 @@ class ExperimentConfig:
     n_triangles: int = 1000
     # io
     out: Optional[str] = None
-    record_timing: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -212,13 +203,12 @@ class ResultRow:
     cumulative_loss: float
     cumulative_regret: float
     grad_norm: float
-    wall_micros: int
 
     def to_csv(self) -> str:
         return (
             f"{self.round},{self.algorithm},{self.instantaneous_loss!r},"
             f"{self.cumulative_loss!r},{self.cumulative_regret!r},"
-            f"{self.grad_norm!r},{self.wall_micros}"
+            f"{self.grad_norm!r}"
         )
 
 
@@ -329,10 +319,6 @@ def write_outputs(result: BenchResult, out_dir: Path) -> None:
     )
 
 
-def _now_micros() -> int:
-    return time.perf_counter_ns() // 1000
-
-
 def _step_sizes(cfg: ExperimentConfig) -> dict[str, Optional[float]]:
     """Each algorithm's step size: the configured eta, else its default."""
     return {
@@ -438,7 +424,6 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
             shared_pairs.append((loss.grad(u_t), prev_loss.grad(u_t)))
             shared_vt = grad_variation(manifold, shared_pairs)
         for name, play in players.items():
-            tic = _now_micros() if cfg.record_timing else 0
             x_t, g_t = play(loss, prev_loss)
             inst = loss.value(x_t)
             vt = shared_vt
@@ -446,7 +431,6 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                 vt = grad_variation(manifold, [(g_t, prev_loss.grad(x_t))], start=shared_vt)
             led = ledgers[name] = regret_update(ledgers[name], inst, comp_val, hop, vt)
             max_dist[name] = max(max_dist[name], manifold.dist(x_t, anchor))
-            wall = (_now_micros() - tic) if cfg.record_timing else 0
             rows.append(
                 ResultRow(
                     round=t,
@@ -455,7 +439,6 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                     cumulative_loss=led.cum_alg_loss,
                     cumulative_regret=led.regret,
                     grad_norm=manifold.norm(x_t, g_t),
-                    wall_micros=wall,
                 )
             )
         prev_loss = loss
@@ -547,12 +530,10 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     rows: list[ResultRow] = []
     for t in range(1, cfg.T + 1):
         for name, play in players.items():
-            tic = _now_micros() if cfg.record_timing else 0
             z_t, F = play()
             inst = game.value(z_t)
             gn = m.norm(z_t, F)
             cum[name] += inst
-            wall = (_now_micros() - tic) if cfg.record_timing else 0
             rows.append(
                 ResultRow(
                     round=t,
@@ -563,7 +544,6 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
                     # regret column coincides with the cumulative payoff
                     cumulative_regret=cum[name],
                     grad_norm=gn,
-                    wall_micros=wall,
                 )
             )
 

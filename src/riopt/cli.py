@@ -1,7 +1,7 @@
 """Benchmark command line.
 
     bench frechet|quadgame|robust-pca|verify|sweep --config <path> --out <dir>
-          [--seed N] [--rounds N] [--timing]
+          [--seed N] [--rounds N]
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (including a
 failing verification suite).
@@ -50,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--rounds", type=int, default=None, help="override config T")
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="record wall time per row (makes the CSV non-reproducible)",
-        )
     return parser
 
 
@@ -73,8 +68,6 @@ def _resolve_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.rounds is not None:
         overrides["T"] = args.rounds
-    if args.timing:
-        overrides["record_timing"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg

@@ -8,7 +8,7 @@ matrices with the affine-invariant metric, and products of the above.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .geometry import (
     GeometryError,
     Manifold,
     Point,
-    RngLike,
     TangentVector,
     as_rng,
 )

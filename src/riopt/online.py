@@ -10,18 +10,12 @@ points through weighted Frechet means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    GeometryError,
-    Manifold,
-    Point,
-    TangentVector,
-    weighted_frechet_mean,
-)
+from .geometry import Manifold, Point, TangentVector, weighted_frechet_mean
 
 GradFn = Callable[[Point], TangentVector]
 

@@ -166,6 +166,24 @@ def test_sweep_with_every_run_failed_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run 0:")
 
 
+def test_timing_flag_and_record_timing_key_are_rejected(tmp_path, capsys):
+    config = dict(UNSTABLE_QUADGAME, algorithms=["rogda"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["quadgame", "--config", str(path), "--out", str(tmp_path / "out"), "--timing"])
+    assert exc.value.code == 2
+    assert _run_cli(tmp_path, "quadgame", dict(config, record_timing=True)) == 2
+    assert "record_timing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_algorithm_listed_twice_is_a_config_error(tmp_path, capsys):
+    config = dict(UNSTABLE_QUADGAME, algorithms=["rgda", {"name": "rgda", "eta": 0.01}])
+    assert _run_cli(tmp_path, "quadgame", config) == 2
+    assert capsys.readouterr().err.startswith("config error: each algorithm may be listed once")
+
+
 # ------------------------------------------------------ independent players
 @pytest.mark.parametrize("name", ["frechet", "quadgame", "robust_pca"])
 def test_each_algorithm_alone_reproduces_its_share_of_the_joint_run(name):
