@@ -28,7 +28,11 @@ from .games import (
     rogda_init,
     rogda_step,
 )
-from .geometry import frechet_mean, sigma_constant, zeta_constant
+from .geometry import (
+    frechet_mean,
+    sigma_constant,
+    zeta_constant,
+)
 from .manifolds import SPD, Euclidean, Hyperbolic, Sphere
 from .online import (
     MetaWeights,
@@ -259,9 +263,13 @@ def frechet_meta_constants(cfg: ExperimentConfig) -> FrechetConstants:
     """
     kappa = -abs(cfg.curvature_mag)
     D = cfg.center_diam
-    zeta = zeta_constant(kappa, D)
+    G = cfg.center_diam / 2.0 + cfg.ball_radius
     return FrechetConstants(
-        D0=D, G=D / 2.0 + cfg.ball_radius, L=zeta, sigma0=sigma_constant(kappa, D), zeta0=zeta
+        D0=D,
+        G=G,
+        L=zeta_constant(kappa, D),
+        sigma0=sigma_constant(kappa, D),
+        zeta0=zeta_constant(kappa, D),
     )
 
 
@@ -521,7 +529,6 @@ def _game_solver(name: str, game: ZeroSumGame, z0, eta: float):
 def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
-    m = game.space
 
     etas = _step_sizes(cfg)
     players = {name: _game_solver(name, game, z0, eta) for name, eta in etas.items()}
@@ -532,7 +539,7 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
         for name, play in players.items():
             z_t, F = play()
             inst = game.value(z_t)
-            gn = m.norm(z_t, F)
+            gn = game.space.norm(z_t, F)
             cum[name] += inst
             rows.append(
                 ResultRow(

@@ -53,6 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """The config fields set by --seed and --rounds."""
+    return {k: v for k, v in (("seed", args.seed), ("T", args.rounds)) if v is not None}
+
+
 def _resolve_config(args) -> ExperimentConfig:
     experiment = _SUBCOMMANDS[args.command]
     raw = _load_json(args.config) if args.config else {}
@@ -62,15 +67,7 @@ def _resolve_config(args) -> ExperimentConfig:
         raise ConfigError(
             f"config experiment {stated!r} does not match subcommand {args.command!r}"
         )
-    cfg = ExperimentConfig.from_dict(raw)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.rounds is not None:
-        overrides["T"] = args.rounds
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(ExperimentConfig.from_dict(raw), **_overrides(args))
 
 
 def main(argv=None) -> int:
@@ -80,11 +77,7 @@ def main(argv=None) -> int:
             if args.config is None:
                 raise ConfigError("sweep requires --config")
             raw = _load_json(args.config)
-            configs = expand_sweep_file(raw)
-            if args.seed is not None:
-                configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
-            if args.rounds is not None:
-                configs = [dataclasses.replace(c, T=args.rounds) for c in configs]
+            configs = [dataclasses.replace(c, **_overrides(args)) for c in expand_sweep_file(raw)]
             report = sweep(configs, out=args.out)
             failed = [r for r in report["runs"] if r["status"] != "ok"]
             for r in failed:

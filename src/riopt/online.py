@@ -15,7 +15,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Manifold, Point, TangentVector, weighted_frechet_mean
+from .geometry import (
+    Manifold,
+    Point,
+    TangentVector,
+    weighted_frechet_mean,
+)
 
 GradFn = Callable[[Point], TangentVector]
 

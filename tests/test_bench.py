@@ -184,6 +184,16 @@ def test_an_algorithm_listed_twice_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: each algorithm may be listed once")
 
 
+def test_seed_and_rounds_flags_override_every_sweep_config(tmp_path):
+    configs = [dict(UNSTABLE_QUADGAME, algorithms=[name]) for name in ("rgda", "rceg")]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"configs": configs}), encoding="utf-8")
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--seed", "5", "--rounds", "3"]) == 0
+    report = json.loads((tmp_path / "out" / "sweep_summary.json").read_text(encoding="utf-8"))
+    assert [(r["seed"], r["T"]) for r in report["runs"]] == [(5, 3), (5, 3)]
+
+
 # ------------------------------------------------------ independent players
 @pytest.mark.parametrize("name", ["frechet", "quadgame", "robust_pca"])
 def test_each_algorithm_alone_reproduces_its_share_of_the_joint_run(name):
