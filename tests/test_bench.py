@@ -134,10 +134,10 @@ def test_diverging_solver_exits_3(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
-def _run_sweep(tmp_path, configs):
+def _run_sweep(tmp_path, configs, *flags):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"configs": configs}), encoding="utf-8")
-    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
     report = json.loads((tmp_path / "out" / "sweep_summary.json").read_text(encoding="utf-8"))
     return code, report
 
@@ -186,11 +186,8 @@ def test_an_algorithm_listed_twice_is_a_config_error(tmp_path, capsys):
 
 def test_seed_and_rounds_flags_override_every_sweep_config(tmp_path):
     configs = [dict(UNSTABLE_QUADGAME, algorithms=[name]) for name in ("rgda", "rceg")]
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"configs": configs}), encoding="utf-8")
-    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main(argv + ["--seed", "5", "--rounds", "3"]) == 0
-    report = json.loads((tmp_path / "out" / "sweep_summary.json").read_text(encoding="utf-8"))
+    code, report = _run_sweep(tmp_path, configs, "--seed", "5", "--rounds", "3")
+    assert code == 0
     assert [(r["seed"], r["T"]) for r in report["runs"]] == [(5, 3), (5, 3)]
 
 
