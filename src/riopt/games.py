@@ -182,11 +182,15 @@ def ne_diagnostics(
     return NEDiagnostics(grad_norm=gn, best_grad_norm=best, ne_residual=game.residual(state.z_cur))
 
 
-def _logdet(M: np.ndarray) -> float:
-    sign, val = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise GeometryError("matrix must be positive definite")
-    return float(val)
+def _logdet(x: Point) -> float:
+    """log det of an SPD point, computed once and kept in its memo."""
+    val = x.memo.get("logdet")
+    if val is None:
+        sign, val = np.linalg.slogdet(x.coords)
+        if sign <= 0:
+            raise GeometryError("matrix must be positive definite")
+        val = x.memo["logdet"] = float(val)
+    return val
 
 
 def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
@@ -195,7 +199,8 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
     payoff(X, Y) = c1 u^2 + c2 u v - c1 v^2 with u = logdet X, v = logdet Y.
     The logdet function is geodesically linear with gradient X, so the partial
     gradients are (2 c1 u + c2 v) X and (c2 u - 2 c1 v) Y, and every point
-    with det X = det Y = 1 is an equilibrium.
+    with det X = det Y = 1 is an equilibrium. Each factor point's logdet is
+    computed once; payoff, gradients and residual at it share the value.
     """
     if d < 1:
         raise GeometryError("d must be >= 1")
@@ -204,20 +209,20 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
     space = Product([SPD(d), SPD(d)])
 
     def payoff(x: Point, y: Point) -> float:
-        u, v = _logdet(x.coords), _logdet(y.coords)
+        u, v = _logdet(x), _logdet(y)
         return c1 * u * u + c2 * u * v - c1 * v * v
 
     def grad_x(x: Point, y: Point) -> TangentVector:
-        u, v = _logdet(x.coords), _logdet(y.coords)
+        u, v = _logdet(x), _logdet(y)
         return TangentVector(x, (2.0 * c1 * u + c2 * v) * x.coords)
 
     def grad_y(x: Point, y: Point) -> TangentVector:
-        u, v = _logdet(x.coords), _logdet(y.coords)
+        u, v = _logdet(x), _logdet(y)
         return TangentVector(y, (c2 * u - 2.0 * c1 * v) * y.coords)
 
     def residual(z: Point) -> np.ndarray:
         x, y = space.split(z)
-        return np.array([_logdet(x.coords), _logdet(y.coords)])
+        return np.array([_logdet(x), _logdet(y)])
 
     # mu is bookkeeping for step-size configuration only: strong convexity in
     # the logdet coordinate scaled by the d-fold reduction factor. Linear-rate
@@ -247,7 +252,7 @@ def quad_duality_gap(game: ZeroSumGame, x_bar: Point, y_bar: Point) -> float:
     c1, c2 = game.params["c1"], game.params["c2"]
     if c1 <= 0:
         raise ValueError("gap unsupported for c1 = 0: best responses are unbounded")
-    u, v = _logdet(x_bar.coords), _logdet(y_bar.coords)
+    u, v = _logdet(x_bar), _logdet(y_bar)
     return (4.0 * c1 * c1 + c2 * c2) / (4.0 * c1) * (u * u + v * v)
 
 

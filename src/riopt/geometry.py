@@ -4,7 +4,8 @@ constants, the manifold interface, and the weighted Frechet-mean solver.
 Every concrete manifold (see :mod:`riopt.manifolds`) implements the
 :class:`Manifold` interface with closed-form exponential/logarithm maps and
 parallel transport along minimizing geodesics. All operations are pure
-functions of their inputs; values are freely shareable across threads.
+functions of their inputs; values are freely shareable across threads (a
+point's memo only caches what its coordinates determine).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,13 +50,26 @@ def as_rng(seed: RngLike) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point on a manifold, stored in the ambient representation."""
+    """A point on a manifold, stored in the ambient representation.
+
+    ``coords`` is never mutated after construction: an operation that needs
+    other coordinates makes a new array and a new Point. ``memo`` relies on
+    this. Manifolds store there what they derive from ``coords`` alone (a
+    factorization, the factor points of a product), so each point is
+    factored once however many operations use it. The memo lives exactly as
+    long as the point; ``copy`` and ``project`` start with an empty one.
+    """
 
     coords: np.ndarray
     manifold_id: str
 
     def copy(self) -> "Point":
         return Point(self.coords.copy(), self.manifold_id)
+
+    # made on first use, so a point no manifold memoizes on costs nothing
+    @cached_property
+    def memo(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,12 +250,6 @@ class Manifold(ABC):
         defect = self.point_defect(x.coords)
         if not np.isfinite(defect) or defect > tol:
             raise GeometryError(f"point violates membership equation by {defect:.3g}")
-
-    def check_tangent(self, v: TangentVector, tol: float = 1e-9) -> None:
-        self.check_point(v.base, tol)
-        defect = self.tangent_defect(v.base, v.coords)
-        if not np.isfinite(defect) or defect > tol:
-            raise GeometryError(f"vector violates tangency constraint by {defect:.3g}")
 
     def _require_finite(self, v: TangentVector) -> None:
         if not np.all(np.isfinite(v.coords)):

@@ -23,6 +23,8 @@ from .geometry import (
 
 # Inner products this close to the antipodal limit are treated as conjugate.
 _ANTIPODAL_TOL = 1e-10
+# np.exp overflows above this argument.
+_EXP_MAX_ARG = math.log(np.finfo(float).max)
 
 
 class Euclidean(Manifold):
@@ -283,6 +285,12 @@ def _eig_apply(fn: Callable[[np.ndarray], np.ndarray], M: np.ndarray) -> np.ndar
     return (V * fn(w)[..., None, :]) @ V.mT
 
 
+def _exp_or_raise(w: np.ndarray) -> np.ndarray:
+    if w.max() > _EXP_MAX_ARG:
+        raise GeometryError("exp overflows: the step is too long for float64")
+    return np.exp(w)
+
+
 class SPD(Manifold):
     """Symmetric positive definite d x d matrices, affine-invariant metric.
 
@@ -290,6 +298,11 @@ class SPD(Manifold):
     standard closed forms through symmetric eigendecompositions. Sectional
     curvature lies in [-1/2, 0]; the bounds below are verified empirically by
     the comparison-inequality suite rather than taken on trust.
+
+    Each point stores (X^(1/2), X^(-1/2)), from one eigendecomposition, in its
+    memo on first use; exp, log, transport, dist_many and log_many at that
+    base point reuse it. A point that is not positive definite stores nothing
+    and raises on every call.
     """
 
     def __init__(self, d: int, eig_range: tuple[float, float] = (0.5, 2.0)):
@@ -320,15 +333,18 @@ class SPD(Manifold):
 
     def inner(self, x, u, v):
         a = np.linalg.solve(x.coords, u.coords)
-        b = np.linalg.solve(x.coords, v.coords)
+        b = a if v is u else np.linalg.solve(x.coords, v.coords)
         return float(np.trace(a @ b))
 
-    def _sqrt_pair(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, V = np.linalg.eigh(_sym(X))
-        if w.min() <= 0:
-            raise GeometryError("matrix is not positive definite")
-        s = np.sqrt(w)
-        return (V * s) @ V.T, (V / s) @ V.T
+    def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray]:
+        pair = x.memo.get("spd_sqrt")
+        if pair is None:
+            w, V = np.linalg.eigh(_sym(x.coords))
+            if w.min() <= 0:
+                raise GeometryError("matrix is not positive definite")
+            s = np.sqrt(w)
+            pair = x.memo["spd_sqrt"] = ((V * s) @ V.T, (V / s) @ V.T)
+        return pair
 
     def dist(self, x, y):
         return float(self.dist_many(x, y.coords))
@@ -336,8 +352,8 @@ class SPD(Manifold):
     def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        S, Si = self._sqrt_pair(x.coords)
-        inner = _eig_apply(np.exp, Si @ v.coords @ Si)
+        S, Si = self._sqrt_pair(x)
+        inner = _eig_apply(_exp_or_raise, Si @ v.coords @ Si)
         return self.project(S @ inner @ S)
 
     def log(self, x, y):
@@ -346,7 +362,7 @@ class SPD(Manifold):
     def transport(self, x, y, v):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
         self._require_base(x, v)
-        S, Si = self._sqrt_pair(x.coords)
+        S, Si = self._sqrt_pair(x)
         middle = _eig_apply(np.sqrt, Si @ y.coords @ Si)
         E = S @ middle @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.T))
@@ -356,14 +372,14 @@ class SPD(Manifold):
     # dist and log pass a single (d, d) matrix, so the formula lives here only.
     def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """dist(x, Y_i) for every matrix of `targets`; returns shape (n,)."""
-        _, Si = self._sqrt_pair(x.coords)
+        _, Si = self._sqrt_pair(x)
         lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ targets @ Si)), 1e-300))
         # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
         return np.sqrt(np.vecdot(lw, lw))
 
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
-        S, Si = self._sqrt_pair(x.coords)
+        S, Si = self._sqrt_pair(x)
         return _sym(S @ _eig_apply(np.log, Si @ targets @ Si) @ S)
 
     def random_point(self, rng, center=None, radius=None):
@@ -403,11 +419,15 @@ class Product(Manifold):
             max(f.curvature.K for f in self.factors),
         )
 
-    def split(self, x: Point) -> list[Point]:
-        return [
-            Point(x.coords[sl].reshape(shape), f.manifold_id)
-            for f, sl, shape in zip(self.factors, self._slices, self._shapes)
-        ]
+    def split(self, x: Point) -> tuple[Point, ...]:
+        """The factor points of x, kept in its memo: the same objects every call."""
+        parts = x.memo.get("product_split")
+        if parts is None:
+            parts = x.memo["product_split"] = tuple(
+                Point(x.coords[sl].reshape(shape), f.manifold_id)
+                for f, sl, shape in zip(self.factors, self._slices, self._shapes)
+            )
+        return parts
 
     def join(self, parts: Sequence[Point]) -> Point:
         return Point(
@@ -460,7 +480,7 @@ class Product(Manifold):
     def inner(self, x, u, v):
         xs = self.split(x)
         us = self.split_tangent(u)
-        vs = self.split_tangent(v)
+        vs = us if v is u else self.split_tangent(v)
         return float(sum(f.inner(xi, ui, vi) for f, xi, ui, vi in zip(self.factors, xs, us, vs)))
 
     def dist(self, x, y):

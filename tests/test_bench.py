@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riopt import ExperimentConfig, FrechetMeanLoss, ZeroSumGame, run_experiment
@@ -103,6 +104,29 @@ def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
     assert len(calls) == 4 * cfg.T
 
 
+def test_game_runner_factors_each_point_once(monkeypatch):
+    calls = {"slogdet": 0, "eigh": 0, "solve": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    cfg = ExperimentConfig.from_dict(GOLDEN_CONFIGS["quadgame"][1])
+    run_experiment(cfg)
+    # one logdet per SPD factor of each field point: R-OGDA 2, RGDA 2, RCEG 4
+    # per round; the 4 the solvers share at z0 equal the 4 of R-OGDA's two
+    # summary residuals
+    assert calls["slogdet"] == 8 * cfg.T
+    # eigh: one square root per factor of each new base point, plus the one
+    # inside every exp/log/transport; solve: one per factor of each grad_norm.
+    # Factoring a point twice anywhere raises these totals.
+    assert calls["eigh"] == 512
+    assert calls["solve"] == 120
+
+
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
     calls = []
     original = FrechetMeanLoss.grad
@@ -131,7 +155,10 @@ UNSTABLE_QUADGAME = {"experiment": "quadgame", "d": 2, "c1": 0.5, "T": 20}
 def test_diverging_solver_exits_3(tmp_path, capsys, name):
     config = dict(UNSTABLE_QUADGAME, algorithms=[{"name": name, "eta": 10.0}])
     assert _run_cli(tmp_path, "quadgame", config) == 3
-    assert capsys.readouterr().err.startswith("numeric failure:")
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    # the message is all of stderr: no numpy warning precedes it
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _run_sweep(tmp_path, configs, *flags):

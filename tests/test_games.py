@@ -19,7 +19,7 @@ from riopt import (
     rogda_init,
     rogda_step,
 )
-from riopt.geometry import TangentVector
+from riopt.geometry import GeometryError, Point, TangentVector
 from riopt.streams import child_rng
 from riopt.verify import fd_gradient_check
 
@@ -200,6 +200,38 @@ def test_quad_logdet_gradients_match_finite_differences():
     z = game.join(spd.random_point(7), spd.random_point(8))
     rep = fd_gradient_check(game.space, game.value, game.gradient, z, n_dirs=10, seed=1)
     assert rep.max_violation < 1e-5
+
+
+def test_quad_logdet_field_value_and_residual_share_each_logdet(monkeypatch):
+    game = quad_logdet_game(4, 0.7, 1.3)
+    spd = game.space.factors[0]
+    z = game.join(spd.random_point(1), spd.random_point(2))
+    fresh = (game.field(z.copy()).coords, game.value(z.copy()), game.residual(z.copy()))
+    calls = []
+    original = np.linalg.slogdet
+
+    def counting_slogdet(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
+    for _ in range(2):
+        assert np.array_equal(game.field(z).coords, fresh[0])
+        assert game.value(z) == fresh[1]
+        assert np.array_equal(game.residual(z), fresh[2])
+    # one logdet per factor point, shared through the factors Product.split keeps
+    assert len(calls) == 2
+
+
+def test_quad_logdet_non_pd_factor_raises_on_every_call():
+    game = quad_logdet_game(2, 0.5, 1.0)
+    z = Point(np.array([1.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 1.0]), game.space.manifold_id)
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            game.value(z)
+        with pytest.raises(GeometryError):
+            game.field(z)
+    assert "logdet" not in game.space.split(z)[0].memo
 
 
 # -------------------------------------------------------------- duality gap

@@ -162,6 +162,87 @@ def test_spd_batched_shapes_and_non_pd_base():
         m.log_many(bad, targets)
 
 
+def _spd_calls_at(m, x, y, v, anchors):
+    """Every SPD operation that factors its base point, at base x."""
+    return [
+        m.exp(x, TangentVector(x, v)).coords,
+        m.log(x, y).coords,
+        m.transport(x, y, TangentVector(x, v)).coords,
+        m.dist_many(x, anchors),
+        m.log_many(x, anchors),
+    ]
+
+
+def test_spd_memoized_factor_gives_the_bits_of_a_fresh_point():
+    m = SPD(6)
+    anchors = np.stack(make_spd_dataset(6, 5, (0.2, 4.5), seed=2))
+    x, y = m.random_point(4), m.random_point(5)
+    v = m.random_tangent(x, 6, norm=0.8).coords
+    _spd_calls_at(m, x, y, v, anchors)
+    assert "spd_sqrt" in x.memo
+    # every call now reads the stored square roots; the copy factors afresh
+    stored = _spd_calls_at(m, x, y, v, anchors)
+    fresh = _spd_calls_at(m, x.copy(), y, v, anchors)
+    for a, b in zip(stored, fresh):
+        assert np.array_equal(a, b)
+
+
+def test_spd_non_pd_point_raises_on_every_call_and_stores_nothing():
+    m = SPD(3)
+    bad = Point(np.diag([1.0, -1.0, 2.0]), m.manifold_id)
+    v = TangentVector(bad, np.eye(3))
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            m.exp(bad, v)
+        with pytest.raises(GeometryError):
+            m.log(bad, m.base_point())
+    assert bad.memo == {}
+
+
+def test_spd_exp_past_float64_raises_geometry_error():
+    m = SPD(2)
+    x = m.base_point()
+    with pytest.raises(GeometryError, match="exp overflows"):
+        m.exp(x, TangentVector(x, np.diag([710.0, 0.0])))
+    # a whitened eigenvalue just below log(float max) ~ 709.78 still works
+    y = m.exp(x, TangentVector(x, np.diag([709.0, 0.0])))
+    assert np.isfinite(y.coords).all()
+
+
+def test_copy_and_project_start_with_an_empty_memo():
+    m = SPD(3)
+    x = m.random_point(0)
+    m.log(x, m.base_point())
+    assert x.memo
+    assert x.copy().memo == {}
+    assert m.project(x.coords).memo == {}
+    p = Product([SPD(2), Sphere(2)])
+    z = p.random_point(1)
+    p.split(z)
+    assert z.copy().memo == {} and p.project(z.coords).memo == {}
+
+
+def test_product_split_returns_the_same_factor_points():
+    p = Product([SPD(2), Sphere(2)])
+    z = p.random_point(3)
+    parts = p.split(z)
+    assert isinstance(parts, tuple)
+    assert all(a is b for a, b in zip(parts, p.split(z)))
+    v = p.random_tangent(z, 4)
+    assert all(vi.base is xi for vi, xi in zip(p.split_tangent(v), parts))
+    # a factor's square root, stored through one joint operation, serves the next
+    p.exp(z, v)
+    assert "spd_sqrt" in parts[0].memo
+
+
+def test_spd_and_product_norm_equal_inner_with_a_distinct_copy():
+    for m in (SPD(4), Product([SPD(3), Sphere(2)])):
+        x = m.random_point(7)
+        v = m.random_tangent(x, 8, norm=1.3)
+        w = TangentVector(x, v.coords.copy())
+        assert m.inner(x, v, v) == m.inner(x, v, w)
+
+
 def test_spd_reported_curvature():
     m = SPD(4)
     assert m.curvature.kappa == -0.5
