@@ -136,6 +136,9 @@ class ExperimentConfig:
             raise ConfigError("S must be >= 1")
         if min(self.dim, self.n_points, self.d, self.n_samples) < 1:
             raise ConfigError("dim, n_points, d and n_samples must be >= 1")
+        n_tri = self.n_triangles
+        if isinstance(n_tri, bool) or not isinstance(n_tri, int) or n_tri < 1:
+            raise ConfigError(f"n_triangles must be an integer >= 1, got {n_tri!r}")
         if self.experiment == "robust_pca" and self.d < 2:
             raise ConfigError(
                 f"d must be >= 2 for robust_pca (the max player lives on S^(d-1)), got {self.d}"

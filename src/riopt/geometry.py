@@ -252,7 +252,7 @@ class Manifold(ABC):
             raise GeometryError(f"point violates membership equation by {defect:.3g}")
 
     def _require_finite(self, v: TangentVector) -> None:
-        if not np.all(np.isfinite(v.coords)):
+        if not np.isfinite(v.coords).all():
             raise GeometryError("tangent vector has non-finite coordinates")
 
     def _require_base(self, x: Point, v: TangentVector) -> None:

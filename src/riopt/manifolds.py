@@ -27,6 +27,37 @@ _ANTIPODAL_TOL = 1e-10
 _EXP_MAX_ARG = math.log(np.finfo(float).max)
 
 
+# Helpers of the row-paired forms (`*_rows`): row i of a stacked base Point
+# (coords of shape (n, ...)) goes with row i of the argument, and a single
+# base broadcasts. Each form repeats the expressions of its single call, so
+# every row has that call's bits: np.linalg.norm of a vector is
+# sqrt(dot(a, a)), which vecdot matches, but numpy's cosh, sinh, asinh and
+# atan2 round differently from math's, so each math function runs per row.
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _per_row(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+
+
+def _rotate_rows(x, v, t, cos, sin):
+    """Rows of x, the mask t != 0 and cos(t) x + sin(t) v / t on it (unprojected)."""
+    out = np.broadcast_to(x.coords, v.coords.shape).copy()
+    m = t != 0.0
+    tm = t[m]
+    cos_t, sin_t = _per_row(cos, tm)[:, None], _per_row(sin, tm)[:, None]
+    return out, m, cos_t * out[m] + sin_t * v.coords[m] / tm[:, None]
+
+
+def _rescale_rows(d: np.ndarray, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """(d / nu) u per row, and the zero vector where nu or d is 0 (log rows)."""
+    out = np.zeros_like(u)
+    m = (nu != 0.0) & (d != 0.0)
+    out[m] = (d[m] / nu[m])[:, None] * u[m]
+    return out
+
+
 class Euclidean(Manifold):
     """Flat R^n; exp/log reduce to vector addition and transport is trivial."""
 
@@ -69,6 +100,19 @@ class Euclidean(Manifold):
     def transport(self, x, y, v):
         self._require_base(x, v)
         return TangentVector(y, v.coords.copy())
+
+    def to_tangent_rows(self, x, coords):
+        return TangentVector(x, np.asarray(coords, dtype=float).reshape(-1, self.n))
+
+    def inner_rows(self, x, u, v):
+        return np.vecdot(u.coords, v.coords)
+
+    def dist_rows(self, x, y):
+        return _row_norm(y.coords - x.coords)
+
+    # exp and log broadcast over rows as they are
+    exp_rows = exp
+    log_rows = log
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -155,6 +199,35 @@ class Sphere(Manifold):
         u_back = self.log(y, x)
         w = v.coords - (np.dot(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
         return self.to_tangent(y, w)
+
+    def to_tangent_rows(self, x, coords):
+        c = np.asarray(coords, dtype=float).reshape(-1, self.ambient)
+        return TangentVector(x, c - np.vecdot(x.coords, c)[..., None] * x.coords)
+
+    inner_rows = Euclidean.inner_rows
+
+    def dist_rows(self, x, y):
+        chord = _row_norm(x.coords - y.coords)
+        cochord = _row_norm(x.coords + y.coords)
+        return 2.0 * _per_row(math.atan2, chord, cochord)
+
+    def exp_rows(self, x, v):
+        self._require_base(x, v)
+        self._require_finite(v)
+        out, m, c = _rotate_rows(x, v, _row_norm(v.coords), math.cos, math.sin)
+        nrm = _row_norm(c)
+        if np.any(nrm == 0):
+            raise GeometryError("cannot project the origin onto the sphere")
+        out[m] = c / nrm[:, None]
+        return Point(out, self.manifold_id)
+
+    def log_rows(self, x, y):
+        cosang = np.vecdot(x.coords, y.coords)
+        if np.any(cosang <= -1.0 + _ANTIPODAL_TOL):
+            raise GeometryError("log undefined at antipodal points")
+        theta = self.dist_rows(x, y)
+        u = y.coords - cosang[..., None] * x.coords
+        return TangentVector(x, _rescale_rows(theta, u, _row_norm(u)))
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -248,6 +321,39 @@ class Hyperbolic(Manifold):
         w = v.coords - (self.minkowski(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
         return self.to_tangent(y, w)
 
+    @staticmethod
+    def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
+
+    def to_tangent_rows(self, x, coords):
+        c = np.asarray(coords, dtype=float).reshape(-1, self.ambient)
+        return TangentVector(x, c + self.minkowski_rows(x.coords, c)[..., None] * x.coords)
+
+    def inner_rows(self, x, u, v):
+        return self.minkowski_rows(u.coords, v.coords)
+
+    def dist_rows(self, x, y):
+        diff = x.coords - y.coords
+        q = np.maximum(self.minkowski_rows(diff, diff), 0.0)
+        return 2.0 * _per_row(math.asinh, 0.5 * np.sqrt(q))
+
+    def exp_rows(self, x, v):
+        self._require_base(x, v)
+        self._require_finite(v)
+        nv = np.sqrt(np.maximum(self.minkowski_rows(v.coords, v.coords), 0.0))
+        out, m, c = _rotate_rows(x, v, nv, math.cosh, math.sinh)
+        q = -self.minkowski_rows(c, c)
+        if np.any((q <= 0) | (c[:, -1] <= 0)):
+            raise GeometryError("coordinates are not near the upper hyperboloid")
+        out[m] = c / np.sqrt(q)[:, None]
+        return Point(out, self.manifold_id)
+
+    def log_rows(self, x, y):
+        d = self.dist_rows(x, y)
+        u = y.coords + self.minkowski_rows(x.coords, y.coords)[..., None] * x.coords
+        nu = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
+        return TangentVector(x, _rescale_rows(d, u, nu))
+
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
         if center is None:
@@ -285,12 +391,6 @@ def _eig_apply(fn: Callable[[np.ndarray], np.ndarray], M: np.ndarray) -> np.ndar
     return (V * fn(w)[..., None, :]) @ V.mT
 
 
-def _exp_or_raise(w: np.ndarray) -> np.ndarray:
-    if w.max() > _EXP_MAX_ARG:
-        raise GeometryError("exp overflows: the step is too long for float64")
-    return np.exp(w)
-
-
 class SPD(Manifold):
     """Symmetric positive definite d x d matrices, affine-invariant metric.
 
@@ -302,7 +402,8 @@ class SPD(Manifold):
     Each point stores (X^(1/2), X^(-1/2)), from one eigendecomposition, in its
     memo on first use; exp, log, transport, dist_many and log_many at that
     base point reuse it. A point that is not positive definite stores nothing
-    and raises on every call.
+    and raises on every call. A stacked point (coords of shape (n, d, d))
+    stores the pairs of all its matrices in one memo entry.
     """
 
     def __init__(self, d: int, eig_range: tuple[float, float] = (0.5, 2.0)):
@@ -332,18 +433,21 @@ class SPD(Manifold):
         return float(np.max(np.abs(coords - coords.T), initial=0.0))
 
     def inner(self, x, u, v):
-        a = np.linalg.solve(x.coords, u.coords)
-        b = a if v is u else np.linalg.solve(x.coords, v.coords)
-        return float(np.trace(a @ b))
+        return float(self.inner_rows(x, u, v))
 
-    def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray]:
+    def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X^(1/2), X^(-1/2) and the cap on a step's whitened eigenvalues."""
         pair = x.memo.get("spd_sqrt")
         if pair is None:
             w, V = np.linalg.eigh(_sym(x.coords))
             if w.min() <= 0:
                 raise GeometryError("matrix is not positive definite")
-            s = np.sqrt(w)
-            pair = x.memo["spd_sqrt"] = ((V * s) @ V.T, (V / s) @ V.T)
+            s = np.sqrt(w)[..., None, :]
+            # exp's e^W, its product X^(1/2) e^W X^(1/2) and the partial sums
+            # stay below max(lambda_max(X), 1) e^max(W); the factor max(d, 2)
+            # leaves room for rounding in the d-term sums and for _sym's sum
+            cap = _EXP_MAX_ARG - np.log(max(self.d, 2) * np.maximum(w[..., -1], 1.0))
+            pair = x.memo["spd_sqrt"] = ((V * s) @ V.mT, (V / s) @ V.mT, cap)
         return pair
 
     def dist(self, x, y):
@@ -352,9 +456,11 @@ class SPD(Manifold):
     def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        S, Si = self._sqrt_pair(x)
-        inner = _eig_apply(_exp_or_raise, Si @ v.coords @ Si)
-        return self.project(S @ inner @ S)
+        S, Si, cap = self._sqrt_pair(x)
+        w, V = np.linalg.eigh(_sym(Si @ v.coords @ Si))
+        if (w[..., -1] > cap).any():
+            raise GeometryError("exp overflows: the step is too long for float64")
+        return Point(_sym(S @ ((V * np.exp(w)[..., None, :]) @ V.mT) @ S), self.manifold_id)
 
     def log(self, x, y):
         return TangentVector(x, self.log_many(x, y.coords))
@@ -362,7 +468,7 @@ class SPD(Manifold):
     def transport(self, x, y, v):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
         self._require_base(x, v)
-        S, Si = self._sqrt_pair(x)
+        S, Si, _ = self._sqrt_pair(x)
         middle = _eig_apply(np.sqrt, Si @ y.coords @ Si)
         E = S @ middle @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.T))
@@ -370,17 +476,33 @@ class SPD(Manifold):
     # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
     # x and one stacked eigvalsh/eigh give the same bits as n single calls.
     # dist and log pass a single (d, d) matrix, so the formula lives here only.
+    # A stacked x pairs its rows with the targets' (dist_rows, log_rows).
     def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """dist(x, Y_i) for every matrix of `targets`; returns shape (n,)."""
-        _, Si = self._sqrt_pair(x)
+        _, Si, _ = self._sqrt_pair(x)
         lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ targets @ Si)), 1e-300))
         # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
         return np.sqrt(np.vecdot(lw, lw))
 
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
-        S, Si = self._sqrt_pair(x)
+        S, Si, _ = self._sqrt_pair(x)
         return _sym(S @ _eig_apply(np.log, Si @ targets @ Si) @ S)
+
+    def to_tangent_rows(self, x, coords):
+        return TangentVector(x, _sym(np.asarray(coords, dtype=float).reshape(-1, self.d, self.d)))
+
+    def inner_rows(self, x, u, v):
+        a = np.linalg.solve(x.coords, u.coords)
+        b = a if v is u else np.linalg.solve(x.coords, v.coords)
+        return np.trace(a @ b, axis1=-2, axis2=-1)
+
+    def dist_rows(self, x, y):
+        return self.dist_many(x, y.coords)
+
+    # exp and log broadcast over rows as they are
+    exp_rows = exp
+    log_rows = log
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

@@ -96,21 +96,58 @@ def triangle_comparison_suite(
     under the pi/2 diameter cap), because the Hessian of half the squared
     distance to the opposite vertex is controlled by the distance to that
     vertex, not by the side being expanded.
+
+    Draw order: triangle k samples A within max_diam of the base point, then
+    B and C within max_diam / 2 of A, each as ``random_point(rng, center,
+    radius)`` does: ``standard_normal(shape)`` for the direction, then
+    ``uniform()`` for the radius. The geometry fixes only the shape of a draw,
+    so all draws come first and the triangles are evaluated on stacks, with
+    the row-paired forms (``to_tangent_rows``, ``inner_rows``, ``exp_rows``,
+    ``dist_rows``, ``log_rows``) that Euclidean, Sphere, Hyperbolic and SPD
+    have. The report is bitwise the one of evaluating the triangles one at a
+    time with the single calls. A non-finite distance or inner product
+    raises GeometryError.
     """
     from .geometry import sigma_constant, zeta_constant
 
+    if n_triangles < 1:
+        raise ValueError("n_triangles must be >= 1")
     rng = as_rng(seed)
+    base = manifold.base_point()
+    shape = base.coords.shape
+    normals = np.empty((n_triangles, 3) + shape)
+    uniforms = np.empty((n_triangles, 3))
+    for k in range(n_triangles):
+        for j in range(3):
+            normals[k, j] = rng.standard_normal(shape)
+            uniforms[k, j] = rng.uniform()
+
+    def column(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape + (1,) * len(shape))
+
+    def sample(center: Point, j: int, radius: float) -> Point:
+        # random_tangent(center, norm=1.0) scaled by radius * uniform, then exp
+        v = manifold.to_tangent_rows(center, normals[:, j])
+        n = np.sqrt(np.maximum(manifold.inner_rows(center, v, v), 0.0))
+        inv = column(1.0 / np.where(n == 0.0, 1.0, n))
+        unit = np.where(column(n) == 0.0, 0.0, inv * v.coords)
+        step = column(radius * uniforms[:, j]) * unit
+        return manifold.exp_rows(center, TangentVector(center, step))
+
+    A = sample(base, 0, max_diam)
+    B = sample(A, 1, max_diam / 2.0)
+    C = sample(A, 2, max_diam / 2.0)
+    sides = [manifold.dist_rows(A, B), manifold.dist_rows(A, C), manifold.dist_rows(B, C)]
+    lhs = 2.0 * manifold.inner_rows(A, manifold.log_rows(A, C), manifold.log_rows(A, B))
+    table = np.stack(sides + [lhs], axis=1)  # one row (dAB, dAC, dBC, lhs) per triangle
+    if not np.isfinite(table).all():
+        raise GeometryError("a triangle has a non-finite distance or inner product")
+
     kappa, K = manifold.curvature.kappa, manifold.curvature.K
     worst = -math.inf
     worst_case: dict = {}
-    base = manifold.base_point()
-    for k in range(n_triangles):
-        A = manifold.random_point(rng, center=base, radius=max_diam)
-        B = manifold.random_point(rng, center=A, radius=max_diam / 2.0)
-        C = manifold.random_point(rng, center=A, radius=max_diam / 2.0)
-        dAB, dAC, dBC = manifold.dist(A, B), manifold.dist(A, C), manifold.dist(B, C)
+    for k, (dAB, dAC, dBC, lhs) in enumerate(table.tolist()):
         diam = max(dAB, dAC, dBC)
-        lhs = 2.0 * manifold.inner(A, manifold.log(A, C), manifold.log(A, B))
         upper = dAB**2 + zeta_constant(kappa, dAB) * dAC**2 - dBC**2
         lower = dAB**2 + sigma_constant(K, diam) * dAC**2 - dBC**2
         violation = max(lhs - upper, lower - lhs)

@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riopt import ExperimentConfig, FrechetMeanLoss, ZeroSumGame, run_experiment
+from riopt import (
+    SPD,
+    ExperimentConfig,
+    FrechetMeanLoss,
+    ZeroSumGame,
+    run_experiment,
+    triangle_comparison_suite,
+)
 from riopt.bench import N_FIXED_PROBES
 from riopt.cli import main
 
@@ -87,6 +94,17 @@ def test_robust_pca_config_errors_exit_2(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n_triangles", [0, -3, 2.5, True, "10"])
+def test_verify_n_triangles_must_be_a_positive_integer(tmp_path, capsys, n_triangles):
+    # 0 and -3 used to pass vacuously with max_violation -Infinity; 2.5 crashed
+    config = {"experiment": "verify", "n_triangles": n_triangles}
+    assert _run_cli(tmp_path, "verify", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "n_triangles" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
     calls = []
     original = ZeroSumGame.field
@@ -125,6 +143,30 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     # Factoring a point twice anywhere raises these totals.
     assert calls["eigh"] == 512
     assert calls["solve"] == 120
+
+
+def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
+    def count_eigh(n):
+        counts = {"calls": 0, "matrices": 0}
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            counts["calls"] += 1
+            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting)
+            triangle_comparison_suite(SPD(2), n, 1.5, seed=0)
+        return counts
+
+    small, large = count_eigh(10), count_eigh(50)
+    # one stacked call per step, whatever the number of triangles
+    assert small["calls"] == large["calls"]
+    # the base point once; per triangle three exps, the square roots of A
+    # and B, and two logs: a point factored twice raises the count
+    for n, counts in ((10, small), (50, large)):
+        assert counts["matrices"] <= 7 * n + 1
 
 
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):

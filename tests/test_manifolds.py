@@ -325,3 +325,144 @@ def test_point_checks():
     h = Hyperbolic(2)
     with pytest.raises(GeometryError):
         h.check_point(s.base_point())
+
+
+# ------------------------------------------------------- row-paired forms
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _row_cases(m, n=7, seed=11):
+    """Stacked bases, targets and tangents with the edge rows of each form.
+
+    Row 0 is the base point, row 1 has a zero tangent, row 2 a coincident
+    target; the rest are random, with targets near their base.
+    """
+    rng = np.random.default_rng(seed)
+    xs = [m.base_point()] + [m.random_point(rng, center=m.base_point(), radius=1.0)
+                             for _ in range(n - 1)]
+    ys = [m.random_point(rng, center=x, radius=0.8) for x in xs]
+    ys[2] = Point(xs[2].coords.copy(), m.manifold_id)
+    vs = [m.random_tangent(x, rng, norm=0.6) for x in xs]
+    vs[1] = m.zero_tangent(xs[1])
+    raw = rng.standard_normal((n,) + xs[0].coords.shape)
+    return xs, ys, vs, raw
+
+
+def _stack(m, pts):
+    return Point(np.stack([p.coords for p in pts]), m.manifold_id)
+
+
+ROW_MANIFOLDS = [Euclidean(3), Sphere(2), Hyperbolic(2), SPD(2), SPD(3)]
+ROW_IDS = ["euclidean", "sphere", "hyperbolic", "spd2", "spd3"]
+
+
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_row_forms_bitwise_equal_single_calls(m):
+    xs, ys, vs, raw = _row_cases(m)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    W = m.to_tangent_rows(X, raw)
+    loop_W = [m.to_tangent(x, r) for x, r in zip(xs, raw)]
+    assert _bits(W.coords) == _bits([w.coords for w in loop_W])
+    assert _bits(m.inner_rows(X, V, V)) == _bits([m.inner(x, v, v) for x, v in zip(xs, vs)])
+    assert _bits(m.inner_rows(X, V, W)) == _bits(
+        [m.inner(x, v, w) for x, v, w in zip(xs, vs, loop_W)]
+    )
+    assert _bits(m.exp_rows(X, V).coords) == _bits(
+        [m.exp(x, v).coords for x, v in zip(xs, vs)]
+    )
+    assert _bits(m.dist_rows(X, Y)) == _bits([m.dist(x, y) for x, y in zip(xs, ys)])
+    assert _bits(m.log_rows(X, Y).coords) == _bits(
+        [m.log(x, y).coords for x, y in zip(xs, ys)]
+    )
+    # zero tangent -> the base row; coincident target -> distance and log 0
+    assert _bits(m.exp_rows(X, V).coords[1]) == _bits(m.exp(xs[1], vs[1]).coords)
+    if not isinstance(m, SPD):
+        assert np.array_equal(m.exp_rows(X, V).coords[1], xs[1].coords)
+        assert m.dist_rows(X, Y)[2] == 0.0
+        assert not m.log_rows(X, Y).coords[2].any()
+
+
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_row_forms_broadcast_a_single_base(m):
+    xs, ys, vs, raw = _row_cases(m)
+    x = m.base_point()
+    W = m.to_tangent_rows(x, raw)
+    loop_W = [m.to_tangent(x, r) for r in raw]
+    assert _bits(W.coords) == _bits([w.coords for w in loop_W])
+    assert _bits(m.inner_rows(x, W, W)) == _bits([m.inner(x, w, w) for w in loop_W])
+    step = TangentVector(x, 0.4 * W.coords)
+    assert _bits(m.exp_rows(x, step).coords) == _bits(
+        [m.exp(x, 0.4 * w).coords for w in loop_W]
+    )
+    Y = _stack(m, ys)
+    assert _bits(m.dist_rows(x, Y)) == _bits([m.dist(x, y) for y in ys])
+    assert _bits(m.log_rows(x, Y).coords) == _bits([m.log(x, y).coords for y in ys])
+
+
+def test_sphere_rows_raise_at_an_antipodal_pair():
+    m = Sphere(2)
+    xs, ys, _, _ = _row_cases(m)
+    ys[4] = Point(-xs[4].coords, m.manifold_id)
+    with pytest.raises(GeometryError, match="antipodal"):
+        m.log(xs[4], ys[4])
+    with pytest.raises(GeometryError, match="antipodal"):
+        m.log_rows(_stack(m, xs), _stack(m, ys))
+
+
+def test_spd_rows_raise_on_a_non_pd_matrix():
+    m = SPD(2)
+    xs, ys, vs, _ = _row_cases(m)
+    xs[3] = Point(np.diag([1.0, -0.5]), m.manifold_id)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    for call in (
+        lambda: m.exp_rows(X, V),
+        lambda: m.log_rows(X, Y),
+        lambda: m.dist_rows(X, Y),
+        lambda: m.log(xs[3], ys[3]),
+    ):
+        with pytest.raises(GeometryError, match="positive definite"):
+            call()
+    assert X.memo == {}
+
+
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_row_exp_rejects_a_non_finite_tangent(m):
+    xs, _, vs, _ = _row_cases(m)
+    coords = np.stack([v.coords for v in vs])
+    coords[5].flat[0] = np.nan
+    X = _stack(m, xs)
+    with pytest.raises(GeometryError, match="non-finite"):
+        m.exp(xs[5], TangentVector(xs[5], coords[5]))
+    with pytest.raises(GeometryError, match="non-finite"):
+        m.exp_rows(X, TangentVector(X, coords))
+
+
+def test_hyperbolic_rows_raise_off_the_upper_hyperboloid():
+    m = Hyperbolic(2)
+    xs, _, vs, _ = _row_cases(m)
+    # the lower sheet: exp stays there, so projection rejects the row
+    xs[3] = Point(-xs[3].coords, m.manifold_id)
+    vs[3] = TangentVector(xs[3], -vs[3].coords)
+    X = _stack(m, xs)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    with pytest.raises(GeometryError, match="hyperboloid"):
+        m.exp(xs[3], vs[3])
+    with pytest.raises(GeometryError, match="hyperboloid"):
+        m.exp_rows(X, V)
+
+
+def test_spd_exp_counts_the_scale_of_the_base_point():
+    # whitened eigenvalue 709 is below log(float max), but diag(100, 1) scales
+    # e^709 past float64; this used to return inf coordinates
+    m = SPD(2)
+    x = m.project(np.diag([100.0, 1.0]))
+    v = TangentVector(x, np.diag([70900.0, 0.0]))
+    with pytest.raises(GeometryError, match="exp overflows"):
+        m.exp(x, v)
+    X = Point(np.stack([np.eye(2), x.coords]), m.manifold_id)
+    with pytest.raises(GeometryError, match="exp overflows"):
+        m.exp_rows(X, TangentVector(X, np.stack([np.zeros((2, 2)), v.coords])))

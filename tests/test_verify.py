@@ -16,7 +16,8 @@ from riopt import (
     random_small_rectangle,
     triangle_comparison_suite,
 )
-from riopt.geometry import TangentVector
+from riopt.geometry import GeometryError, TangentVector, sigma_constant, zeta_constant
+from riopt.verify import ProbeReport
 from riopt.streams import FrechetMeanLoss
 
 
@@ -81,6 +82,82 @@ def test_triangles_curved(manifold, diam):
     rep = triangle_comparison_suite(manifold, 1000, diam, seed=0)
     assert rep.max_violation <= 1e-8
     assert rep.samples == 1000
+
+
+def _triangle_suite_longhand(manifold, n_triangles, max_diam, seed):
+    """The per-triangle evaluation with single calls: the suite's reference."""
+    rng = np.random.default_rng(seed)
+    kappa, K = manifold.curvature.kappa, manifold.curvature.K
+    worst = -math.inf
+    worst_case = {}
+    base = manifold.base_point()
+    for k in range(n_triangles):
+        A = manifold.random_point(rng, center=base, radius=max_diam)
+        B = manifold.random_point(rng, center=A, radius=max_diam / 2.0)
+        C = manifold.random_point(rng, center=A, radius=max_diam / 2.0)
+        dAB, dAC, dBC = manifold.dist(A, B), manifold.dist(A, C), manifold.dist(B, C)
+        diam = max(dAB, dAC, dBC)
+        lhs = 2.0 * manifold.inner(A, manifold.log(A, C), manifold.log(A, B))
+        upper = dAB**2 + zeta_constant(kappa, dAB) * dAC**2 - dBC**2
+        lower = dAB**2 + sigma_constant(K, diam) * dAC**2 - dBC**2
+        violation = max(lhs - upper, lower - lhs)
+        if violation > worst:
+            worst = violation
+            worst_case = {
+                "triangle_index": k,
+                "d_AB": dAB,
+                "d_AC": dAC,
+                "d_BC": dBC,
+                "lhs": lhs,
+                "upper": upper,
+                "lower": lower,
+            }
+    return ProbeReport(
+        name=f"triangle_comparison[{manifold.manifold_id}]",
+        max_violation=worst,
+        samples=n_triangles,
+        worst_case=worst_case,
+    )
+
+
+# the manifolds and diameters of `bench verify`
+VERIFY_MANIFOLDS = [
+    (Euclidean(3), 2.0),
+    (Sphere(2), math.pi / 2 - 0.1),
+    (Hyperbolic(2), 1.5),
+    (SPD(2), 1.5),
+]
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+@pytest.mark.parametrize(
+    "manifold,diam", VERIFY_MANIFOLDS, ids=["euclidean", "sphere", "hyperbolic", "spd"]
+)
+def test_triangle_suite_equals_the_per_triangle_evaluation(manifold, diam, n):
+    for seed in range(8):
+        got = triangle_comparison_suite(manifold, n, diam, seed=seed)
+        want = _triangle_suite_longhand(manifold, n, diam, seed)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(got) == repr(want), seed
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_triangle_suite_rejects_no_triangles(n):
+    with pytest.raises(ValueError, match="n_triangles"):
+        triangle_comparison_suite(Euclidean(2), n, 1.0)
+
+
+def test_triangle_suite_raises_on_a_non_finite_distance():
+    class NanDistance(Euclidean):
+        def dist(self, x, y):
+            return math.nan if x.coords[0] > 0.5 else super().dist(x, y)
+
+        def dist_rows(self, x, y):
+            d = super().dist_rows(x, y)
+            return np.where(x.coords[..., 0] > 0.5, math.nan, d)
+
+    with pytest.raises(GeometryError, match="non-finite"):
+        triangle_comparison_suite(NanDistance(3), 50, 2.0, seed=0)
 
 
 def test_triangle_suite_deterministic():
