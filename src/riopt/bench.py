@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +30,8 @@ from .games import (
     rogda_step,
 )
 from .geometry import (
+    Point,
+    TangentVector,
     frechet_mean,
     sigma_constant,
     zeta_constant,
@@ -89,6 +92,38 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# The numeric fields of ExperimentConfig and the values each admits: an
+# integer or a finite real, with an optional lower bound, inclusive (">=") or
+# strict (">"). v_t_bound may also be None.
+NUMBER_FIELDS = {
+    **{name: (int, ">=", 1) for name in ("T", "S", "dim", "n_points", "d", "n_samples")},
+    "n_triangles": (int, ">=", 1),
+    "seed": (int, ">=", 0),
+    "drift": (float, ">=", 0),
+    "ball_radius": (float, ">=", 0),
+    # the step-size constants of raoogd divide by the center diameter
+    "center_diam": (float, ">", 0),
+    "v_t_bound": (float, ">", 0),
+    "c1": (float, ">=", 0),
+    "eig_low": (float, ">", 0),
+    **{name: (float, None, None) for name in ("curvature_mag", "c2", "alpha", "eig_high")},
+}
+
+
+def check_number(field: str, value, kind: type, op=None, bound=None) -> None:
+    """Raise ConfigError unless ``value`` is an integer (``kind`` int) or a
+    finite real number (``kind`` float), not a bool, and ``value op bound``."""
+    ok = isinstance(value, numbers.Integral if kind is int else numbers.Real)
+    try:
+        ok = ok and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok or (op == ">=" and value < bound) or (op == ">" and value <= bound):
+        what = "an integer" if kind is int else "a finite real number"
+        limit = "" if op is None else f" {op} {bound}"
+        raise ConfigError(f"{field} must be {what}{limit}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     name: str
@@ -128,23 +163,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
+        for name, rule in NUMBER_FIELDS.items():
+            if name != "v_t_bound" or self.v_t_bound is not None:
+                check_number(name, getattr(self, name), *rule)
         if self.mode not in ("abrupt", "drift"):
             raise ConfigError(f"mode must be 'abrupt' or 'drift', got {self.mode!r}")
-        if self.S < 1:
-            raise ConfigError("S must be >= 1")
-        if min(self.dim, self.n_points, self.d, self.n_samples) < 1:
-            raise ConfigError("dim, n_points, d and n_samples must be >= 1")
-        n_tri = self.n_triangles
-        if isinstance(n_tri, bool) or not isinstance(n_tri, int) or n_tri < 1:
-            raise ConfigError(f"n_triangles must be an integer >= 1, got {n_tri!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.experiment == "robust_pca" and self.d < 2:
             raise ConfigError(
                 f"d must be >= 2 for robust_pca (the max player lives on S^(d-1)), got {self.d}"
             )
-        if not self.eig_low > 0:
-            raise ConfigError(f"eig_low must be > 0, got {self.eig_low!r}")
         if not self.eig_low <= self.eig_high:
             raise ConfigError(
                 f"eig_high must be >= eig_low, got eig_low={self.eig_low!r}, "
@@ -160,8 +189,8 @@ class ExperimentConfig:
                     f"algorithm {spec.name!r} not valid for {self.experiment} "
                     f"(allowed: {allowed})"
                 )
-            if spec.eta is not None and spec.eta <= 0:
-                raise ConfigError(f"algorithm {spec.name!r}: eta must be positive")
+            if spec.eta is not None:
+                check_number(f"algorithm {spec.name!r}: eta", spec.eta, float, ">", 0)
         names = [spec.name for spec in algs]
         if len(set(names)) < len(names):
             raise ConfigError(f"each algorithm may be listed once, got {names}")
@@ -175,6 +204,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(raw)
         if "algorithms" in data and data["algorithms"] is not None:
+            if not isinstance(data["algorithms"], (list, tuple)):
+                raise ConfigError(f"algorithms must be a list, got {data['algorithms']!r}")
             specs = []
             for item in data["algorithms"]:
                 if isinstance(item, str):
@@ -406,6 +437,7 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     anchor = stream.anchor
     probe_radius = cfg.center_diam / 2.0 + cfg.ball_radius
     probes = fixed_probe_points(manifold, anchor, probe_radius, N_FIXED_PROBES, cfg.seed)
+    probe_stack = Point(np.stack([p.coords for p in probes]), manifold.manifold_id)
 
     etas = _step_sizes(cfg)
     players = {
@@ -417,8 +449,8 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     # Each round, the comparator's move and the gradient variation at the
     # shared probes (the fixed points and the comparator) are computed once;
     # each learner then folds in only its own point. The probes never move,
-    # so each loss's probe gradients also serve as the next round's previous
-    # values.
+    # so each loss's probe gradients, one grad_rows call on the stacked
+    # probes, also serve as the next round's previous values.
     rows: list[ResultRow] = []
     prev_loss = None
     prev_probe_grads: list = []
@@ -427,7 +459,9 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         loss = stream.losses[t - 1]
         u_t = frechet_mean(manifold, loss.point_list())
         comp_val = loss.value(u_t)
-        probe_grads = [loss.grad(p) for p in probes]
+        probe_grads = [
+            TangentVector(p, g) for p, g in zip(probes, loss.grad_rows(probe_stack).coords)
+        ]
         hop = manifold.dist(u_t, u_prev) if u_prev is not None else 0.0
         shared_vt = 0.0
         if prev_loss is not None:

@@ -235,6 +235,27 @@ class Manifold(ABC):
             return self.zero_tangent(x)
         return TangentVector(x, (norm / n) * v.coords)
 
+    def random_point_rows(
+        self, center: Point, normals: np.ndarray, uniforms: np.ndarray, radius: float
+    ) -> Point:
+        """``random_point(rng, center, radius)`` on stacks, from its draws.
+
+        Row i is bitwise the point ``random_point`` returns when its generator
+        yields ``normals[i]`` from ``standard_normal`` and then ``uniforms[i]``
+        from ``uniform()``: ``random_tangent(center, norm=1.0)``, the step
+        ``(radius * u) * direction`` and ``exp``, repeated expression for
+        expression through the row-paired ``to_tangent_rows``, ``inner_rows``
+        and ``exp_rows`` (Euclidean, Sphere, Hyperbolic and SPD have them).
+        ``center`` is a single point or a stack paired with the rows.
+        """
+        v = self.to_tangent_rows(center, normals)
+        n = np.sqrt(np.maximum(self.inner_rows(center, v, v), 0.0))
+        column = (-1,) + (1,) * (normals.ndim - 1)
+        inv = (1.0 / np.where(n == 0.0, 1.0, n)).reshape(column)
+        unit = np.where(n.reshape(column) == 0.0, 0.0, inv * v.coords)
+        step = (radius * uniforms).reshape(column) * unit
+        return self.exp_rows(center, TangentVector(center, step))
+
     # -- validation ----------------------------------------------------------
     @abstractmethod
     def point_defect(self, coords: np.ndarray) -> float:

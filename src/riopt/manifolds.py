@@ -364,20 +364,25 @@ class Hyperbolic(Manifold):
         r = radius * rng.uniform()
         return self.exp(center, r * direction)
 
-    # Batched helpers used by the experiment layer (hot loops).
+    # Batched helpers used by the experiment layer (hot loops). x is a single
+    # point or a stack of m bases (coords (m, ambient)); a stacked base gives
+    # an (m, n, ...) result whose row i has the bits of the call at base i:
+    # the mat-vec below runs as the same gemv per base (X @ T.T, einsum and
+    # vecdot reassociate it).
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x of every row of `targets`; returns tangent rows."""
+        """log_x of every row of `targets`; (n, ambient) or, stacked, (m, n, ambient)."""
         xc = x.coords
-        mdot = targets[:, :-1] @ xc[:-1] - targets[:, -1] * xc[-1]
+        mdot = (targets[:, :-1] @ xc[..., :-1, None])[..., 0] - targets[:, -1] * xc[..., -1:]
         d = self.dist_many(x, targets)
-        u = targets + mdot[:, None] * xc[None, :]
-        nu = np.sqrt(np.maximum(np.sum(u[:, :-1] ** 2, axis=1) - u[:, -1] ** 2, 0.0))
+        u = targets + mdot[..., None] * xc[..., None, :]
+        nu = np.sqrt(np.maximum(np.sum(u[..., :-1] ** 2, axis=-1) - u[..., -1] ** 2, 0.0))
         scale = np.where(nu > 0, d / np.where(nu > 0, nu, 1.0), 0.0)
-        return u * scale[:, None]
+        return u * scale[..., None]
 
     def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        diff = targets - x.coords[None, :]
-        q = np.maximum(np.sum(diff[:, :-1] ** 2, axis=1) - diff[:, -1] ** 2, 0.0)
+        """dist(x, row) for every row of `targets`; (n,) or, stacked, (m, n)."""
+        diff = targets - x.coords[..., None, :]
+        q = np.maximum(np.sum(diff[..., :-1] ** 2, axis=-1) - diff[..., -1] ** 2, 0.0)
         return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
 
 

@@ -51,6 +51,17 @@ class FrechetMeanLoss:
         logs = self.manifold.log_many(x, self.targets)
         return self.manifold.to_tangent(x, -logs.sum(axis=0) / self.n)
 
+    def grad_rows(self, x: Point) -> TangentVector:
+        """The gradient at each row of a stacked point, from one ``log_many``.
+
+        Row i is bitwise ``grad`` at row i: the logs of a stacked base sum
+        along the target axis in the same order, and ``to_tangent_rows``
+        repeats ``to_tangent``. Needs a manifold whose ``log_many`` takes a
+        stacked base (Hyperbolic).
+        """
+        logs = self.manifold.log_many(x, self.targets)
+        return self.manifold.to_tangent_rows(x, -logs.sum(axis=-2) / self.n)
+
     def point_list(self) -> list[Point]:
         return [Point(row.copy(), self.manifold.manifold_id) for row in self.targets]
 
@@ -83,6 +94,12 @@ def gen_frechet_stream(
     center moves `drift` along a fresh random geodesic every round and is
     re-sampled every S rounds. Each round's cloud is n_points samples from
     the ball of radius ball_radius around the center.
+
+    Draw order: sample i of round t draws from its own generator
+    ``child_rng(seed, TAG_SAMPLE, t, i)``, ``standard_normal(shape)`` then
+    ``uniform()``, as ``random_point(rng, center, ball_radius)`` does. The
+    round's samples are then evaluated on one stack (``random_point_rows``),
+    bitwise the per-sample ``random_point`` calls.
     """
     if mode not in ("abrupt", "drift"):
         raise ValueError(f"unknown stream mode: {mode!r}")
@@ -103,19 +120,32 @@ def gen_frechet_stream(
             direction = manifold.random_tangent(center, rng, norm=1.0)
             center = manifold.exp(center, drift * direction)
         centers.append(center)
-        rows = np.empty((n_points, manifold.ambient))
-        for i in range(n_points):
-            rng = child_rng(seed, TAG_SAMPLE, t, i)
-            rows[i] = manifold.random_point(rng, center=center, radius=ball_radius).coords
-        losses.append(FrechetMeanLoss(manifold, rows))
+        rngs = [child_rng(seed, TAG_SAMPLE, t, i) for i in range(n_points)]
+        losses.append(FrechetMeanLoss(manifold, _ball_rows(manifold, center, ball_radius, rngs)))
     return FrechetStream(manifold=manifold, losses=losses, centers=centers, anchor=anchor)
 
 
 def fixed_probe_points(
     manifold: Manifold, anchor: Point, radius: float, count: int, seed: int
 ) -> list[Point]:
-    """The never-refreshed probe set used to lower-bound the gradient variation."""
-    return [
-        manifold.random_point(child_rng(seed, TAG_PROBE, i), center=anchor, radius=radius)
-        for i in range(count)
-    ]
+    """The never-refreshed probe set used to lower-bound the gradient variation.
+
+    Probe i is ``random_point(child_rng(seed, TAG_PROBE, i), anchor, radius)``.
+    """
+    rngs = [child_rng(seed, TAG_PROBE, i) for i in range(count)]
+    return [Point(row, manifold.manifold_id) for row in _ball_rows(manifold, anchor, radius, rngs)]
+
+
+def _ball_rows(manifold: Manifold, center: Point, radius: float, rngs: list) -> np.ndarray:
+    """Coordinates of ``random_point(rng, center, radius)`` for each generator.
+
+    Each generator makes its two draws in ``random_point``'s order; the
+    geometry then runs once on the stack.
+    """
+    shape = center.coords.shape
+    normals = np.empty((len(rngs),) + shape)
+    uniforms = np.empty(len(rngs))
+    for i, rng in enumerate(rngs):
+        normals[i] = rng.standard_normal(shape)
+        uniforms[i] = rng.uniform()
+    return manifold.random_point_rows(center, normals, uniforms, radius).coords

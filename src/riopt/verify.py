@@ -102,8 +102,8 @@ def triangle_comparison_suite(
     radius)`` does: ``standard_normal(shape)`` for the direction, then
     ``uniform()`` for the radius. The geometry fixes only the shape of a draw,
     so all draws come first and the triangles are evaluated on stacks, with
-    the row-paired forms (``to_tangent_rows``, ``inner_rows``, ``exp_rows``,
-    ``dist_rows``, ``log_rows``) that Euclidean, Sphere, Hyperbolic and SPD
+    ``random_point_rows`` and the row-paired forms (``dist_rows``,
+    ``log_rows``, ``inner_rows``) that Euclidean, Sphere, Hyperbolic and SPD
     have. The report is bitwise the one of evaluating the triangles one at a
     time with the single calls. A non-finite distance or inner product
     raises GeometryError.
@@ -122,21 +122,9 @@ def triangle_comparison_suite(
             normals[k, j] = rng.standard_normal(shape)
             uniforms[k, j] = rng.uniform()
 
-    def column(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape + (1,) * len(shape))
-
-    def sample(center: Point, j: int, radius: float) -> Point:
-        # random_tangent(center, norm=1.0) scaled by radius * uniform, then exp
-        v = manifold.to_tangent_rows(center, normals[:, j])
-        n = np.sqrt(np.maximum(manifold.inner_rows(center, v, v), 0.0))
-        inv = column(1.0 / np.where(n == 0.0, 1.0, n))
-        unit = np.where(column(n) == 0.0, 0.0, inv * v.coords)
-        step = column(radius * uniforms[:, j]) * unit
-        return manifold.exp_rows(center, TangentVector(center, step))
-
-    A = sample(base, 0, max_diam)
-    B = sample(A, 1, max_diam / 2.0)
-    C = sample(A, 2, max_diam / 2.0)
+    A = manifold.random_point_rows(base, normals[:, 0], uniforms[:, 0], max_diam)
+    B = manifold.random_point_rows(A, normals[:, 1], uniforms[:, 1], max_diam / 2.0)
+    C = manifold.random_point_rows(A, normals[:, 2], uniforms[:, 2], max_diam / 2.0)
     sides = [manifold.dist_rows(A, B), manifold.dist_rows(A, C), manifold.dist_rows(B, C)]
     lhs = 2.0 * manifold.inner_rows(A, manifold.log_rows(A, C), manifold.log_rows(A, B))
     table = np.stack(sides + [lhs], axis=1)  # one row (dAB, dAC, dBC, lhs) per triangle

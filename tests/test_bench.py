@@ -170,14 +170,20 @@ def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
 
 
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
+    # one (loss, point) pair per single grad call and per row of grad_rows
     calls = []
-    original = FrechetMeanLoss.grad
+    grad, grad_rows = FrechetMeanLoss.grad, FrechetMeanLoss.grad_rows
 
     def counting_grad(self, x):
         calls.append((id(self), x.coords.tobytes()))
-        return original(self, x)
+        return grad(self, x)
+
+    def counting_grad_rows(self, x):
+        calls.extend((id(self), row.tobytes()) for row in x.coords)
+        return grad_rows(self, x)
 
     monkeypatch.setattr(FrechetMeanLoss, "grad", counting_grad)
+    monkeypatch.setattr(FrechetMeanLoss, "grad_rows", counting_grad_rows)
     cfg = ExperimentConfig.from_dict(
         {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 10, "S": 4, "algorithms": ["roogd"]}
     )

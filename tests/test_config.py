@@ -1,0 +1,103 @@
+"""Every config ends in an ExperimentConfig or a ConfigError, never in
+another exception: fuzzed over the fields of ``from_dict``, and through the
+CLI, which turns a ConfigError into exit 2 and one line on stderr."""
+
+import dataclasses
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from riopt import ExperimentConfig
+from riopt.bench import ALGORITHMS, EXPERIMENTS, ConfigError
+from riopt.cli import main
+
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+NAMES = sorted({name for names in ALGORITHMS.values() for name in names})
+
+JSON_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**31, 2**63, -(2**63), 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["5", "0.1", "abrupt", "drift", *EXPERIMENTS, *NAMES]),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+ALGORITHM_ENTRIES = st.lists(
+    st.one_of(
+        st.sampled_from(NAMES),
+        st.fixed_dictionaries({"name": st.sampled_from(NAMES)}, optional={"eta": JSON_VALUES}),
+        JSON_VALUES,
+    ),
+    max_size=3,
+)
+FIELD_VALUES = st.dictionaries(
+    st.sampled_from(FIELDS),
+    JSON_VALUES,
+    max_size=4,
+).flatmap(
+    lambda d: st.just(d)
+    if "algorithms" not in d
+    else st.one_of(st.just(d), ALGORITHM_ENTRIES.map(lambda a: {**d, "algorithms": a}))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), values=FIELD_VALUES)
+@example(experiment="quadgame", values={"T": 2.5})
+@example(experiment="quadgame", values={"d": 2.5})
+@example(experiment="frechet", values={"n_points": 3.0})
+@example(experiment="frechet", values={"T": "5"})
+@example(experiment="frechet", values={"T": None})
+@example(experiment="quadgame", values={"c1": "x"})
+@example(experiment="frechet", values={"algorithms": [{"name": "rogd", "eta": "0.1"}]})
+@example(experiment="frechet", values={"seed": -1})
+@example(experiment="frechet", values={"S": 1.5})
+@example(experiment="frechet", values={"seed": 1.5})
+@example(experiment="frechet", values={"T": True})
+@example(experiment="frechet", values={"ball_radius": -1})
+@example(experiment="frechet", values={"drift": 10**400})
+@example(experiment="frechet", values={"algorithms": 5})
+@example(experiment="frechet", values={"out": 5})
+def test_from_dict_ends_in_a_config_or_a_config_error(experiment, values):
+    raw = {"experiment": experiment, **values}
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    for name in ("T", "seed", "S", "dim", "n_points", "d", "n_samples", "n_triangles"):
+        value = getattr(cfg, name)
+        assert isinstance(value, int) and not isinstance(value, bool)
+    for name in ("drift", "ball_radius", "center_diam", "c1", "c2", "alpha", "eig_low"):
+        assert math.isfinite(getattr(cfg, name))
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("quadgame", {"experiment": "quadgame", "d": 2, "T": 2.5}, "T"),
+        ("quadgame", {"experiment": "quadgame", "d": 2.5, "T": 2}, "d"),
+        ("frechet", {"experiment": "frechet", "T": True}, "T"),
+        ("frechet", {"experiment": "frechet", "seed": -1}, "seed"),
+        ("frechet", {"experiment": "frechet", "S": 1.5}, "S"),
+        ("frechet", {"experiment": "frechet", "ball_radius": -1}, "ball_radius"),
+        ("frechet", {"experiment": "frechet", "center_diam": 0}, "center_diam"),
+        ("quadgame", {"experiment": "quadgame", "c1": -1}, "c1"),
+        ("quadgame", {"experiment": "quadgame", "c1": "x"}, "c1"),
+        ("quadgame", {"experiment": "quadgame", "algorithms": [{"name": "rogda", "eta": "0.1"}]},
+         "eta"),
+    ],
+)
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()

@@ -148,6 +148,27 @@ def test_default_log_many_equals_stacked_single_calls(m):
     assert np.array_equal(logs, np.stack([m.log(x, p).coords for p in pts]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
+    h = Hyperbolic(dim)
+    rng = np.random.default_rng(dim)
+    base = h.base_point()
+    pts = [h.random_point(rng, center=base, radius=1.5).coords for _ in range(20)]
+    pts[7] = pts[6].copy()  # coincident targets
+    targets = np.stack(pts)
+    xs = [h.random_point(rng, center=base, radius=1.5) for _ in range(14)]
+    xs[2] = Point(targets[6].copy(), h.manifold_id)  # a base on a target
+    for bases in (xs, xs[:1]):  # m = 14 and m = 1
+        X = Point(np.stack([x.coords for x in bases]), h.manifold_id)
+        logs, dists = h.log_many(X, targets), h.dist_many(X, targets)
+        assert logs.shape == (len(bases),) + targets.shape
+        assert dists.shape == (len(bases), len(targets))
+        assert logs.tobytes() == np.stack([h.log_many(x, targets) for x in bases]).tobytes()
+        assert dists.tobytes() == np.stack([h.dist_many(x, targets) for x in bases]).tobytes()
+    assert h.dist_many(xs[2], targets)[6] == 0.0
+    assert not h.log_many(xs[2], targets)[[6, 7]].any()
+
+
 def test_spd_batched_shapes_and_non_pd_base():
     m = SPD(3)
     for n in (1, 5):

@@ -1,0 +1,97 @@
+"""The stacked stream sampler and the stacked gradients keep the bits of the
+per-sample and per-point calls they replace."""
+
+import numpy as np
+import pytest
+
+from riopt import Hyperbolic
+from riopt.geometry import Point
+from riopt.streams import (
+    TAG_CENTER,
+    TAG_DRIFT,
+    TAG_PROBE,
+    TAG_SAMPLE,
+    FrechetMeanLoss,
+    child_rng,
+    fixed_probe_points,
+    gen_frechet_stream,
+)
+
+
+def _stream_targets_longhand(manifold, T, n_points, mode, S, drift, ball_radius, center_diam, seed):
+    """The stream's target clouds, one ``random_point`` call per sample."""
+    anchor = manifold.base_point()
+    clouds, center, n_select = [], None, 0
+    for t in range(1, T + 1):
+        if (t - 1) % S == 0:
+            rng = child_rng(seed, TAG_CENTER, n_select)
+            center = manifold.random_point(rng, center=anchor, radius=center_diam / 2.0)
+            n_select += 1
+        elif mode == "drift":
+            direction = manifold.random_tangent(center, child_rng(seed, TAG_DRIFT, t), norm=1.0)
+            center = manifold.exp(center, drift * direction)
+        clouds.append(
+            np.stack(
+                [
+                    manifold.random_point(
+                        child_rng(seed, TAG_SAMPLE, t, i), center=center, radius=ball_radius
+                    ).coords
+                    for i in range(n_points)
+                ]
+            )
+        )
+    return clouds
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("mode", ["abrupt", "drift"])
+@pytest.mark.parametrize("dim", [1, 2, 10])
+@pytest.mark.parametrize("n_points", [1, 20])
+def test_stream_targets_bitwise_equal_per_sample_random_point(mode, dim, n_points):
+    h = Hyperbolic(dim)
+    args = dict(T=6, n_points=n_points, mode=mode, S=4, drift=0.3, center_diam=2.0)
+    for seed in range(8):
+        for ball_radius in (1.5, 0.0):
+            stream = gen_frechet_stream(h, ball_radius=ball_radius, seed=seed, **args)
+            want = _stream_targets_longhand(h, ball_radius=ball_radius, seed=seed, **args)
+            assert _bits([loss.targets for loss in stream.losses]) == _bits(want)
+
+
+def test_zero_radius_stream_samples_are_the_center():
+    h = Hyperbolic(3)
+    stream = gen_frechet_stream(h, T=3, n_points=4, ball_radius=0.0, seed=2)
+    for loss, center in zip(stream.losses, stream.centers):
+        assert all(np.array_equal(row, center.coords) for row in loss.targets)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_fixed_probes_bitwise_equal_per_probe_random_point(dim):
+    h = Hyperbolic(dim)
+    anchor = h.base_point()
+    for seed in range(4):
+        probes = fixed_probe_points(h, anchor, 1.5, 14, seed)
+        want = [
+            h.random_point(child_rng(seed, TAG_PROBE, i), center=anchor, radius=1.5).coords
+            for i in range(14)
+        ]
+        assert _bits([p.coords for p in probes]) == _bits(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_grad_rows_bitwise_equal_grad_at_each_row(dim):
+    h = Hyperbolic(dim)
+    rng = np.random.default_rng(dim)
+    base = h.base_point()
+    targets = np.stack([h.random_point(rng, center=base, radius=1.2).coords for _ in range(20)])
+    loss = FrechetMeanLoss(h, targets)
+    xs = [h.random_point(rng, center=base, radius=1.5) for _ in range(14)]
+    xs[3] = Point(targets[5].copy(), h.manifold_id)  # a probe on a target
+    X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
+    rows = loss.grad_rows(X)
+    assert rows.base is X
+    assert _bits([rows.coords]) == _bits([np.stack([loss.grad(x).coords for x in xs])])
+    single = loss.grad_rows(Point(xs[0].coords[None, :], h.manifold_id)).coords
+    assert _bits([single]) == _bits([loss.grad(xs[0]).coords[None, :]])
