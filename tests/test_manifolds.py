@@ -148,6 +148,17 @@ def test_default_log_many_equals_stacked_single_calls(m):
     assert np.array_equal(logs, np.stack([m.log(x, p).coords for p in pts]))
 
 
+def _hyperbolic_log_dist_many_longhand(xc, targets):
+    """Single-base log_many and dist_many, written out: one gemv per base."""
+    mdot = targets[:, :-1] @ xc[:-1] - targets[:, -1] * xc[-1]
+    diff = targets - xc[None, :]
+    q = np.maximum(np.sum(diff[:, :-1] ** 2, axis=1) - diff[:, -1] ** 2, 0.0)
+    d = 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+    u = targets + mdot[:, None] * xc[None, :]
+    nu = np.sqrt(np.maximum(np.sum(u[:, :-1] ** 2, axis=1) - u[:, -1] ** 2, 0.0))
+    return u * np.where(nu > 0, d / np.where(nu > 0, nu, 1.0), 0.0)[:, None], d
+
+
 @pytest.mark.parametrize("dim", [1, 2, 10])
 def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
     h = Hyperbolic(dim)
@@ -163,8 +174,12 @@ def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
         logs, dists = h.log_many(X, targets), h.dist_many(X, targets)
         assert logs.shape == (len(bases),) + targets.shape
         assert dists.shape == (len(bases), len(targets))
-        assert logs.tobytes() == np.stack([h.log_many(x, targets) for x in bases]).tobytes()
-        assert dists.tobytes() == np.stack([h.dist_many(x, targets) for x in bases]).tobytes()
+        want = [_hyperbolic_log_dist_many_longhand(x.coords, targets) for x in bases]
+        assert logs.tobytes() == np.stack([w[0] for w in want]).tobytes()
+        assert dists.tobytes() == np.stack([w[1] for w in want]).tobytes()
+        for x, (log_x, dist_x) in zip(bases, want):
+            assert h.log_many(x, targets).tobytes() == log_x.tobytes()
+            assert h.dist_many(x, targets).tobytes() == dist_x.tobytes()
     assert h.dist_many(xs[2], targets)[6] == 0.0
     assert not h.log_many(xs[2], targets)[[6, 7]].any()
 
