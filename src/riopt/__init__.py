@@ -10,6 +10,7 @@ from .geometry import (
     Point,
     TangentVector,
     frechet_mean,
+    frechet_mean_rows,
     sigma_constant,
     weighted_frechet_mean,
     zeta_constant,

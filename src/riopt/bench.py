@@ -32,7 +32,8 @@ from .games import (
 from .geometry import (
     Point,
     TangentVector,
-    frechet_mean,
+    frechet_mean,  # noqa: F401 - kept importable from riopt.bench
+    frechet_mean_rows,
     sigma_constant,
     zeta_constant,
 )
@@ -52,6 +53,7 @@ from .online import (
 )
 from .streams import (
     TAG_INIT,
+    FrechetMeanLoss,
     child_rng,
     fixed_probe_points,
     gen_frechet_stream,
@@ -198,6 +200,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {raw!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -446,27 +450,44 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     ledgers = dict.fromkeys(players, RegretLedger())
     max_dist = dict.fromkeys(players, 0.0)
 
-    # Each round, the comparator's move and the gradient variation at the
-    # shared probes (the fixed points and the comparator) are computed once;
-    # each learner then folds in only its own point. The probes never move,
-    # so each loss's probe gradients, one grad_rows call on the stacked
-    # probes, also serve as the next round's previous values.
+    # The comparator u_t = argmin f_t depends on no learner, so its whole
+    # track comes first, on stacks: the T Karcher means in one iteration,
+    # then their values, their hops and, from round 2 on, their gradients
+    # under this and the previous loss (stacked losses, row t paired with
+    # u_t). So a comparator failure at any round is raised before the
+    # learners play round 1.
+    clouds = np.stack([loss.targets for loss in stream.losses])
+    comps = frechet_mean_rows(manifold, clouds)
+    comp_vals = FrechetMeanLoss(manifold, clouds).value_rows(comps).tolist()
+    later = Point(comps.coords[1:], manifold.manifold_id)
+    earlier = Point(comps.coords[:-1], manifold.manifold_id)
+    hops = [0.0] + manifold.dist_rows(later, earlier).tolist()
+    now_losses = FrechetMeanLoss(manifold, clouds[1:])
+    before_losses = FrechetMeanLoss(manifold, clouds[:-1])
+    comp_now = now_losses.grad_rows(later).coords
+    comp_before = before_losses.grad_rows(later).coords
+
+    # Each round, the gradient variation at the shared probes (the fixed
+    # points and the comparator) is computed once; each learner then folds
+    # in only its own point. The probes never move, so each loss's probe
+    # gradients, one grad_rows call on the stacked probes, also serve as the
+    # next round's previous values.
     rows: list[ResultRow] = []
     prev_loss = None
     prev_probe_grads: list = []
-    u_prev = None
     for t in range(1, cfg.T + 1):
         loss = stream.losses[t - 1]
-        u_t = frechet_mean(manifold, loss.point_list())
-        comp_val = loss.value(u_t)
+        comp_val, hop = comp_vals[t - 1], hops[t - 1]
         probe_grads = [
             TangentVector(p, g) for p, g in zip(probes, loss.grad_rows(probe_stack).coords)
         ]
-        hop = manifold.dist(u_t, u_prev) if u_prev is not None else 0.0
         shared_vt = 0.0
         if prev_loss is not None:
+            u_t = Point(later.coords[t - 2], manifold.manifold_id)
             shared_pairs = list(zip(probe_grads, prev_probe_grads))
-            shared_pairs.append((loss.grad(u_t), prev_loss.grad(u_t)))
+            shared_pairs.append(
+                (TangentVector(u_t, comp_now[t - 2]), TangentVector(u_t, comp_before[t - 2]))
+            )
             shared_vt = grad_variation(manifold, shared_pairs)
         for name, play in players.items():
             x_t, g_t = play(loss, prev_loss)
@@ -488,7 +509,6 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
             )
         prev_loss = loss
         prev_probe_grads = probe_grads
-        u_prev = u_t
 
     summary = {
         "experiment": cfg.experiment,
@@ -618,8 +638,6 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
 
 def run_verification(cfg: ExperimentConfig) -> dict:
     """Geometry property suites plus the analytic-gradient oracles."""
-    from .streams import FrechetMeanLoss
-
     checks = {}
     manifolds = {
         "euclidean": (Euclidean(3), 2.0),
@@ -754,17 +772,33 @@ def sweep(configs: Sequence[ExperimentConfig], out: Optional[str] = None) -> dic
 
 
 def expand_sweep_file(raw: dict) -> list[ExperimentConfig]:
-    """Config list from a sweep spec: explicit list or base + axis grid."""
-    if "configs" in raw:
-        return [ExperimentConfig.from_dict(item) for item in raw["configs"]]
-    if "base" not in raw:
-        raise ConfigError("sweep file needs 'configs' or 'base'")
-    base = raw["base"]
-    axes = raw.get("sweep", {})
-    extra = set(raw) - {"base", "sweep"}
+    """Config list from a sweep spec: explicit list or base + axis grid.
+
+    ``{"configs": [config, ...]}`` lists the runs. ``{"base": config,
+    "sweep": {field: [value, ...], ...}}`` runs every combination of the
+    axis values over the base. Any other shape is a ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a sweep file must be a JSON object, got {raw!r}")
+    mode = {"configs"} if "configs" in raw else {"base", "sweep"}
+    extra = set(raw) - mode
     if extra:
         raise ConfigError(f"unknown sweep keys: {sorted(extra)}")
-    configs = [dict(base)]
+    if "configs" in raw:
+        items = raw["configs"]
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"sweep 'configs' must be a nonempty list, got {items!r}")
+        return [ExperimentConfig.from_dict(item) for item in items]
+    if "base" not in raw:
+        raise ConfigError("sweep file needs 'configs' or 'base'")
+    base, axes = raw["base"], raw.get("sweep", {})
+    if not isinstance(base, dict):
+        raise ConfigError(f"sweep 'base' must be a config object, got {base!r}")
+    if not isinstance(axes, dict):
+        raise ConfigError(f"sweep 'sweep' must map fields to value lists, got {axes!r}")
+    configs = [base]
     for key, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep axis {key!r} must be a nonempty list, got {values!r}")
         configs = [dict(c, **{key: v}) for c in configs for v in values]
     return [ExperimentConfig.from_dict(c) for c in configs]

@@ -61,6 +61,8 @@ def _overrides(args) -> dict:
 def _resolve_config(args) -> ExperimentConfig:
     experiment = _SUBCOMMANDS[args.command]
     raw = _load_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
     raw = dict(raw)
     stated = raw.setdefault("experiment", experiment)
     if stated != experiment:

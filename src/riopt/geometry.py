@@ -335,3 +335,50 @@ def frechet_mean(manifold: Manifold, points: Sequence[Point], **kwargs) -> Point
     """Equal-weight Frechet mean."""
     n = len(points)
     return weighted_frechet_mean(manifold, points, np.full(n, 1.0 / n), **kwargs)
+
+
+def frechet_mean_rows(
+    manifold: Manifold, clouds: np.ndarray, tol: float = 1e-9, max_iter: int = 200
+) -> Point:
+    """``frechet_mean`` of every cloud of a (m, n, ...) stack, as one iteration.
+
+    Row i of the result is bitwise ``frechet_mean`` of the n points of cloud
+    i: it starts at point 0 and repeats the equal-weight step of
+    ``weighted_frechet_mean`` expression for expression, through ``log_many``
+    on the stacked iterates with row-paired targets, ``inner_rows`` and
+    ``exp_rows`` (Hyperbolic has all three). A row whose residual is <= tol
+    stops moving and is never touched again. After max_iter iterations,
+    FrechetMeanError for the lowest-index cloud still above tol, with its
+    residual and last iterate; a GeometryError of any row ends the call.
+    """
+    clouds = np.asarray(clouds, dtype=float)
+    if clouds.ndim < 3 or 0 in clouds.shape[:2]:
+        raise GeometryError("clouds must be a nonempty (m, n, ...) stack")
+    n = clouds.shape[1]
+    out = clouds[:, 0].copy()
+    if n == 1:
+        return Point(out, manifold.manifold_id)
+    w = np.full(n, 1.0 / n)
+    w_k = (w / w.sum()).reshape((-1,) + (1,) * (clouds.ndim - 2))
+    active = np.arange(len(clouds))
+    x = Point(out, manifold.manifold_id)
+    targets = clouds
+    for _ in range(max_iter):
+        logs = manifold.log_many(x, targets)
+        direction = TangentVector(x, (w_k * logs).sum(axis=-2))
+        residual = np.sqrt(np.maximum(manifold.inner_rows(x, direction, direction), 0.0))
+        done = residual <= tol
+        if done.any():
+            out[active[done]] = x.coords[done]
+            keep = ~done
+            if not keep.any():
+                return Point(out, manifold.manifold_id)
+            active, targets, residual = active[keep], targets[keep], residual[keep]
+            x = Point(x.coords[keep], manifold.manifold_id)
+            direction = TangentVector(x, direction.coords[keep])
+        x = manifold.exp_rows(x, direction)
+    raise FrechetMeanError(
+        f"no convergence after {max_iter} iterations (residual {residual[0]:.3g})",
+        last_iterate=Point(x.coords[0].copy(), manifold.manifold_id),
+        residual=float(residual[0]),
+    )

@@ -368,11 +368,12 @@ class Hyperbolic(Manifold):
     # point or a stack of m bases (coords (m, ambient)); a stacked base gives
     # an (m, n, ...) result whose row i has the bits of the call at base i:
     # the mat-vec below runs as the same gemv per base (X @ T.T, einsum and
-    # vecdot reassociate it).
+    # vecdot reassociate it). With a stacked base, targets are (n, ambient),
+    # shared by every base, or (m, n, ambient), row i paired with base i.
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x of every row of `targets`; (n, ambient) or, stacked, (m, n, ambient)."""
+        """log_x of every target row; (n, ambient) or, stacked, (m, n, ambient)."""
         xc = x.coords
-        mdot = (targets[:, :-1] @ xc[..., :-1, None])[..., 0] - targets[:, -1] * xc[..., -1:]
+        mdot = (targets[..., :-1] @ xc[..., :-1, None])[..., 0] - targets[..., -1] * xc[..., -1:]
         d = self.dist_many(x, targets)
         u = targets + mdot[..., None] * xc[..., None, :]
         nu = np.sqrt(np.maximum(np.sum(u[..., :-1] ** 2, axis=-1) - u[..., -1] ** 2, 0.0))
@@ -476,7 +477,7 @@ class SPD(Manifold):
         S, Si, _ = self._sqrt_pair(x)
         middle = _eig_apply(np.sqrt, Si @ y.coords @ Si)
         E = S @ middle @ Si
-        return TangentVector(y, _sym(E @ v.coords @ E.T))
+        return TangentVector(y, _sym(E @ v.coords @ E.mT))
 
     # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
     # x and one stacked eigvalsh/eigh give the same bits as n single calls.

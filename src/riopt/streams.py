@@ -34,18 +34,29 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 class FrechetMeanLoss:
     """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
-    ``targets`` stacks the A_i along axis 0; value and gradient each make one
+    ``targets`` stacks the A_i along axis -2; value and gradient each make one
     ``dist_many`` / ``log_many`` call (Hyperbolic and SPD have ``dist_many``).
+    Targets of shape (m, N, ambient) stack m losses, loss i paired with row i
+    of a stacked point in ``value_rows`` and ``grad_rows`` (Hyperbolic).
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):
         self.manifold = manifold
         self.targets = np.asarray(targets, dtype=float)
-        self.n = len(self.targets)
+        self.n = self.targets.shape[-2]
 
     def value(self, x: Point) -> float:
         d = self.manifold.dist_many(x, self.targets)
         return float(np.sum(d * d)) / (2.0 * self.n)
+
+    def value_rows(self, x: Point) -> np.ndarray:
+        """The value at each row of a stacked point, from one ``dist_many``.
+
+        Row i is bitwise ``value`` at row i: each row's squared distances sum
+        along the last axis, as the single call's do.
+        """
+        d = self.manifold.dist_many(x, self.targets)
+        return np.sum(d * d, axis=-1) / (2.0 * self.n)
 
     def grad(self, x: Point) -> TangentVector:
         logs = self.manifold.log_many(x, self.targets)
@@ -54,16 +65,13 @@ class FrechetMeanLoss:
     def grad_rows(self, x: Point) -> TangentVector:
         """The gradient at each row of a stacked point, from one ``log_many``.
 
-        Row i is bitwise ``grad`` at row i: the logs of a stacked base sum
-        along the target axis in the same order, and ``to_tangent_rows``
-        repeats ``to_tangent``. Needs a manifold whose ``log_many`` takes a
-        stacked base (Hyperbolic).
+        Row i is bitwise ``grad`` at row i (of loss i, if the targets are
+        stacked too): the logs of a stacked base sum along the target axis
+        in the same order, and ``to_tangent_rows`` repeats ``to_tangent``.
+        Needs a manifold whose ``log_many`` takes a stacked base (Hyperbolic).
         """
         logs = self.manifold.log_many(x, self.targets)
         return self.manifold.to_tangent_rows(x, -logs.sum(axis=-2) / self.n)
-
-    def point_list(self) -> list[Point]:
-        return [Point(row.copy(), self.manifold.manifold_id) for row in self.targets]
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,26 @@ def test_diverging_solver_exits_3(tmp_path, capsys, name):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("seed, residual", [(0, "1.72"), (2, "1.9e-05")])
+def test_wide_cloud_comparator_failure_exits_3_before_any_learner_plays(
+    tmp_path, capsys, monkeypatch, seed, residual
+):
+    # A wide hyperbolic cloud defeats the unit-step Karcher iteration: at
+    # seed 0 in round 1, at seed 2 first in round 9. The comparator track is
+    # solved before round 1, so no learner takes a gradient either way.
+    played = []
+    grad = FrechetMeanLoss.grad
+    monkeypatch.setattr(FrechetMeanLoss, "grad", lambda self, x: played.append(1) or grad(self, x))
+    config = {"experiment": "frechet", "ball_radius": 3, "center_diam": 6, "T": 20, "S": 5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["frechet", "--config", str(path), "--out", str(tmp_path), "--seed", str(seed)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: no convergence after 200 iterations (residual {residual})\n"
+    assert not played
+
+
 def _run_sweep(tmp_path, configs, *flags):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"configs": configs}), encoding="utf-8")

@@ -1,6 +1,9 @@
-"""The summary of tools/bench_pairs.py on fixed numbers."""
+"""tools/bench_pairs.py: its summary on fixed numbers, and its batch loop with
+git and perfbench stubbed out."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +49,72 @@ def test_summarize_quartiles_are_numpy_linear_percentiles():
 def test_summarize_rejects_fewer_than_two_pairs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([(1.0, 0.9)])
+
+
+def _fake_batch(monkeypatch, fail=()):
+    """Stub out git and perfbench: each run reads 1 (parent) or 0.5 (change),
+    plus the pair's index; the (pair, workload, side) runs in ``fail`` exit 1."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: into)
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        pair = sum(1 for c in calls if c[1:] == (workload, side))
+        calls.append((pair, workload, side))
+        if (pair, workload, side) in fail:
+            return {"failed": "BenchError: worker failed", "returncode": 1}
+        value = (1.0 if side == "parent" else 0.5) + pair
+        return {"metrics": dict.fromkeys(bench_pairs.METRICS, value), "correct": True,
+                "output_rel_err": 0.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_main_runs_every_workload_in_each_pair_alternating_sides(monkeypatch, tmp_path):
+    calls = _fake_batch(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["A", "B", "--workload", "frechet", "--workload", "verify", "--pairs", "3",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        (0, "frechet", "parent"), (0, "frechet", "change"),
+        (0, "verify", "parent"), (0, "verify", "change"),
+        (1, "frechet", "change"), (1, "frechet", "parent"),
+        (1, "verify", "change"), (1, "verify", "parent"),
+        (2, "frechet", "parent"), (2, "frechet", "change"),
+        (2, "verify", "parent"), (2, "verify", "change"),
+    ]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report["workloads"]) == ["frechet", "verify"]
+    for entry in report["workloads"].values():
+        assert entry["wall_ref_s"]["change_wins"] == "3/3"
+        assert entry["failed_runs"] == [] and entry["all_runs_correct"] is True
+
+
+def test_main_records_a_failed_run_and_finishes_the_batch(monkeypatch, tmp_path):
+    _fake_batch(monkeypatch, fail={(1, "verify", "change")})
+    out = tmp_path / "report.json"
+    argv = ["A", "B", "--workload", "frechet", "--workload", "verify", "--pairs", "3",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text(encoding="utf-8"))
+    verify = report["workloads"]["verify"]
+    assert verify["failed_runs"] == [
+        {"pair": 2, "side": "change", "failed": "BenchError: worker failed", "returncode": 1}
+    ]
+    assert verify["all_runs_correct"] is False
+    # the failed pair is left out; the other two are summarised
+    assert verify["wall_ref_s"]["pairs"] == [[1.0, 0.5], [3.0, 2.5]]
+    assert report["workloads"]["frechet"]["wall_ref_s"]["change_wins"] == "3/3"
+
+
+def test_run_once_turns_a_non_zero_exit_into_a_failed_run(monkeypatch, tmp_path):
+    def run(cmd, **kwargs):
+        assert "check" not in kwargs
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback\nBenchError: x\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(tmp_path, "frechet", 0, 1.0) == {
+        "failed": "BenchError: x", "returncode": 1
+    }

@@ -1,6 +1,7 @@
 """Every config ends in an ExperimentConfig or a ConfigError, never in
-another exception: fuzzed over the fields of ``from_dict``, and through the
-CLI, which turns a ConfigError into exit 2 and one line on stderr."""
+another exception: fuzzed over the fields of ``from_dict`` and over sweep
+files, and through the CLI, which turns a ConfigError into exit 2 and one
+line on stderr."""
 
 import dataclasses
 import json
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riopt import ExperimentConfig
-from riopt.bench import ALGORITHMS, EXPERIMENTS, ConfigError
+from riopt.bench import ALGORITHMS, EXPERIMENTS, ConfigError, expand_sweep_file
 from riopt.cli import main
 
 FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -101,3 +102,108 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config,
     assert err.startswith("config error:") and field in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
+
+
+# Sweep files: valid configs and axes often enough that both outcomes occur.
+VALID_CONFIGS = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(EXPERIMENTS)},
+    optional={"seed": st.integers(0, 5), "T": st.integers(1, 50)},
+)
+CONFIG_OBJECTS = st.one_of(
+    VALID_CONFIGS,
+    st.builds(
+        lambda experiment, values: {**experiment, **values},
+        st.one_of(st.just({}), st.sampled_from(EXPERIMENTS).map(lambda e: {"experiment": e})),
+        FIELD_VALUES,
+    ),
+)
+AXES = st.one_of(
+    st.dictionaries(st.sampled_from(["seed", "T"]), st.lists(st.integers(0, 5), max_size=3),
+                    max_size=2),
+    st.dictionaries(
+        st.sampled_from(FIELDS + ["bogus"]),
+        st.one_of(st.lists(JSON_VALUES, max_size=3), JSON_VALUES),
+        max_size=3,
+    ),
+)
+SWEEP_FILES = st.one_of(
+    st.fixed_dictionaries({"configs": st.lists(VALID_CONFIGS, max_size=3)}),
+    st.fixed_dictionaries({"base": VALID_CONFIGS}, optional={"sweep": AXES}),
+    JSON_VALUES,
+    st.lists(CONFIG_OBJECTS, max_size=2),
+    st.fixed_dictionaries(
+        {"configs": st.one_of(st.lists(st.one_of(CONFIG_OBJECTS, JSON_VALUES), max_size=3),
+                              JSON_VALUES, CONFIG_OBJECTS)},
+        optional={"base": CONFIG_OBJECTS, "extra": JSON_VALUES},
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "base": st.one_of(CONFIG_OBJECTS, JSON_VALUES),
+            "sweep": st.one_of(AXES, JSON_VALUES),
+            "extra": JSON_VALUES,
+        },
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=SWEEP_FILES)
+@example(raw={"base": {"experiment": "frechet"}, "sweep": {"seed": 5}})
+@example(raw={"base": {"experiment": "frechet"}, "sweep": [1]})
+@example(raw={"configs": [5]})
+@example(raw={"base": 3})
+@example(raw={"base": {"experiment": "frechet"}, "sweep": {"seed": []}})
+@example(raw={"configs": []})
+@example(raw={"configs": {"experiment": "frechet"}})
+@example(raw=[{"experiment": "frechet"}])
+@example(raw=5)
+def test_expand_sweep_file_ends_in_configs_or_a_config_error(raw):
+    try:
+        configs = expand_sweep_file(raw)
+    except ConfigError:
+        return
+    assert configs and all(isinstance(c, ExperimentConfig) for c in configs)
+    if "configs" in raw:
+        assert len(configs) == len(raw["configs"])
+    else:
+        assert len(configs) == math.prod(len(v) for v in raw.get("sweep", {}).values())
+
+
+def test_expand_sweep_file_runs_every_combination_of_the_axes():
+    raw = {"base": {"experiment": "frechet", "T": 3}, "sweep": {"seed": [0, 1], "dim": [2, 3, 4]}}
+    configs = expand_sweep_file(raw)
+    assert [(c.seed, c.dim) for c in configs] == [(s, d) for s in (0, 1) for d in (2, 3, 4)]
+    assert {c.T for c in configs} == {3}
+
+
+@pytest.mark.parametrize(
+    "sweep, words",
+    [
+        ({"base": {"experiment": "frechet"}, "sweep": {"seed": 5}}, "axis 'seed'"),
+        ({"base": {"experiment": "frechet"}, "sweep": {"seed": []}}, "axis 'seed'"),
+        ({"base": {"experiment": "frechet"}, "sweep": [1]}, "'sweep'"),
+        ({"configs": [5]}, "JSON object"),
+        ({"configs": []}, "'configs'"),
+        ({"base": 3}, "'base'"),
+        ({"configs": [], "base": {}}, "unknown sweep keys"),
+        ([1], "JSON object"),
+    ],
+)
+def test_cli_bad_sweep_file_exits_2_with_one_line(tmp_path, capsys, sweep, words):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep), encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and words in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["frechet", "quadgame"])
+def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "JSON object" in err

@@ -15,6 +15,7 @@ from riopt import (
     SPD,
     Sphere,
     frechet_mean,
+    frechet_mean_rows,
     sigma_constant,
     weighted_frechet_mean,
     zeta_constant,
@@ -286,3 +287,73 @@ def test_frechet_nonconvergence_error(rng):
         weighted_frechet_mean(m, pts, [0.25] * 4, tol=1e-16, max_iter=2)
     assert err.value.residual > 0
     assert err.value.last_iterate.manifold_id == m.manifold_id
+
+
+# ------------------------------------------------ stacked frechet means
+def _hyperbolic_clouds(h, radii, n, seed=0):
+    """One cloud of n points per radius, each around its own center."""
+    rng = np.random.default_rng(seed)
+    base = h.base_point()
+    clouds = []
+    for r in radii:
+        center = h.random_point(rng, center=base, radius=1.0)
+        clouds.append([h.random_point(rng, center=center, radius=r).coords for _ in range(n)])
+    return np.array(clouds)
+
+
+def _single_means(h, clouds, **kwargs):
+    """frechet_mean of each cloud, and the exp calls (iterations) each took."""
+    means, iters = [], []
+    for cloud in clouds:
+        calls = []
+        h.exp = lambda x, v, _calls=calls: _calls.append(1) or type(h).exp(h, x, v)
+        try:
+            means.append(frechet_mean(h, [Point(p, h.manifold_id) for p in cloud], **kwargs))
+        finally:
+            del h.exp
+        iters.append(len(calls))
+    return means, iters
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+def test_frechet_mean_rows_bitwise_equal_per_cloud_calls(dim):
+    h = Hyperbolic(dim)
+    clouds = _hyperbolic_clouds(h, [0.3, 1.5, 0.01, 2.5, 0.8, 1.0], n=7, seed=dim)
+    clouds[4] = clouds[4][:1]  # every point at one place: converged at the start
+    means, iters = _single_means(h, clouds)
+    # H^1 is a line, where one step lands on the mean
+    assert iters[4] == 0 and len(set(iters)) >= (2 if dim == 1 else 4)
+    got = frechet_mean_rows(h, clouds)
+    assert got.coords.shape == (len(clouds), dim + 1)
+    assert got.coords.tobytes() == np.stack([m.coords for m in means]).tobytes()
+    # a single cloud, and clouds of one point (returned as they are)
+    assert frechet_mean_rows(h, clouds[1:2]).coords.tobytes() == means[1].coords.tobytes()
+    ones = frechet_mean_rows(h, clouds[:, :1])
+    assert ones.coords.tobytes() == clouds[:, 0].tobytes()
+    assert ones.coords.tobytes() == np.stack(
+        [m.coords for m in _single_means(h, clouds[:, :1])[0]]
+    ).tobytes()
+
+
+def test_frechet_mean_rows_fails_like_the_lowest_failing_cloud():
+    h = Hyperbolic(2)
+    clouds = _hyperbolic_clouds(h, [0.2, 0.1, 2.5, 0.3, 3.0], n=5, seed=4)
+    _, iters = _single_means(h, clouds)
+    max_iter = 6
+    failing = [i for i, k in enumerate(iters) if k > max_iter]
+    assert failing == [2, 4] and iters[0] <= max_iter
+    with pytest.raises(FrechetMeanError) as single:
+        frechet_mean(h, [Point(p, h.manifold_id) for p in clouds[2]], max_iter=max_iter)
+    with pytest.raises(FrechetMeanError) as rows:
+        frechet_mean_rows(h, clouds, max_iter=max_iter)
+    assert str(rows.value) == str(single.value)
+    assert rows.value.residual == single.value.residual
+    assert rows.value.last_iterate.coords.tobytes() == single.value.last_iterate.coords.tobytes()
+    assert rows.value.last_iterate.manifold_id == h.manifold_id
+
+
+def test_frechet_mean_rows_rejects_an_empty_stack():
+    h = Hyperbolic(2)
+    for clouds in (np.empty((0, 3, 3)), np.empty((2, 0, 3)), np.ones((2, 3))):
+        with pytest.raises(GeometryError):
+            frechet_mean_rows(h, clouds)

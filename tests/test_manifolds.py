@@ -184,6 +184,28 @@ def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
     assert not h.log_many(xs[2], targets)[[6, 7]].any()
 
 
+@pytest.mark.parametrize("dim, n", [(2, 3), (2, 5), (10, 20)])
+def test_hyperbolic_row_paired_targets_log_many_bitwise_equal_per_row_calls(dim, n):
+    # n == ambient (dim 2, n 3) is the shape where indexing the time
+    # coordinate along the wrong axis goes unnoticed by broadcasting
+    h = Hyperbolic(dim)
+    rng = np.random.default_rng(n)
+    base = h.base_point()
+    xs = [h.random_point(rng, center=base, radius=1.5) for _ in range(6)]
+    clouds = np.stack(
+        [[h.random_point(rng, center=x, radius=1.0).coords for _ in range(n)] for x in xs]
+    )
+    clouds[3, 1] = xs[3].coords  # a target on its base
+    X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
+    logs, dists = h.log_many(X, clouds), h.dist_many(X, clouds)
+    assert logs.shape == clouds.shape and dists.shape == clouds.shape[:2]
+    assert logs.tobytes() == np.stack([h.log_many(x, c) for x, c in zip(xs, clouds)]).tobytes()
+    assert dists.tobytes() == np.stack([h.dist_many(x, c) for x, c in zip(xs, clouds)]).tobytes()
+    want = [_hyperbolic_log_dist_many_longhand(x.coords, c) for x, c in zip(xs, clouds)]
+    assert logs.tobytes() == np.stack([w[0] for w in want]).tobytes()
+    assert dists[3, 1] == 0.0 and not logs[3, 1].any()
+
+
 def test_spd_batched_shapes_and_non_pd_base():
     m = SPD(3)
     for n in (1, 5):
@@ -221,6 +243,18 @@ def test_spd_memoized_factor_gives_the_bits_of_a_fresh_point():
     fresh = _spd_calls_at(m, x.copy(), y, v, anchors)
     for a, b in zip(stored, fresh):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spd_transport_on_a_stacked_base_bitwise_equal_per_row_calls(d):
+    m = SPD(d)
+    xs, ys, vs, _ = _row_cases(m)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    moved = m.transport(X, Y, V)
+    assert moved.base is Y
+    loop = [m.transport(x, y, v).coords for x, y, v in zip(xs, ys, vs)]
+    assert _bits(moved.coords) == _bits(loop)
 
 
 def test_spd_non_pd_point_raises_on_every_call_and_stores_nothing():

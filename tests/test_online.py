@@ -271,7 +271,7 @@ def test_step_size_safety_frozen_stream():
             [h.random_point(rng, center=base, radius=1.0).coords for _ in range(15)]
         )
         loss = FrechetMeanLoss(h, targets)
-        ustar = frechet_mean(h, loss.point_list(), tol=1e-11)
+        ustar = frechet_mean(h, [Point(row, h.manifold_id) for row in targets], tol=1e-11)
         x0 = h.exp(base, h.random_tangent(base, rng, norm=2.0))
         s = roogd_init(h, x0, eta)
         dists = []

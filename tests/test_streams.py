@@ -95,3 +95,25 @@ def test_grad_rows_bitwise_equal_grad_at_each_row(dim):
     assert _bits([rows.coords]) == _bits([np.stack([loss.grad(x).coords for x in xs])])
     single = loss.grad_rows(Point(xs[0].coords[None, :], h.manifold_id)).coords
     assert _bits([single]) == _bits([loss.grad(xs[0]).coords[None, :]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_stacked_losses_give_each_loss_at_its_row(dim):
+    # m losses stacked as (m, n, ambient) targets, loss i paired with row i
+    h = Hyperbolic(dim)
+    stream = gen_frechet_stream(h, T=9, n_points=6, S=3, seed=dim)
+    losses = stream.losses
+    stacked = FrechetMeanLoss(h, np.stack([loss.targets for loss in losses]))
+    assert stacked.n == losses[0].n == 6
+    rng = np.random.default_rng(dim)
+    xs = [h.random_point(rng, center=c, radius=0.5) for c in stream.centers]
+    xs[4] = Point(losses[4].targets[2].copy(), h.manifold_id)  # a row on a target
+    X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
+    values = stacked.value_rows(X)
+    assert _bits([values]) == _bits([np.array([f.value(x) for f, x in zip(losses, xs)])])
+    assert _bits([stacked.grad_rows(X).coords]) == _bits(
+        [np.stack([f.grad(x).coords for f, x in zip(losses, xs)])]
+    )
+    # one loss, many rows: value_rows is value at each row
+    single = losses[0].value_rows(X)
+    assert _bits([single]) == _bits([np.array([losses[0].value(x) for x in xs])])

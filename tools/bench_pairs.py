@@ -1,20 +1,23 @@
 """Alternating parent/change pairs of the benchmark, summarised.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload frechet [--seed 0]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload frechet
+                                 [--workload quadgame ...] [--seed 0]
                                  [--pairs 10] [--seconds 30] [--out FILE]
 
 Exports each git revision with ``git archive`` into a temporary directory
-and runs ``perfbench/run.py --trace 0`` in each checkout, once per side and
-pair. Pair k runs the parent first when k is even and the change first when
-k is odd, so a slow stretch of the machine does not fall on one side only.
-Run from inside the repository. Standard library only.
+and runs ``perfbench/run.py --trace 0`` in each checkout, once per side,
+workload and pair. Pair k runs the parent first when k is even and the
+change first when k is odd, so a slow stretch of the machine does not fall
+on one side only. Run from inside the repository. Standard library only.
 
-Prints (or writes to ``--out``) one JSON object: for each end-to-end metric
-the median and quartiles of each side (linear interpolation, as numpy's
-default percentile), the pairs the change wins, the parent's quartile
-spread, the median change relative to the parent and every pair as
-``[parent, change]``; plus the largest ``output_rel_err`` and the runs whose
-output check failed.
+Prints (or writes to ``--out``) one JSON object with one entry per
+workload: for each end-to-end metric the median and quartiles of each side
+(linear interpolation, as numpy's default percentile), the pairs the change
+wins, the parent's quartile spread, the median change relative to the
+parent and every pair as ``[parent, change]``; plus the largest
+``output_rel_err``, whether every run passed its output check, and the runs
+that exited non-zero (recorded with their last stderr line and left out of
+the pairs, instead of ending the batch). Exits 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -73,12 +76,19 @@ def export(rev: str, into: Path) -> Path:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run: its metric values and output check."""
+    """One ``perfbench/run.py`` run: its metric values and output check.
+
+    A run that exits non-zero gives ``{"failed": ..., "returncode": ...}``,
+    with the last line it wrote to stderr.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if proc.returncode != 0:
+        last = proc.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+        return {"failed": last[0], "returncode": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     rel_err = [float(line.split()[2]) for line in lines if line.startswith("check output_rel_err")]
@@ -89,11 +99,39 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def workload_report(runs: dict) -> dict:
+    """The summary of one workload's runs, ``{"parent": [...], "change": [...]}``.
+
+    Only pairs in which both runs succeeded are summarised; a metric with
+    fewer than two such pairs reads None.
+    """
+    both = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+            if "failed" not in p and "failed" not in c]
+    ok = [r for side in runs.values() for r in side if "failed" not in r]
+    return {
+        **{
+            m: summarize([(p["metrics"][m], c["metrics"][m]) for p, c in both])
+            if len(both) >= 2 else None
+            for m in METRICS
+        },
+        "failed_runs": [
+            {"pair": k + 1, "side": side, **r}
+            for side, side_runs in runs.items()
+            for k, r in enumerate(side_runs)
+            if "failed" in r
+        ],
+        "all_runs_correct": len(ok) == sum(map(len, runs.values()))
+        and all(r["correct"] for r in ok),
+        "output_rel_err_max": max((r["output_rel_err"] for r in ok), default=None),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a perfbench workload; give it again for more")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -101,36 +139,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
+    workloads = list(dict.fromkeys(args.workload))
 
-    runs = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: export(getattr(args, side), Path(tmp) / side) for side in runs}
+        trees = {side: export(getattr(args, side), Path(tmp) / side)
+                 for side in ("parent", "change")}
         for k in range(args.pairs):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(trees[side], args.workload, args.seed, args.seconds))
-                print(f"pair {k + 1} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+            for w in workloads:
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    run = run_once(trees[side], w, args.seed, args.seconds)
+                    runs[w][side].append(run)
+                    print(f"pair {k + 1} {w} {side}: {run.get('metrics', run)}", file=sys.stderr)
 
     report = {
-        "workload": args.workload,
         "seed": args.seed,
         "parent": args.parent,
         "change": args.change,
         "pairs_run": args.pairs,
         "seconds": args.seconds,
-        **{
-            m: summarize([(p["metrics"][m], c["metrics"][m])
-                          for p, c in zip(runs["parent"], runs["change"])])
-            for m in METRICS
-        },
-        "all_runs_correct": all(r["correct"] for side in runs.values() for r in side),
-        "output_rel_err_max": max(r["output_rel_err"] for side in runs.values() for r in side),
+        "workloads": {w: workload_report(runs[w]) for w in workloads},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if any(r["failed_runs"] for r in report["workloads"].values()) else 0
 
 
 if __name__ == "__main__":
