@@ -363,6 +363,7 @@ def frechet_mean_rows(
     active = np.arange(len(clouds))
     x = Point(out, manifold.manifold_id)
     targets = clouds
+    residual = np.full(len(clouds), math.inf)
     for _ in range(max_iter):
         logs = manifold.log_many(x, targets)
         direction = TangentVector(x, (w_k * logs).sum(axis=-2))

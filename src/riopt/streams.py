@@ -46,15 +46,11 @@ class FrechetMeanLoss:
         self.n = self.targets.shape[-2]
 
     def value(self, x: Point) -> float:
-        d = self.manifold.dist_many(x, self.targets)
-        return float(np.sum(d * d)) / (2.0 * self.n)
+        return float(self.value_rows(x))
 
     def value_rows(self, x: Point) -> np.ndarray:
-        """The value at each row of a stacked point, from one ``dist_many``.
-
-        Row i is bitwise ``value`` at row i: each row's squared distances sum
-        along the last axis, as the single call's do.
-        """
+        """The value at each row of a stacked point (at a single point, a
+        0-d array), from one ``dist_many``; row i is bitwise ``value`` there."""
         d = self.manifold.dist_many(x, self.targets)
         return np.sum(d * d, axis=-1) / (2.0 * self.n)
 

@@ -195,6 +195,21 @@ def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("n_points", [1, 4])
+def test_frechet_single_round(n_points):
+    # no round 2: the comparator's hop and gradient stacks are empty
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "frechet", "dim": 3, "n_points": n_points, "T": 1, "S": 1}
+    )
+    result = run_experiment(cfg)
+    assert [r.round for r in result.rows] == [1] * len(cfg.algorithms)
+    assert result.summary["comparator_path_length"] == 0.0
+    for entry in result.summary["algorithms"].values():
+        assert entry["grad_variation_estimate"] == 0.0
+        # a one-point cloud is its own mean, at loss 0
+        assert (entry["comparator_cumulative_loss"] == 0.0) == (n_points == 1)
+
+
 # ------------------------------------------------------------- CLI exit paths
 UNSTABLE_QUADGAME = {"experiment": "quadgame", "d": 2, "c1": 0.5, "T": 20}
 

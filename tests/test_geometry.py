@@ -350,6 +350,13 @@ def test_frechet_mean_rows_fails_like_the_lowest_failing_cloud():
     assert rows.value.residual == single.value.residual
     assert rows.value.last_iterate.coords.tobytes() == single.value.last_iterate.coords.tobytes()
     assert rows.value.last_iterate.manifold_id == h.manifold_id
+    # no iteration at all: cloud 0 fails at its start, with an infinite residual
+    with pytest.raises(FrechetMeanError) as single:
+        frechet_mean(h, [Point(p, h.manifold_id) for p in clouds[0]], max_iter=0)
+    with pytest.raises(FrechetMeanError) as rows:
+        frechet_mean_rows(h, clouds, max_iter=0)
+    assert str(rows.value) == str(single.value) and rows.value.residual == math.inf
+    assert rows.value.last_iterate.coords.tobytes() == clouds[0, 0].tobytes()
 
 
 def test_frechet_mean_rows_rejects_an_empty_stack():
