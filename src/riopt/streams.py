@@ -34,16 +34,17 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 class FrechetMeanLoss:
     """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
-    ``targets`` stacks the A_i along axis -2; value and gradient each make one
-    ``dist_many`` / ``log_many`` call (Hyperbolic and SPD have ``dist_many``).
-    Targets of shape (m, N, ambient) stack m losses, loss i paired with row i
-    of a stacked point in ``value_rows`` and ``grad_rows`` (Hyperbolic).
+    ``targets`` stacks the A_i along the axis before a point's coordinates;
+    value and gradient each make one ``dist_many`` / ``log_many`` call
+    (Hyperbolic and SPD have ``dist_many``). Hyperbolic targets of shape
+    (m, N, ambient) stack m losses, loss i paired with row i of a stacked
+    point in ``value_rows`` and ``grad_rows``.
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):
         self.manifold = manifold
         self.targets = np.asarray(targets, dtype=float)
-        self.n = self.targets.shape[-2]
+        self.n = self.targets.shape[-1 - manifold.base_point().coords.ndim]
 
     def value(self, x: Point) -> float:
         return float(self.value_rows(x))

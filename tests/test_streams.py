@@ -4,7 +4,7 @@ per-sample and per-point calls they replace."""
 import numpy as np
 import pytest
 
-from riopt import Hyperbolic
+from riopt import SPD, Hyperbolic
 from riopt.geometry import Point
 from riopt.streams import (
     TAG_CENTER,
@@ -117,3 +117,16 @@ def test_stacked_losses_give_each_loss_at_its_row(dim):
     # one loss, many rows: value_rows is value at each row
     single = losses[0].value_rows(X)
     assert _bits([single]) == _bits([np.array([losses[0].value(x) for x in xs])])
+
+
+def test_spd_loss_counts_its_matrices():
+    # a point's coordinates are a matrix: N is the axis before them
+    m = SPD(3)
+    rng = np.random.default_rng(0)
+    pts = [m.random_point(rng) for _ in range(5)]
+    loss = FrechetMeanLoss(m, np.stack([p.coords for p in pts]))
+    x = m.random_point(rng)
+    assert loss.n == 5
+    assert loss.value(x) == pytest.approx(sum(m.dist(x, p) ** 2 for p in pts) / 10, rel=1e-12)
+    want = -sum(m.log(x, p).coords for p in pts) / 5
+    assert np.allclose(loss.grad(x).coords, want, rtol=1e-12, atol=1e-14)
