@@ -89,6 +89,10 @@ CSV_HEADER = "round,algorithm,instantaneous_loss,cumulative_loss,cumulative_regr
 # plus this many fixed random points, never refreshed.
 N_FIXED_PROBES = 14
 
+# Rounds per block of frechet's comparator track. Its stacked temporaries are
+# a few (block, n_points, dim + 1) arrays, so their memory does not grow with T.
+COMPARATOR_BLOCK = 128
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -425,6 +429,34 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
     return play
 
 
+def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, ...]:
+    """u_t = argmin f_t of every round, its value f_t(u_t) and, from round 2
+    on, the gradients of f_t and f_{t-1} at u_t.
+
+    Solved on stacks, COMPARATOR_BLOCK rounds at a time: the block's Karcher
+    means in one ``frechet_mean_rows`` iteration, then one ``value_rows`` and
+    two ``grad_rows`` calls on its stacked losses (row t paired with u_t).
+    Every row has the bits of the per-round call, and the first failing round
+    raises its own error.
+    """
+    T, ambient = len(losses), manifold.ambient
+    comps, vals = np.empty((T, ambient)), np.empty(T)
+    now, before = np.empty((T - 1, ambient)), np.empty((T - 1, ambient))
+    for i in range(0, T, COMPARATOR_BLOCK):
+        # the block's clouds, after the first block with round i - 1 ahead
+        lo, j = max(i - 1, 0), min(i + COMPARATOR_BLOCK, T)
+        clouds = np.stack([loss.targets for loss in losses[lo:j]])
+        u = frechet_mean_rows(manifold, clouds[i - lo :])
+        comps[i:j] = u.coords
+        vals[i:j] = FrechetMeanLoss(manifold, clouds[i - lo :]).value_rows(u)
+        k = max(i, 1)
+        u_k = Point(comps[k:j], manifold.manifold_id)
+        now[k - 1 : j - 1] = FrechetMeanLoss(manifold, clouds[k - lo :]).grad_rows(u_k).coords
+        prev = FrechetMeanLoss(manifold, clouds[k - 1 - lo : j - 1 - lo])
+        before[k - 1 : j - 1] = prev.grad_rows(u_k).coords
+    return comps, vals, now, before
+
+
 def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     manifold = Hyperbolic(cfg.dim)
     stream = gen_frechet_stream(
@@ -451,21 +483,12 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     max_dist = dict.fromkeys(players, 0.0)
 
     # The comparator u_t = argmin f_t depends on no learner, so its whole
-    # track comes first, on stacks: the T Karcher means in one iteration,
-    # then their values, their hops and, from round 2 on, their gradients
-    # under this and the previous loss (stacked losses, row t paired with
-    # u_t). So a comparator failure at any round is raised before the
-    # learners play round 1.
-    clouds = np.stack([loss.targets for loss in stream.losses])
-    comps = frechet_mean_rows(manifold, clouds)
-    comp_vals = FrechetMeanLoss(manifold, clouds).value_rows(comps).tolist()
-    later = Point(comps.coords[1:], manifold.manifold_id)
-    earlier = Point(comps.coords[:-1], manifold.manifold_id)
-    hops = [0.0] + manifold.dist_rows(later, earlier).tolist()
-    now_losses = FrechetMeanLoss(manifold, clouds[1:])
-    before_losses = FrechetMeanLoss(manifold, clouds[:-1])
-    comp_now = now_losses.grad_rows(later).coords
-    comp_before = before_losses.grad_rows(later).coords
+    # track comes first, and a comparator failure at any round is raised
+    # before the learners play round 1.
+    comps, comp_vals, comp_now, comp_before = _comparator_track(manifold, stream.losses)
+    later = Point(comps[1:], manifold.manifold_id)
+    hops = [0.0] + manifold.dist_rows(later, Point(comps[:-1], manifold.manifold_id)).tolist()
+    comp_vals = comp_vals.tolist()
 
     # Each round, the gradient variation at the shared probes (the fixed
     # points and the comparator) is computed once; each learner then folds

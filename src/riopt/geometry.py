@@ -283,12 +283,18 @@ class Manifold(ABC):
             raise GeometryError("tangent vector is not based at the given point")
 
 
+# Defaults of the Karcher iteration: the gradient-norm tolerance and the
+# iteration budget. frechet_mean_rows always uses these.
+KARCHER_TOL = 1e-9
+KARCHER_MAX_ITER = 200
+
+
 def weighted_frechet_mean(
     manifold: Manifold,
     points: Sequence[Point],
     weights: Sequence[float],
-    tol: float = 1e-9,
-    max_iter: int = 200,
+    tol: float = KARCHER_TOL,
+    max_iter: int = KARCHER_MAX_ITER,
 ) -> Point:
     """Weighted Frechet (Karcher) mean of a point set.
 
@@ -337,19 +343,21 @@ def frechet_mean(manifold: Manifold, points: Sequence[Point], **kwargs) -> Point
     return weighted_frechet_mean(manifold, points, np.full(n, 1.0 / n), **kwargs)
 
 
-def frechet_mean_rows(
-    manifold: Manifold, clouds: np.ndarray, tol: float = 1e-9, max_iter: int = 200
-) -> Point:
+def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
     """``frechet_mean`` of every cloud of a (m, n, ...) stack, as one iteration.
 
     Row i of the result is bitwise ``frechet_mean`` of the n points of cloud
     i: it starts at point 0 and repeats the equal-weight step of
     ``weighted_frechet_mean`` expression for expression, through ``log_many``
     on the stacked iterates with row-paired targets, ``inner_rows`` and
-    ``exp_rows`` (Hyperbolic has all three). A row whose residual is <= tol
-    stops moving and is never touched again. After max_iter iterations,
-    FrechetMeanError for the lowest-index cloud still above tol, with its
-    residual and last iterate; a GeometryError of any row ends the call.
+    ``exp_rows`` (Hyperbolic has all three). A row whose residual is <=
+    KARCHER_TOL stops moving and is never touched again.
+
+    A failure is the one ``frechet_mean`` raises for the lowest-index cloud
+    that fails. After KARCHER_MAX_ITER iterations that is FrechetMeanError
+    for the lowest cloud still moving, with its residual and last iterate. A
+    GeometryError names no row, so the clouds still moving at that point are
+    redone one by one, in order, and the first to fail raises its own error.
     """
     clouds = np.asarray(clouds, dtype=float)
     if clouds.ndim < 3 or 0 in clouds.shape[:2]:
@@ -363,23 +371,28 @@ def frechet_mean_rows(
     active = np.arange(len(clouds))
     x = Point(out, manifold.manifold_id)
     targets = clouds
-    residual = np.full(len(clouds), math.inf)
-    for _ in range(max_iter):
-        logs = manifold.log_many(x, targets)
-        direction = TangentVector(x, (w_k * logs).sum(axis=-2))
-        residual = np.sqrt(np.maximum(manifold.inner_rows(x, direction, direction), 0.0))
-        done = residual <= tol
-        if done.any():
-            out[active[done]] = x.coords[done]
-            keep = ~done
-            if not keep.any():
-                return Point(out, manifold.manifold_id)
-            active, targets, residual = active[keep], targets[keep], residual[keep]
-            x = Point(x.coords[keep], manifold.manifold_id)
-            direction = TangentVector(x, direction.coords[keep])
-        x = manifold.exp_rows(x, direction)
+    try:
+        for _ in range(KARCHER_MAX_ITER):
+            logs = manifold.log_many(x, targets)
+            direction = TangentVector(x, (w_k * logs).sum(axis=-2))
+            residual = np.sqrt(np.maximum(manifold.inner_rows(x, direction, direction), 0.0))
+            done = residual <= KARCHER_TOL
+            if done.any():
+                out[active[done]] = x.coords[done]
+                keep = ~done
+                if not keep.any():
+                    return Point(out, manifold.manifold_id)
+                active, targets, residual = active[keep], targets[keep], residual[keep]
+                x = Point(x.coords[keep], manifold.manifold_id)
+                direction = TangentVector(x, direction.coords[keep])
+            x = manifold.exp_rows(x, direction)
+    except GeometryError:
+        for i in active:
+            points = [Point(p, manifold.manifold_id) for p in clouds[i]]
+            out[i] = frechet_mean(manifold, points).coords
+        return Point(out, manifold.manifold_id)
     raise FrechetMeanError(
-        f"no convergence after {max_iter} iterations (residual {residual[0]:.3g})",
+        f"no convergence after {KARCHER_MAX_ITER} iterations (residual {residual[0]:.3g})",
         last_iterate=Point(x.coords[0].copy(), manifold.manifold_id),
         residual=float(residual[0]),
     )

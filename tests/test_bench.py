@@ -7,13 +7,19 @@ import pytest
 from riopt import (
     SPD,
     ExperimentConfig,
+    FrechetMeanError,
     FrechetMeanLoss,
+    Hyperbolic,
     ZeroSumGame,
+    frechet_mean,
+    gen_frechet_stream,
     run_experiment,
     triangle_comparison_suite,
 )
+from riopt import bench
 from riopt.bench import N_FIXED_PROBES
 from riopt.cli import main
+from riopt.geometry import Point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,6 +248,27 @@ def test_wide_cloud_comparator_failure_exits_3_before_any_learner_plays(
     err = capsys.readouterr().err
     assert err == f"numeric failure: no convergence after 200 iterations (residual {residual})\n"
     assert not played
+
+
+@pytest.mark.parametrize("block", [1, 3, bench.COMPARATOR_BLOCK])
+def test_frechet_comparator_track_is_bitwise_the_per_round_calls(monkeypatch, block):
+    # blocks of a few rounds, with rounds whose previous loss lies in the
+    # block before, and one block for the whole track
+    monkeypatch.setattr(bench, "COMPARATOR_BLOCK", block)
+    h = Hyperbolic(3)
+    losses = gen_frechet_stream(h, T=10, n_points=5, mode="drift", S=4, drift=0.3).losses
+    comps, vals, now, before = bench._comparator_track(h, losses)
+    means = [frechet_mean(h, [Point(p, h.manifold_id) for p in loss.targets]) for loss in losses]
+    assert comps.tobytes() == np.stack([u.coords for u in means]).tobytes()
+    assert vals.tolist() == [loss.value(u) for loss, u in zip(losses, means)]
+    grads = [(losses[t].grad(means[t]), losses[t - 1].grad(means[t])) for t in range(1, 10)]
+    assert now.tobytes() == np.stack([g.coords for g, _ in grads]).tobytes()
+    assert before.tobytes() == np.stack([g.coords for _, g in grads]).tobytes()
+    # the first failing round (9 of the wide-cloud config at seed 2) raises
+    # its own error, from whichever block holds it
+    wide = {"experiment": "frechet", "ball_radius": 3, "center_diam": 6, "T": 20, "S": 5}
+    with pytest.raises(FrechetMeanError, match=r"\(residual 1\.9e-05\)"):
+        run_experiment(ExperimentConfig.from_dict(dict(wide, seed=2)))
 
 
 def _run_sweep(tmp_path, configs, *flags):

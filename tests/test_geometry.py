@@ -16,11 +16,12 @@ from riopt import (
     Sphere,
     frechet_mean,
     frechet_mean_rows,
+    gen_frechet_stream,
     sigma_constant,
     weighted_frechet_mean,
     zeta_constant,
 )
-from riopt.geometry import Point, TangentVector
+from riopt.geometry import KARCHER_MAX_ITER, Point, TangentVector
 
 
 def all_manifolds():
@@ -335,28 +336,56 @@ def test_frechet_mean_rows_bitwise_equal_per_cloud_calls(dim):
     ).tobytes()
 
 
-def test_frechet_mean_rows_fails_like_the_lowest_failing_cloud():
+def _fails_like(rows_error, single_error):
+    assert type(rows_error) is type(single_error)
+    assert str(rows_error) == str(single_error)
+    if isinstance(single_error, FrechetMeanError):
+        assert rows_error.residual == single_error.residual
+        last = rows_error.last_iterate
+        assert last.coords.tobytes() == single_error.last_iterate.coords.tobytes()
+        assert last.manifold_id == single_error.last_iterate.manifold_id
+
+
+def _single_error(h, cloud):
+    with pytest.raises((FrechetMeanError, GeometryError)) as single:
+        frechet_mean(h, [Point(p, h.manifold_id) for p in cloud])
+    return single.value
+
+
+@pytest.mark.parametrize("seed, first, residual", [(0, 0, 1.72), (2, 8, 1.9e-05)])
+def test_frechet_mean_rows_fails_like_the_lowest_failing_cloud(seed, first, residual):
+    # the wide-cloud frechet config (dim 10, 20 points, ball_radius 3,
+    # center_diam 6, T 20, S 5): some rounds' means do not converge in
+    # KARCHER_MAX_ITER iterations, the first at round first + 1
+    h = Hyperbolic(10)
+    stream = gen_frechet_stream(
+        h, T=20, n_points=20, S=5, ball_radius=3.0, center_diam=6.0, seed=seed
+    )
+    clouds = np.stack([loss.targets for loss in stream.losses])
+    means, _ = _single_means(h, clouds[:first])
+    single = _single_error(h, clouds[first])
+    assert isinstance(single, FrechetMeanError) and f"{single.residual:.3g}" == f"{residual:.3g}"
+    assert str(single) == f"no convergence after {KARCHER_MAX_ITER} iterations (residual {residual})"
+    with pytest.raises(FrechetMeanError) as rows:
+        frechet_mean_rows(h, clouds)
+    _fails_like(rows.value, single)
+    if first:
+        got = frechet_mean_rows(h, clouds[:first])
+        assert got.coords.tobytes() == np.stack([m.coords for m in means]).tobytes()
+
+
+def test_frechet_mean_rows_geometry_error_does_not_preempt_a_lower_cloud():
+    # radius-8 clouds in H^2 run out of iterations, radius-12 ones leave the
+    # hyperboloid within a few steps: cloud 3 fails early, cloud 1 only after
+    # KARCHER_MAX_ITER iterations
     h = Hyperbolic(2)
-    clouds = _hyperbolic_clouds(h, [0.2, 0.1, 2.5, 0.3, 3.0], n=5, seed=4)
-    _, iters = _single_means(h, clouds)
-    max_iter = 6
-    failing = [i for i, k in enumerate(iters) if k > max_iter]
-    assert failing == [2, 4] and iters[0] <= max_iter
-    with pytest.raises(FrechetMeanError) as single:
-        frechet_mean(h, [Point(p, h.manifold_id) for p in clouds[2]], max_iter=max_iter)
-    with pytest.raises(FrechetMeanError) as rows:
-        frechet_mean_rows(h, clouds, max_iter=max_iter)
-    assert str(rows.value) == str(single.value)
-    assert rows.value.residual == single.value.residual
-    assert rows.value.last_iterate.coords.tobytes() == single.value.last_iterate.coords.tobytes()
-    assert rows.value.last_iterate.manifold_id == h.manifold_id
-    # no iteration at all: cloud 0 fails at its start, with an infinite residual
-    with pytest.raises(FrechetMeanError) as single:
-        frechet_mean(h, [Point(p, h.manifold_id) for p in clouds[0]], max_iter=0)
-    with pytest.raises(FrechetMeanError) as rows:
-        frechet_mean_rows(h, clouds, max_iter=0)
-    assert str(rows.value) == str(single.value) and rows.value.residual == math.inf
-    assert rows.value.last_iterate.coords.tobytes() == clouds[0, 0].tobytes()
+    clouds = _hyperbolic_clouds(h, [0.3, 8.0, 0.5, 12.0, 12.0], n=5, seed=0)
+    errors = [_single_error(h, clouds[i]) for i in (1, 3)]
+    assert isinstance(errors[0], FrechetMeanError) and type(errors[1]) is GeometryError
+    for order, want in (([0, 1, 2, 3, 4], errors[0]), ([0, 2, 3, 1], errors[1])):
+        with pytest.raises((FrechetMeanError, GeometryError)) as rows:
+            frechet_mean_rows(h, clouds[order])
+        _fails_like(rows.value, want)
 
 
 def test_frechet_mean_rows_rejects_an_empty_stack():
