@@ -30,7 +30,9 @@ from .online import (
     roogd_corrected_init,
     roogd_corrected_step,
     roogd_init,
+    roogd_init_rows,
     roogd_step,
+    roogd_step_rows,
 )
 from .games import (
     GameState,

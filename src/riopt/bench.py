@@ -49,6 +49,7 @@ from .online import (
     roogd_corrected_init,
     roogd_corrected_step,
     roogd_init,
+    roogd_init_rows,
     roogd_step,
 )
 from .streams import (
@@ -98,12 +99,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# numpy's largest index: a size above it cannot shape an array.
+INDEX_MAX = int(np.iinfo(np.intp).max)
+
 # The numeric fields of ExperimentConfig and the values each admits: an
 # integer or a finite real, with an optional lower bound, inclusive (">=") or
-# strict (">"). v_t_bound may also be None.
+# strict (">"), and for the sizes of arrays the upper bound INDEX_MAX.
+# v_t_bound may also be None.
 NUMBER_FIELDS = {
-    **{name: (int, ">=", 1) for name in ("T", "S", "dim", "n_points", "d", "n_samples")},
-    "n_triangles": (int, ">=", 1),
+    **{
+        name: (int, ">=", 1, INDEX_MAX)
+        for name in ("T", "dim", "n_points", "d", "n_samples", "n_triangles")
+    },
+    "S": (int, ">=", 1),
     "seed": (int, ">=", 0),
     "drift": (float, ">=", 0),
     "ball_radius": (float, ">=", 0),
@@ -116,17 +124,24 @@ NUMBER_FIELDS = {
 }
 
 
-def check_number(field: str, value, kind: type, op=None, bound=None) -> None:
+def check_number(field: str, value, kind: type, op=None, bound=None, most=None) -> None:
     """Raise ConfigError unless ``value`` is an integer (``kind`` int) or a
-    finite real number (``kind`` float), not a bool, and ``value op bound``."""
+    finite real number (``kind`` float), not a bool, ``value op bound`` and,
+    if ``most`` is given, ``value <= most``."""
     ok = isinstance(value, numbers.Integral if kind is int else numbers.Real)
     try:
         ok = ok and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
         ok = False
-    if not ok or (op == ">=" and value < bound) or (op == ">" and value <= bound):
+    if (
+        not ok
+        or (op == ">=" and value < bound)
+        or (op == ">" and value <= bound)
+        or (most is not None and value > most)
+    ):
         what = "an integer" if kind is int else "a finite real number"
         limit = "" if op is None else f" {op} {bound}"
+        limit += "" if most is None else f" and <= {most}"
         raise ConfigError(f"{field} must be {what}{limit}, got {value!r}")
 
 
@@ -378,13 +393,19 @@ def _step_sizes(cfg: ExperimentConfig) -> dict[str, Optional[float]]:
 
 
 def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
-    """Online learner ``name`` started at x0, as a ``play`` callable.
+    """Online learner ``name`` started at x0, as ``(point, play)`` callables.
 
-    ``play(loss, prev_loss)`` returns ``(x_t, loss.grad(x_t))``: the point
-    x_t, fixed before ``loss`` is touched, and the gradient there, computed
-    once. It then advances the learner. ``prev_loss`` is None in round 1;
-    only R-AOOGD reads it, for its optimism term. R-AOOGD ignores ``eta`` and
-    hedges over its own pool of R-OOGD experts.
+    Round protocol: every learner commits its point x_t before the round's
+    loss is touched, and each stack of points takes its gradients from one
+    ``grad_rows`` call. ``point()`` is x_t, or None for R-AOOGD, whose x_t
+    depends on the previous loss. The runner stacks the other learners'
+    points and passes each the gradient at its row to ``play(loss,
+    prev_loss, g_t)``, which returns ``(x_t, g_t)`` and advances the learner.
+    R-AOOGD's ``play`` (given None) runs ``aoogd_round``: it commits x_t, then
+    takes its experts' gradients and the gradient at x_t from one
+    ``loss.grad_rows`` call. ``prev_loss`` is None in round 1; only R-AOOGD
+    reads it, for its optimism. R-AOOGD ignores ``eta`` and hedges over its
+    own pool of R-OOGD experts, which advance as one stacked step.
     """
     if name == "raoogd":
         mc = frechet_meta_constants(cfg)
@@ -392,22 +413,22 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
         # causal; default to the sqrt-horizon scale (slowly mixing stream)
         v_bound = cfg.v_t_bound if cfg.v_t_bound is not None else mc.G**2 * math.sqrt(cfg.T)
         pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
-        experts = [roogd_init(manifold, x0, e) for e in pool.etas]
+        experts = roogd_init_rows(manifold, x0, pool.etas)
         weights = MetaWeights.uniform(pool.N)
 
-        def play(loss, prev_loss):
+        def play(loss, prev_loss, _):
             nonlocal experts, weights
             prev_grad = prev_loss.grad if prev_loss is not None else None
             x_t, experts, weights, diag = aoogd_round(
-                manifold, experts, weights, beta, loss.grad, prev_grad
+                manifold, experts, weights, beta, loss.grad_rows, prev_grad
             )
             return x_t, diag.g_play
 
-        return play
+        return (lambda: None), play
 
     if name == "rogd":
         state = x0
-        point = lambda x: x  # noqa: E731
+        point = lambda: state  # noqa: E731
         advance = lambda x, g: rogd_step(manifold, x, g, eta)  # noqa: E731
     else:
         init, step = (
@@ -416,17 +437,16 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
             else (roogd_corrected_init, roogd_corrected_step)
         )
         state = init(manifold, x0, eta)
-        point = lambda s: s.x_cur  # noqa: E731
+        point = lambda: state.x_cur  # noqa: E731
         advance = lambda s, g: step(manifold, s, g)  # noqa: E731
 
-    def play(loss, prev_loss):
+    def play(loss, prev_loss, g_t):
         nonlocal state
-        x_t = point(state)
-        g_t = loss.grad(x_t)
+        x_t = point()
         state = advance(state, g_t)
         return x_t, g_t
 
-    return play
+    return point, play
 
 
 def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, ...]:
@@ -512,22 +532,41 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                 (TangentVector(u_t, comp_now[t - 2]), TangentVector(u_t, comp_before[t - 2]))
             )
             shared_vt = grad_variation(manifold, shared_pairs)
-        for name, play in players.items():
-            x_t, g_t = play(loss, prev_loss)
-            inst = loss.value(x_t)
-            vt = shared_vt
-            if prev_loss is not None:
-                vt = grad_variation(manifold, [(g_t, prev_loss.grad(x_t))], start=shared_vt)
-            led = ledgers[name] = regret_update(ledgers[name], inst, comp_val, hop, vt)
-            max_dist[name] = max(max_dist[name], manifold.dist(x_t, anchor))
+
+        # every learner commits x_t before the loss is touched; the committed
+        # points take their gradients from one grad_rows call, then each
+        # learner plays in the configured order
+        points = {name: point() for name, (point, _) in players.items()}
+        committed = [name for name, x in points.items() if x is not None]
+        grads = dict.fromkeys(players)
+        if committed:
+            stack = Point(np.stack([points[n].coords for n in committed]), manifold.manifold_id)
+            for name, g in zip(committed, loss.grad_rows(stack).coords):
+                grads[name] = TangentVector(points[name], g)
+        played = [play(loss, prev_loss, grads[name]) for name, (_, play) in players.items()]
+
+        # each per-learner quantity from one row-paired call, row i bitwise
+        # the single call at learner i's point
+        xs = Point(np.stack([x.coords for x, _ in played]), manifold.manifold_id)
+        gs = TangentVector(xs, np.stack([g.coords for _, g in played]))
+        inst = loss.value_rows(xs).tolist()
+        grad_norms = manifold.norm_rows(xs, gs).tolist()
+        anchor_dists = manifold.dist_rows(xs, anchor).tolist()
+        vts = [shared_vt] * len(played)
+        if prev_loss is not None:
+            change = TangentVector(xs, gs.coords - prev_loss.grad_rows(xs).coords)
+            vts = [max(shared_vt, v**2) for v in manifold.norm_rows(xs, change).tolist()]
+        for name, val, norm, dist, vt in zip(players, inst, grad_norms, anchor_dists, vts):
+            led = ledgers[name] = regret_update(ledgers[name], val, comp_val, hop, vt)
+            max_dist[name] = max(max_dist[name], dist)
             rows.append(
                 ResultRow(
                     round=t,
                     algorithm=name,
-                    instantaneous_loss=inst,
+                    instantaneous_loss=val,
                     cumulative_loss=led.cum_alg_loss,
                     cumulative_regret=led.regret,
-                    grad_norm=manifold.norm(x_t, g_t),
+                    grad_norm=norm,
                 )
             )
         prev_loss = loss

@@ -3,8 +3,8 @@
     bench frechet|quadgame|robust-pca|verify|sweep --config <path> --out <dir>
           [--seed N] [--rounds N]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (including a
-failing verification suite).
+Exit codes: 0 success, 2 configuration error (including a run too large
+to allocate), 3 numeric failure (including a failing verification suite).
 """
 
 from __future__ import annotations
@@ -93,6 +93,11 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an allocation numpy or Python refused: the run is too large for the machine
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: the run does not fit in memory{detail}", file=sys.stderr)
         return 2
     except (GeometryError, FrechetMeanError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

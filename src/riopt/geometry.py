@@ -193,6 +193,10 @@ class Manifold(ABC):
     def norm(self, x: Point, v: TangentVector) -> float:
         return math.sqrt(max(self.inner(x, v, v), 0.0))
 
+    def norm_rows(self, x: Point, v: TangentVector) -> np.ndarray:
+        """``norm`` at every row, from one ``inner_rows`` call."""
+        return np.sqrt(np.maximum(self.inner_rows(x, v, v), 0.0))
+
     @abstractmethod
     def dist(self, x: Point, y: Point) -> float:
         """Geodesic distance."""
@@ -249,7 +253,7 @@ class Manifold(ABC):
         ``center`` is a single point or a stack paired with the rows.
         """
         v = self.to_tangent_rows(center, normals)
-        n = np.sqrt(np.maximum(self.inner_rows(center, v, v), 0.0))
+        n = self.norm_rows(center, v)
         column = (-1,) + (1,) * (normals.ndim - 1)
         inv = (1.0 / np.where(n == 0.0, 1.0, n)).reshape(column)
         unit = np.where(n.reshape(column) == 0.0, 0.0, inv * v.coords)
@@ -375,7 +379,7 @@ def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
         for _ in range(KARCHER_MAX_ITER):
             logs = manifold.log_many(x, targets)
             direction = TangentVector(x, (w_k * logs).sum(axis=-2))
-            residual = np.sqrt(np.maximum(manifold.inner_rows(x, direction, direction), 0.0))
+            residual = manifold.norm_rows(x, direction)
             done = residual <= KARCHER_TOL
             if done.any():
                 out[active[done]] = x.coords[done]

@@ -32,7 +32,8 @@ _EXP_MAX_ARG = math.log(np.finfo(float).max)
 # base broadcasts. Each form repeats the expressions of its single call, so
 # every row has that call's bits: np.linalg.norm of a vector is
 # sqrt(dot(a, a)), which vecdot matches, but numpy's cosh, sinh, asinh and
-# atan2 round differently from math's, so each math function runs per row.
+# atan2 round differently from math's, so each math function runs per row,
+# and so does a Python float's ``**`` (C pow).
 def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
@@ -321,6 +322,8 @@ class Hyperbolic(Manifold):
         w = v.coords - (self.minkowski(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
         return self.to_tangent(y, w)
 
+    # Row-paired forms: to_tangent_rows, inner_rows, dist_rows, exp_rows,
+    # log_rows and transport_rows, each bitwise its single call per row.
     @staticmethod
     def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
@@ -353,6 +356,22 @@ class Hyperbolic(Manifold):
         u = y.coords + self.minkowski_rows(x.coords, y.coords)[..., None] * x.coords
         nu = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
         return TangentVector(x, _rescale_rows(d, u, nu))
+
+    def transport_rows(self, x, y, v):
+        self._require_base(x, v)
+        shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
+        x_r, y_r = (Point(np.broadcast_to(p.coords, shape), self.manifold_id) for p in (x, y))
+        u = self.log_rows(x_r, y_r).coords
+        d = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
+        # a row of zero distance keeps v; the others go on as transport does
+        w = np.array(np.broadcast_to(v.coords, shape))
+        m = d != 0.0
+        x_m, y_m = (Point(p.coords[m], self.manifold_id) for p in (x_r, y_r))
+        u_m, v_m = u[m], w[m]
+        u_back = self.log_rows(y_m, x_m).coords
+        scale = self.minkowski_rows(u_m, v_m) / _per_row(lambda a: a**2, d[m])
+        w[m] = self.to_tangent_rows(y_m, v_m - scale[:, None] * (u_m + u_back)).coords
+        return TangentVector(y, w)
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

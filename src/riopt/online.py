@@ -32,6 +32,10 @@ class OptimisticState:
     ``rounds`` counts completed updates; on the very first update the missing
     previous gradient is taken equal to the current one, which makes the first
     move a plain gradient step of length eta.
+
+    A stacked state (``roogd_init_rows``) holds a pool of learners that
+    advance together: the three fields stack a row per learner and
+    ``step_size`` is the column of their step sizes.
     """
 
     x_prev: Point
@@ -109,6 +113,18 @@ def roogd_init(manifold: Manifold, x0: Point, eta: float) -> OptimisticState:
     )
 
 
+def roogd_init_rows(manifold: Manifold, x0: Point, etas: Sequence[float]) -> OptimisticState:
+    """Fresh optimistic learners anchored at x0, one per step size, as one
+    stacked state for ``roogd_step_rows``."""
+    column = np.array(etas, dtype=float).reshape(-1, 1)
+    if column.size == 0 or np.any(column <= 0):
+        raise ValueError("step sizes must be positive")
+    x = Point(np.repeat(x0.coords[None], len(column), axis=0), manifold.manifold_id)
+    return OptimisticState(
+        x_prev=x, x_cur=x, grad_prev=manifold.zero_tangent(x), step_size=column, rounds=0
+    )
+
+
 def roogd_step(
     manifold: Manifold, state: OptimisticState, grad_cur: TangentVector
 ) -> OptimisticState:
@@ -122,6 +138,33 @@ def roogd_step(
         prev_at_cur = manifold.transport(state.x_prev, state.x_cur, state.grad_prev)
     step = -2.0 * eta * grad_cur + eta * prev_at_cur
     x_next = manifold.exp(state.x_cur, step)
+    return OptimisticState(
+        x_prev=state.x_cur,
+        x_cur=x_next,
+        grad_prev=grad_cur,
+        step_size=eta,
+        rounds=state.rounds + 1,
+    )
+
+
+def roogd_step_rows(
+    manifold: Manifold, state: OptimisticState, grad_cur: TangentVector
+) -> OptimisticState:
+    """``roogd_step`` of every learner of a stacked state, as one step.
+
+    Row i is bitwise ``roogd_step`` of learner i: the step repeats its
+    expressions with the step sizes as a column, through ``transport_rows``
+    and ``exp_rows`` (Hyperbolic has both).
+    """
+    manifold._require_base(state.x_cur, grad_cur)
+    manifold._require_finite(grad_cur)
+    eta = state.step_size
+    if state.rounds == 0:
+        prev_at_cur = grad_cur
+    else:
+        prev_at_cur = manifold.transport_rows(state.x_prev, state.x_cur, state.grad_prev)
+    step = (-2.0 * eta) * grad_cur.coords + eta * prev_at_cur.coords
+    x_next = manifold.exp_rows(state.x_cur, TangentVector(state.x_cur, step))
     return OptimisticState(
         x_prev=state.x_cur,
         x_cur=x_next,
@@ -216,36 +259,42 @@ def _hedge_weights(beta: float, scores: np.ndarray) -> np.ndarray:
 def _linear_scores(
     manifold: Manifold, x: Point, g: TangentVector, targets: np.ndarray
 ) -> np.ndarray:
-    """<g, log_x(p_i)>_x for every stacked point p_i, logs from one log_many call."""
-    logs = manifold.log_many(x, targets)
-    return np.array([manifold.inner(x, g, TangentVector(x, v)) for v in logs])
+    """<g, log_x(p_i)>_x for every stacked point p_i: the logs from one
+    ``log_many`` call, the products from one ``inner_rows`` call."""
+    return manifold.inner_rows(x, g, TangentVector(x, manifold.log_many(x, targets)))
 
 
 def aoogd_round(
     manifold: Manifold,
-    experts: Sequence[OptimisticState],
+    experts: OptimisticState,
     weights: MetaWeights,
     beta: float,
     grad_fn: GradFn,
     prev_grad_fn: Optional[GradFn] = None,
-) -> tuple[Point, list[OptimisticState], MetaWeights, AoogdDiagnostics]:
-    """One meta-expert round.
+) -> tuple[Point, OptimisticState, MetaWeights, AoogdDiagnostics]:
+    """One meta-expert round over a stacked pool of R-OOGD experts.
 
     Combines expert points by a weighted Frechet mean under last round's
     weights, forms optimistic surrogates from the previous loss evaluated at
     that combined point (zero on the first round, when no previous loss
     exists), re-weights by hedge over cumulative surrogates plus optimism,
     plays the mean under the new weights, scores every expert against the
-    revealed gradient, and advances each expert with its own step size.
+    revealed gradient, and advances the experts with their own step sizes.
 
-    Optimism and surrogate scores each take their logs from one ``log_many``
-    call; ``diag.g_play`` is the gradient at the played point.
+    Round protocol: the played point is committed before the revealed loss is
+    touched. ``grad_fn`` then takes a stacked point and gives the gradient at
+    each row (``FrechetMeanLoss.grad_rows``): one call gives the experts'
+    gradients and the played point's, the last row. ``prev_grad_fn`` takes
+    the single point x_bar. The optimism and surrogate scores each come from
+    one ``log_many`` and one ``inner_rows`` call, and the experts advance as
+    one ``roogd_step_rows``. ``experts`` is a state of ``roogd_init_rows``;
+    ``diag.g_play`` is the gradient at the played point.
     """
-    n = len(experts)
+    stacked = experts.x_cur.coords
+    n = len(stacked)
     if weights.w.shape != (n,):
         raise ValueError("weights length must match the number of experts")
-    xs = [s.x_cur for s in experts]
-    stacked = np.stack([x.coords for x in xs])
+    xs = [Point(row, manifold.manifold_id) for row in stacked]
 
     x_bar = weighted_frechet_mean(manifold, xs, weights.w)
     if prev_grad_fn is None:
@@ -256,11 +305,13 @@ def aoogd_round(
     w_new = _hedge_weights(beta, weights.cumulative_surrogate + optimism)
     x_play = weighted_frechet_mean(manifold, xs, w_new)
 
-    g_play = grad_fn(x_play)
+    rows = Point(np.vstack([stacked, x_play.coords]), manifold.manifold_id)
+    grads = grad_fn(rows).coords
+    g_play = TangentVector(x_play, grads[-1])
     surrogate = _linear_scores(manifold, x_play, g_play, stacked)
     meta = MetaWeights(w_new, weights.cumulative_surrogate + surrogate)
 
-    advanced = [roogd_step(manifold, s, grad_fn(s.x_cur)) for s in experts]
+    advanced = roogd_step_rows(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
     diag = AoogdDiagnostics(
         x_bar=x_bar, optimism=optimism, surrogate_losses=surrogate, g_play=g_play
     )

@@ -236,10 +236,15 @@ def test_wide_cloud_comparator_failure_exits_3_before_any_learner_plays(
 ):
     # A wide hyperbolic cloud defeats the unit-step Karcher iteration: at
     # seed 0 in round 1, at seed 2 first in round 9. The comparator track is
-    # solved before round 1, so no learner takes a gradient either way.
+    # solved before round 1, so no learner commits a point or plays either way.
     played = []
-    grad = FrechetMeanLoss.grad
-    monkeypatch.setattr(FrechetMeanLoss, "grad", lambda self, x: played.append(1) or grad(self, x))
+    online_learner = bench._online_learner
+
+    def recording(*args):
+        point, play = online_learner(*args)
+        return (lambda: played.append(1) or point()), (lambda *a: played.append(1) or play(*a))
+
+    monkeypatch.setattr(bench, "_online_learner", recording)
     config = {"experiment": "frechet", "ball_radius": 3, "center_diam": 6, "T": 20, "S": 5}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")

@@ -6,11 +6,16 @@ line on stderr."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import riopt
 from riopt import ExperimentConfig
 from riopt.bench import ALGORITHMS, EXPERIMENTS, ConfigError, expand_sweep_file
 from riopt.cli import main
@@ -92,6 +97,10 @@ def test_from_dict_ends_in_a_config_or_a_config_error(experiment, values):
         ("quadgame", {"experiment": "quadgame", "c1": "x"}, "c1"),
         ("quadgame", {"experiment": "quadgame", "algorithms": [{"name": "rogda", "eta": "0.1"}]},
          "eta"),
+        # beyond numpy's index range: no array can have this size
+        ("frechet", {"experiment": "frechet", "dim": 10**19}, "dim"),
+        ("quadgame", {"experiment": "quadgame", "d": 2**63}, "d"),
+        ("verify", {"experiment": "verify", "n_triangles": 2**63}, "n_triangles"),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config, field):
@@ -207,3 +216,42 @@ def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "JSON object" in err
+
+
+# Run in a child process whose address space is capped, so that however the
+# machine overcommits memory the allocation is refused and nothing is filled.
+MEMORY_CAP = 2 * 1024**3
+
+
+def _capped_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space")
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("frechet", {"experiment": "frechet", "dim": 10**15}),
+        ("quadgame", {"experiment": "quadgame", "d": 10**8}),
+    ],
+)
+def test_cli_config_too_large_to_allocate_exits_2_with_one_line(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(riopt.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "riopt.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: the run does not fit in memory")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

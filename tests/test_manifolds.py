@@ -472,6 +472,26 @@ def test_row_forms_broadcast_a_single_base(m):
     assert _bits(m.log_rows(x, Y).coords) == _bits([m.log(x, y).coords for y in ys])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_hyperbolic_transport_rows_bitwise_equal_transport(dim):
+    # row 2 is coincident (x == y, v kept); row 1 moves the zero tangent
+    m = Hyperbolic(dim)
+    xs, ys, vs, _ = _row_cases(m, seed=dim)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    rows = m.transport_rows(X, Y, V).coords
+    loop = [m.transport(x, y, v).coords for x, y, v in zip(xs, ys, vs)]
+    assert _bits(rows) == _bits(loop)
+    assert _bits(rows[2]) == _bits(vs[2].coords) and vs[2].coords.any()
+    # every row coincident, and a single base that broadcasts
+    assert _bits(m.transport_rows(X, X, V).coords) == _bits(V.coords)
+    x = m.base_point()
+    W = TangentVector(x, m.to_tangent_rows(x, 0.3 * V.coords).coords)
+    assert _bits(m.transport_rows(x, Y, W).coords) == _bits(
+        [m.transport(x, y, TangentVector(x, w)).coords for y, w in zip(ys, W.coords)]
+    )
+
+
 def test_sphere_rows_raise_at_an_antipodal_pair():
     m = Sphere(2)
     xs, ys, _, _ = _row_cases(m)

@@ -19,10 +19,13 @@ from riopt import (
     roogd_corrected_init,
     roogd_corrected_step,
     roogd_init,
+    roogd_init_rows,
     roogd_step,
+    roogd_step_rows,
 )
-from riopt.geometry import TangentVector, zeta_constant
-from riopt.streams import FrechetMeanLoss
+from riopt.geometry import Point, TangentVector, weighted_frechet_mean, zeta_constant
+from riopt.online import _hedge_weights
+from riopt.streams import FrechetMeanLoss, gen_frechet_stream
 
 
 def grad_at(state_point, values):
@@ -166,28 +169,33 @@ def test_step_size_pool_validation():
 
 
 # ------------------------------------------------------------------ meta round
+def log_grads(h, target):
+    """Gradient of d^2(., target) / 2 at a point, and at each row of a stack."""
+    return (lambda x: -1.0 * h.log(x, target)), (lambda x: -1.0 * h.log_rows(x, target))
+
+
 def test_aoogd_round_single_expert(rng):
     h = Hyperbolic(2)
     x0 = h.random_point(rng)
-    experts = [roogd_init(h, x0, 0.1)]
+    experts = roogd_init_rows(h, x0, [0.1])
     weights = MetaWeights.uniform(1)
     target = h.random_point(rng, center=x0, radius=1.0)
-    grad_fn = lambda x: -1.0 * h.log(x, target)
-    x_play, experts2, weights2, _ = aoogd_round(h, experts, weights, 0.5, grad_fn)
+    _, grad_rows = log_grads(h, target)
+    x_play, experts2, weights2, _ = aoogd_round(h, experts, weights, 0.5, grad_rows)
     assert h.dist(x_play, x0) < 1e-12
     assert weights2.w[0] == pytest.approx(1.0)
-    assert experts2[0].rounds == 1
+    assert experts2.rounds == 1
 
 
 def test_aoogd_round_coincident_experts_and_symmetry(rng):
     h = Hyperbolic(2)
     x0 = h.random_point(rng)
-    experts = [roogd_init(h, x0, 0.05), roogd_init(h, x0, 0.1)]
+    experts = roogd_init_rows(h, x0, [0.05, 0.1])
     weights = MetaWeights.uniform(2)
     target = h.random_point(rng, center=x0, radius=1.0)
-    grad_fn = lambda x: -1.0 * h.log(x, target)
+    grad_fn, grad_rows = log_grads(h, target)
     x_play, _, weights2, diag = aoogd_round(
-        h, experts, weights, 0.7, grad_fn, prev_grad_fn=grad_fn
+        h, experts, weights, 0.7, grad_rows, prev_grad_fn=grad_fn
     )
     assert h.dist(x_play, x0) < 1e-12  # mean of coincident points
     assert np.allclose(weights2.w, [0.5, 0.5], atol=1e-12)  # hedge symmetry
@@ -197,16 +205,116 @@ def test_aoogd_round_coincident_experts_and_symmetry(rng):
 def test_meta_weights_normalized_over_rounds(rng):
     h = Hyperbolic(2)
     base = h.base_point()
-    experts = [roogd_init(h, base, e) for e in (0.02, 0.04, 0.08, 0.16)]
+    experts = roogd_init_rows(h, base, (0.02, 0.04, 0.08, 0.16))
     weights = MetaWeights.uniform(4)
     prev = None
     for t in range(30):
         target = h.random_point(rng, center=base, radius=1.0)
-        grad_fn = lambda x, target=target: -1.0 * h.log(x, target)
-        _, experts, weights, _ = aoogd_round(h, experts, weights, 0.3, grad_fn, prev)
+        grad_fn, grad_rows = log_grads(h, target)
+        _, experts, weights, _ = aoogd_round(h, experts, weights, 0.3, grad_rows, prev)
         prev = grad_fn
         assert weights.w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights.w >= 0)
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _assert_pool_is(pool, experts):
+    """The stacked pool state is bitwise the per-expert states."""
+    assert pool.rounds == experts[0].rounds and all(s.rounds == pool.rounds for s in experts)
+    assert _bits(pool.step_size[:, 0]) == _bits([s.step_size for s in experts])
+    for field in ("x_prev", "x_cur", "grad_prev"):
+        assert _bits(getattr(pool, field).coords) == _bits(
+            [getattr(s, field).coords for s in experts]
+        )
+
+
+def test_roogd_step_rows_bitwise_equal_per_expert_steps():
+    # doubling step sizes from round 0; in round 2 expert 1 takes half its
+    # transported previous gradient, so its step is exactly zero and round 3
+    # transports a nonzero gradient over x_prev == x_cur
+    h = Hyperbolic(3)
+    base = h.base_point()
+    etas = [0.05 * 2.0**i for i in range(5)]
+    experts = [roogd_init(h, base, e) for e in etas]
+    pool = roogd_init_rows(h, base, etas)
+    _assert_pool_is(pool, experts)
+    losses = gen_frechet_stream(h, T=7, n_points=6, S=3, seed=4).losses
+    coincident_rounds = 0
+    for t, loss in enumerate(losses):
+        grads = [loss.grad(s.x_cur) for s in experts]
+        if t == 2:
+            s = experts[1]
+            grads[1] = 0.5 * h.transport(s.x_prev, s.x_cur, s.grad_prev)
+        pool = roogd_step_rows(h, pool, TangentVector(pool.x_cur, np.stack([g.coords for g in grads])))
+        experts = [roogd_step(h, s, g) for s, g in zip(experts, grads)]
+        _assert_pool_is(pool, experts)
+        same = [np.array_equal(s.x_prev.coords, s.x_cur.coords) for s in experts]
+        coincident_rounds += same == [False, True, False, False, False]
+    assert coincident_rounds == 1
+    assert experts[1].grad_prev.coords.any()
+
+
+def _aoogd_round_reference(manifold, experts, weights, beta, grad_fn, prev_grad_fn):
+    """One meta-expert round as a loop over the experts: single gradient
+    calls and steps, and a single inner product per expert (the scores take
+    their logs from one log_many call)."""
+    xs = [s.x_cur for s in experts]
+    stacked = np.stack([x.coords for x in xs])
+
+    def scores(x, g):
+        logs = manifold.log_many(x, stacked)
+        return np.array([manifold.inner(x, g, TangentVector(x, v)) for v in logs])
+
+    x_bar = weighted_frechet_mean(manifold, xs, weights.w)
+    optimism = np.zeros(len(xs)) if prev_grad_fn is None else scores(x_bar, prev_grad_fn(x_bar))
+    w_new = _hedge_weights(beta, weights.cumulative_surrogate + optimism)
+    x_play = weighted_frechet_mean(manifold, xs, w_new)
+    g_play = grad_fn(x_play)
+    surrogate = scores(x_play, g_play)
+    meta = MetaWeights(w_new, weights.cumulative_surrogate + surrogate)
+    advanced = [roogd_step(manifold, s, grad_fn(s.x_cur)) for s in experts]
+    return x_play, advanced, meta, (x_bar, optimism, surrogate, g_play)
+
+
+@pytest.mark.parametrize("mode", ["abrupt", "drift"])
+def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
+    h = Hyperbolic(4)
+    base = h.base_point()
+    etas = [0.04 * 2.0**i for i in range(5)]
+    experts = [roogd_init(h, base, e) for e in etas]
+    pool = roogd_init_rows(h, base, etas)
+    weights = ref_weights = MetaWeights.uniform(len(etas))
+    losses = gen_frechet_stream(h, T=8, n_points=7, mode=mode, S=3, drift=0.3, seed=9).losses
+    prev = None
+    for loss in losses:
+        prev_grad = None if prev is None else prev.grad
+        x_play, pool, weights, diag = aoogd_round(h, pool, weights, 0.6, loss.grad_rows, prev_grad)
+        ref = _aoogd_round_reference(h, experts, ref_weights, 0.6, loss.grad, prev_grad)
+        x_ref, experts, ref_weights, (x_bar, optimism, surrogate, g_play) = ref
+        assert _bits(x_play.coords) == _bits(x_ref.coords)
+        assert _bits(weights.w) == _bits(ref_weights.w)
+        assert _bits(weights.cumulative_surrogate) == _bits(ref_weights.cumulative_surrogate)
+        assert _bits(diag.x_bar.coords) == _bits(x_bar.coords)
+        assert _bits(diag.optimism) == _bits(optimism)
+        assert _bits(diag.surrogate_losses) == _bits(surrogate)
+        assert diag.g_play.base is x_play
+        assert _bits(diag.g_play.coords) == _bits(g_play.coords)
+        _assert_pool_is(pool, experts)
+        prev = loss
+    # the hedge moved away from uniform, and the optimism term was live
+    assert not np.allclose(weights.w, weights.w[0])
+    assert diag.optimism.any()
+
+
+def test_roogd_init_rows_rejects_bad_step_sizes():
+    h = Hyperbolic(2)
+    for etas in ([], [0.1, 0.0], [-0.1]):
+        with pytest.raises(ValueError):
+            roogd_init_rows(h, h.base_point(), etas)
 
 
 def test_meta_weights_validation():
@@ -263,7 +371,7 @@ def test_step_size_safety_frozen_stream():
     D0 = 3.0
     zeta0 = zeta_constant(-1.0, D0)
     eta = 1.0 / (4.0 * zeta0 * zeta0)  # sigma0 = 1 on negative curvature
-    from riopt.geometry import frechet_mean, Point
+    from riopt.geometry import frechet_mean
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
