@@ -39,6 +39,12 @@ class FrechetMeanLoss:
     (Hyperbolic and SPD have ``dist_many``). Hyperbolic targets of shape
     (m, N, ambient) stack m losses, loss i paired with row i of a stacked
     point in ``value_rows`` and ``grad_rows``.
+
+    In a frechet round the learners commit their points before the loss is
+    touched; each stack of points then takes its gradients from one
+    ``grad_rows`` call (R-AOOGD's experts with its played point, and the
+    other learners' points), and the learners' values from one
+    ``value_rows`` call.
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):

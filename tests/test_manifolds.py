@@ -492,6 +492,23 @@ def test_hyperbolic_transport_rows_bitwise_equal_transport(dim):
     )
 
 
+def test_hyperbolic_transport_rows_squares_each_distance_as_transport_does():
+    # transport divides by d**2 with Python's float pow, which rounds
+    # differently from numpy's square in a few rows of a thousand: this
+    # stack has two such rows
+    m = Hyperbolic(2)
+    rng = np.random.default_rng(0)
+    n = 2000
+    X = m.random_point_rows(m.base_point(), rng.standard_normal((n, 3)), rng.uniform(size=n), 2.0)
+    Y = m.random_point_rows(X, rng.standard_normal((n, 3)), rng.uniform(size=n), 1.0)
+    V = m.to_tangent_rows(X, rng.standard_normal((n, 3)))
+    xs, ys = ([Point(row, m.manifold_id) for row in P.coords] for P in (X, Y))
+    dists = [m.norm(x, m.log(x, y)) for x, y in zip(xs, ys)]
+    assert sum(d**2 != np.square(d) for d in dists) == 2
+    loop = [m.transport(x, y, TangentVector(x, v)).coords for x, y, v in zip(xs, ys, V.coords)]
+    assert _bits(m.transport_rows(X, Y, V).coords) == _bits(loop)
+
+
 def test_sphere_rows_raise_at_an_antipodal_pair():
     m = Sphere(2)
     xs, ys, _, _ = _row_cases(m)
