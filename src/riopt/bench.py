@@ -22,14 +22,17 @@ from .games import (
     ZeroSumGame,
     make_spd_dataset,
     ne_diagnostics,  # noqa: F401 - kept importable from riopt.bench
+    play_round,
+    play_round_rows,
     quad_logdet_game,
-    rceg_step,
-    rgda_step,
+    rceg_step,  # noqa: F401 - kept importable from riopt.bench
+    rgda_step,  # noqa: F401 - kept importable from riopt.bench
     robust_pca_game,
     rogda_init,
-    rogda_step,
+    rogda_step,  # noqa: F401 - kept importable from riopt.bench
 )
 from .geometry import (
+    GeometryError,
     Point,
     TangentVector,
     frechet_mean,  # noqa: F401 - kept importable from riopt.bench
@@ -613,52 +616,37 @@ def game_initial_point(cfg: ExperimentConfig, game: ZeroSumGame):
     return game.join(a0, x0)
 
 
-def _game_solver(name: str, game: ZeroSumGame, z0, eta: float):
-    """Game solver ``name`` started at z0 with step eta, as a ``play`` callable.
-
-    ``play()`` returns ``(z_t, F(z_t))``: the point it plays this round and
-    the game field there, evaluated once and handed to the step. It then
-    advances to z_{t+1}. R-OGDA's ``play`` also carries its current
-    ``GameState`` as ``play.state``, whose running average the summary reports.
-    """
-    if name == "rogda":
-
-        def play():
-            state = play.state
-            F = game.field(state.z_cur)
-            play.state = rogda_step(game, state, eta, F)
-            return state.z_cur, F
-
-        play.state = rogda_init(game, z0)
-        return play
-
-    step = rgda_step if name == "rgda" else rceg_step
-    z = z0
-
-    def play():
-        nonlocal z
-        z_t = z
-        F = game.field(z_t)
-        z = step(game, z_t, eta, F)
-        return z_t, F
-
-    return play
-
-
 def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """Run every configured game solver from the shared start z0.
+
+    Round protocol (``games.play_round_rows``): every solver commits its
+    point z_t, then each stage of the round runs once, as one row-paired
+    call over the solvers that take part in it. Row i of each call has the
+    bits of solver i's single call, so each solver's rows are those it
+    gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
+    If a stacked stage fails (GeometryError, a numpy linear-algebra error,
+    or a floating-point overflow, invalid value or division by zero), the
+    round is replayed solver by solver through ``rogda_step``, ``rgda_step``
+    and ``rceg_step`` (``games.play_round``), so the error raised is the
+    one that sequential loop meets first.
+    """
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
 
     etas = _step_sizes(cfg)
-    players = {name: _game_solver(name, game, z0, eta) for name, eta in etas.items()}
-    cum = dict.fromkeys(players, 0.0)
+    points = dict.fromkeys(etas, z0)
+    avg = rogda_init(game, z0)
+    cum = dict.fromkeys(etas, 0.0)
 
     rows: list[ResultRow] = []
     for t in range(1, cfg.T + 1):
-        for name, play in players.items():
-            z_t, F = play()
-            inst = game.value(z_t)
-            gn = game.space.norm(z_t, F)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                round_out = play_round_rows(game, etas, points, avg)
+        except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
+            round_out = play_round(game, etas, points, avg)
+        points, avg, vals, norms = round_out
+        for name, inst, gn in zip(etas, vals, norms):
             cum[name] += inst
             rows.append(
                 ResultRow(
@@ -680,7 +668,7 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
         "comparator_path_length": 0.0,
         "algorithms": {},
     }
-    for name, play in players.items():
+    for name in etas:
         gns = np.array([r.grad_norm for r in rows if r.algorithm == name])
         entry = {
             "eta": etas[name],
@@ -689,10 +677,9 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
             "grad_norm_final": float(gns[-1]),
             "grad_norm_min": float(gns.min()),
         }
-        state = getattr(play, "state", None)
-        if state is not None:
-            entry["ne_residual"] = [float(r) for r in game.residual(state.z_cur)]
-            entry["ne_residual_averaged"] = [float(r) for r in game.residual(state.z_bar)]
+        if name == "rogda":
+            entry["ne_residual"] = [float(r) for r in game.residual(avg.z_cur)]
+            entry["ne_residual_averaged"] = [float(r) for r in game.residual(avg.z_bar)]
             entry["best_grad_norm"] = entry["grad_norm_min"]
         summary["algorithms"][name] = entry
     return rows, summary

@@ -5,6 +5,24 @@ a running geodesic average of the trajectory. Baselines: simultaneous
 gradient descent-ascent and the corrected extragradient method. Two payoff
 families ship with the package: the quadratic logdet game on SPD x SPD and
 the robust geometry-aware PCA game on SPD x sphere.
+
+Each step function (``rogda_step``, ``rgda_step``, ``rceg_step``) advances
+one solver. ``play_round_rows`` advances several together, one round with
+the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
+
+1. Every solver commits its point z_t. One ``field_rows``, ``value_rows``
+   and ``norm_rows`` call on their stack gives the field, payoff and field
+   norm at every z_t.
+2. R-OGDA transports its previous field to z_t (a single-row call). One
+   ``exp_rows`` call takes every solver's first step; RCEG's is its
+   midpoint w.
+3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
+   at w, one ``log_rows`` call and one ``exp_rows`` call.
+
+Row i of each stacked call has the bits of the single call at row i. When
+a stage fails, the runner replays the round with ``play_round``, solver by
+solver through the step functions in the configured order, so the error
+raised is the one that sequential loop meets first.
 """
 
 from __future__ import annotations
@@ -15,8 +33,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Manifold, Point, TangentVector
-from .manifolds import SPD, Product, Sphere
+from .geometry import GeometryError, Manifold, Point, TangentVector, memo_entry
+from .manifolds import SPD, Product, Sphere, _sym
 
 PayoffFn = Callable[[Point, Point], float]
 PartialGradFn = Callable[[Point, Point], TangentVector]
@@ -36,7 +54,9 @@ class ZeroSumGame:
 
     ``grad_x`` / ``grad_y`` return Riemannian partial gradients based at the
     respective factor points. The joint field F(z) = [grad_x, -grad_y] drives
-    all solvers; a zero of F is a candidate Nash equilibrium.
+    all solvers; a zero of F is a candidate Nash equilibrium. ``payoff``,
+    ``grad_x`` and ``grad_y`` also take stacked factor points, (n, ...) rows,
+    for the row-paired ``field_rows`` and ``value_rows``.
     """
 
     space: Product
@@ -61,6 +81,12 @@ class ZeroSumGame:
         gx = self.grad_x(x, y)
         gy = self.grad_y(x, y)
         return self.space.join_tangent(z, [gx, -1.0 * gy])
+
+    # value and field on an (n, ambient) stack of joint points, one call
+    # each; row i is bitwise value/field at row i. A stack made by
+    # ``space.stack`` shares its rows' factorizations both ways (memo_entry).
+    value_rows = value
+    field_rows = field
 
     def gradient(self, z: Point) -> TangentVector:
         """Joint Riemannian gradient of the payoff on the product manifold."""
@@ -172,6 +198,78 @@ def rceg_step(
     return m.exp(w, -eta * game.field(w) + m.log(w, z))
 
 
+def play_round(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
+    """One round of the solvers ``etas`` (name -> step size), one by one in
+    that order, through the step functions. ``points`` maps each to its z_t
+    and ``avg`` is R-OGDA's state. Returns the new points and R-OGDA state,
+    and per solver the payoff and the field's norm at its z_t."""
+    points, vals, norms = dict(points), [], []
+    for name, eta in etas.items():
+        z_t = points[name]
+        F = game.field(z_t)
+        if name == "rogda":
+            avg = rogda_step(game, avg, eta, F)
+            points[name] = avg.z_cur
+        else:
+            points[name] = (rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F)
+        vals.append(game.value(z_t))
+        norms.append(game.space.norm(z_t, F))
+    return points, avg, vals, norms
+
+
+def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
+    """``play_round`` with each stage one row-paired call over the solvers
+    that take part in it (see the module docstring); the results have the
+    bits of ``play_round``."""
+    space, names = game.space, list(etas)
+    commits = [points[name] for name in names]
+    Z = space.stack(commits)
+    F = game.field_rows(Z)
+    vals, norms = game.value_rows(Z).tolist(), space.norm_rows(Z, F).tolist()
+
+    steps = np.empty_like(F.coords)
+    for i, (name, eta) in enumerate(etas.items()):
+        g = F.coords[i]
+        if name != "rogda":
+            steps[i] = -eta * g
+            continue
+        prev = g if avg.round == 0 else space.transport(avg.z_prev, avg.z_cur, avg.grad_prev).coords
+        steps[i] = -2.0 * eta * g + eta * prev
+    ahead = space.exp_rows(Z, TangentVector(Z, steps)).coords
+    new = {name: Point(c, space.manifold_id) for name, c in zip(names, ahead)}
+
+    # stage 2, rows [R-OGDA, RCEG] of those present: the running average
+    # folds in R-OGDA's new point; RCEG corrects from its midpoint w
+    bases, targets = [], []
+    if "rogda" in etas:
+        bases.append(avg.z_bar)
+        targets.append(new["rogda"])
+    if "rceg" in etas:
+        Fw = game.field(new["rceg"])
+        bases.append(new["rceg"])
+        targets.append(points["rceg"])
+    if bases:
+        B = space.stack(bases)
+        step = space.log_rows(B, Point(np.stack([y.coords for y in targets]), B.manifold_id)).coords
+        if "rogda" in etas:
+            step[0] = (1.0 / (avg.round + 2.0)) * step[0]
+        if "rceg" in etas:
+            step[-1] = -etas["rceg"] * Fw.coords + step[-1]
+        after = space.exp_rows(B, TangentVector(B, step)).coords
+        if "rceg" in etas:
+            new["rceg"] = Point(after[-1], space.manifold_id)
+    if "rogda" in etas:
+        i = names.index("rogda")
+        avg = GameState(
+            z_prev=commits[i],
+            z_cur=new["rogda"],
+            grad_prev=TangentVector(commits[i], F.coords[i]),
+            z_bar=Point(after[0], space.manifold_id),
+            round=avg.round + 1,
+        )
+    return new, avg, vals, norms
+
+
 def ne_diagnostics(
     game: ZeroSumGame, state: GameState, prev: Optional[NEDiagnostics] = None
 ) -> NEDiagnostics:
@@ -182,15 +280,23 @@ def ne_diagnostics(
     return NEDiagnostics(grad_norm=gn, best_grad_norm=best, ne_residual=game.residual(state.z_cur))
 
 
-def _logdet(x: Point) -> float:
-    """log det of an SPD point, computed once and kept in its memo."""
-    val = x.memo.get("logdet")
-    if val is None:
-        sign, val = np.linalg.slogdet(x.coords)
-        if sign <= 0:
+def _logdet(x: Point):
+    """log det of an SPD point (an array over the rows of a stack), computed
+    once and kept in its memo."""
+
+    def slogdet(p):
+        sign, val = np.linalg.slogdet(p.coords)
+        if (sign <= 0).any():
             raise GeometryError("matrix must be positive definite")
-        val = x.memo["logdet"] = float(val)
-    return val
+        return (val,)
+
+    (val,) = memo_entry(x, "logdet", slogdet)
+    return val if val.ndim else float(val)
+
+
+def _scaled(c, m: np.ndarray) -> np.ndarray:
+    """c * m for a scalar c, or row i of m times c[i] for an array c."""
+    return np.asarray(c)[..., None, None] * m
 
 
 def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
@@ -214,11 +320,11 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
 
     def grad_x(x: Point, y: Point) -> TangentVector:
         u, v = _logdet(x), _logdet(y)
-        return TangentVector(x, (2.0 * c1 * u + c2 * v) * x.coords)
+        return TangentVector(x, _scaled(2.0 * c1 * u + c2 * v, x.coords))
 
     def grad_y(x: Point, y: Point) -> TangentVector:
         u, v = _logdet(x), _logdet(y)
-        return TangentVector(y, (c2 * u - 2.0 * c1 * v) * y.coords)
+        return TangentVector(y, _scaled(c2 * u - 2.0 * c1 * v, y.coords))
 
     def residual(z: Point) -> np.ndarray:
         x, y = space.split(z)
@@ -269,7 +375,9 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
 
     The anchors are stacked once, so each payoff or gradient evaluation gets
     all n anchor distances (and, for the gradient, all n logs) from one
-    batched evaluation: SPD.dist_many / SPD.log_many. Sums run in anchor
+    batched evaluation: SPD.dist_many / SPD.log_many, each base of a stacked
+    point over all anchors. The distances are kept in the point's memo, so
+    the payoff and the gradient at a point share them. Sums run in anchor
     order, as n single calls would.
     """
     if len(data) == 0:
@@ -285,24 +393,40 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     eps = np.finfo(float).eps
     anchor_tols = np.array([_ANCHOR_TOL_FACTOR * d * (w[-1] / w[0]) * eps for w in eigs])
 
-    def payoff(a: Point, x: Point) -> float:
-        quad = float(x.coords @ a.coords @ x.coords)
-        spread = sum(spd.dist_many(a, anchors).tolist())
-        return quad + alpha / n * spread
+    def over_anchors(a: Point) -> np.ndarray:
+        return np.broadcast_to(anchors, a.coords.shape[:-2] + anchors.shape)
+
+    # the memo key of the anchor distances: this game's own object
+    dists_key = object()
+
+    def anchor_dists(a: Point) -> np.ndarray:
+        return memo_entry(a, dists_key, lambda p: (spd.dist_many(p, over_anchors(p)),))[0]
+
+    def payoff(a: Point, x: Point):
+        xc = x.coords
+        quad = (xc[..., None, :] @ a.coords @ xc[..., :, None])[..., 0, 0]
+        dists = anchor_dists(a)
+        spread = np.reshape([sum(row) for row in dists.reshape(-1, n).tolist()], quad.shape)
+        val = quad + alpha / n * spread
+        return val if val.ndim else float(val)
 
     def grad_min_player(a: Point, x: Point) -> TangentVector:
         A = a.coords
-        xx = np.outer(x.coords, x.coords)
+        xx = x.coords[..., :, None] * x.coords[..., None, :]
         g = A @ xx @ A
-        dists = spd.dist_many(a, anchors)
+        dists = anchor_dists(a)
         far = dists > anchor_tols
-        logs = spd.log_many(a, anchors)
-        for term in (alpha / n) * logs[far] / dists[far, None, None]:
-            g = g - term
-        return spd.to_tangent(a, g)
+        logs = spd.log_many(a, over_anchors(a))
+        terms = np.zeros_like(logs)
+        terms[far] = (alpha / n) * logs[far] / dists[far, None, None]
+        # in anchor order; an anchor at a contributes 0, and g - 0 is g
+        for i in range(n):
+            g = g - terms[..., i, :, :]
+        return TangentVector(a, _sym(g))
 
     def grad_max_player(a: Point, x: Point) -> TangentVector:
-        return sphere.to_tangent(x, 2.0 * a.coords @ x.coords)
+        c = (2.0 * a.coords @ x.coords[..., None])[..., 0]
+        return (sphere.to_tangent_rows if c.ndim > 1 else sphere.to_tangent)(x, c)
 
     lam_max = max(float(w[-1]) for w in eigs)
     return ZeroSumGame(

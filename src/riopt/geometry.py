@@ -14,7 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,6 +70,34 @@ class Point:
     @cached_property
     def memo(self) -> dict:
         return {}
+
+
+def memo_entry(x: Point, key, compute: Callable[[Point], tuple]) -> tuple:
+    """``x.memo[key]``: a tuple of arrays, made by ``compute(x)`` on first use.
+
+    On a stack that ``Manifold.stack`` made, each array runs over the rows.
+    Rows that already hold the entry pass it on; ``compute`` runs once, on
+    the stack of the distinct row points that lack it, and each of those
+    keeps its row. So a point is factored once, whichever stacks it joins.
+    """
+    entry = x.memo.get(key)
+    if entry is not None:
+        return entry
+    rows = x.memo.get("rows")
+    missing = [] if rows is None else [p for p in dict.fromkeys(rows) if key not in p.memo]
+    if rows is None or len(missing) == len(rows):
+        entry = compute(x)
+        if rows is not None:
+            for p, *parts in zip(rows, *entry):
+                p.memo[key] = tuple(parts)
+    else:
+        if missing:
+            sub = Point(np.stack([p.coords for p in missing]), x.manifold_id)
+            sub.memo["rows"] = missing
+            memo_entry(sub, key, compute)
+        entry = tuple(map(np.stack, zip(*(p.memo[key] for p in rows))))
+    x.memo[key] = entry
+    return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +245,13 @@ class Manifold(ABC):
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x of every target stacked along axis 0; default loops over ``log``."""
         return np.stack([self.log(x, Point(y, self.manifold_id)).coords for y in targets])
+
+    def stack(self, points: Sequence[Point]) -> Point:
+        """The (n, ...) stack of single points, which keeps them as its rows:
+        what is memoized on the stack (``memo_entry``) is shared with them."""
+        x = Point(np.stack([p.coords for p in points]), self.manifold_id)
+        x.memo["rows"] = list(points)
+        return x
 
     # -- sampling ----------------------------------------------------------
     @abstractmethod

@@ -19,6 +19,7 @@ from .geometry import (
     Point,
     TangentVector,
     as_rng,
+    memo_entry,
 )
 
 # Inner products this close to the antipodal limit are treated as conjugate.
@@ -295,12 +296,20 @@ class Hyperbolic(Manifold):
         q = max(self.minkowski(diff, diff), 0.0)
         return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
+    def _exp_cap(self, x: np.ndarray):
+        """The longest step exp takes from x: the result's coordinates grow
+        like e^|v| x_n, and projecting it squares them."""
+        top = np.log(np.maximum(x[..., -1], 1.0))
+        return 0.5 * (_EXP_MAX_ARG - math.log(4 * self.ambient)) - top
+
     def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
         nv = self.norm(x, v)
         if nv == 0.0:
             return x.copy()
+        if nv > self._exp_cap(x.coords):
+            raise GeometryError("exp overflows: the step is too long for float64")
         c = math.cosh(nv) * x.coords + math.sinh(nv) * v.coords / nv
         return self.project(c)
 
@@ -344,6 +353,8 @@ class Hyperbolic(Manifold):
         self._require_base(x, v)
         self._require_finite(v)
         nv = np.sqrt(np.maximum(self.minkowski_rows(v.coords, v.coords), 0.0))
+        if np.any(nv > self._exp_cap(x.coords)):
+            raise GeometryError("exp overflows: the step is too long for float64")
         out, m, c = _rotate_rows(x, v, nv, math.cosh, math.sinh)
         q = -self.minkowski_rows(c, c)
         if np.any((q <= 0) | (c[:, -1] <= 0)):
@@ -462,9 +473,9 @@ class SPD(Manifold):
 
     def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """X^(1/2), X^(-1/2) and the cap on a step's whitened eigenvalues."""
-        pair = x.memo.get("spd_sqrt")
-        if pair is None:
-            w, V = np.linalg.eigh(_sym(x.coords))
+
+        def factor(p):
+            w, V = np.linalg.eigh(_sym(p.coords))
             if w.min() <= 0:
                 raise GeometryError("matrix is not positive definite")
             s = np.sqrt(w)[..., None, :]
@@ -472,8 +483,9 @@ class SPD(Manifold):
             # stay below max(lambda_max(X), 1) e^max(W); the factor max(d, 2)
             # leaves room for rounding in the d-term sums and for _sym's sum
             cap = _EXP_MAX_ARG - np.log(max(self.d, 2) * np.maximum(w[..., -1], 1.0))
-            pair = x.memo["spd_sqrt"] = ((V * s) @ V.mT, (V / s) @ V.mT, cap)
-        return pair
+            return (V * s) @ V.mT, (V / s) @ V.mT, cap
+
+        return memo_entry(x, "spd_sqrt", factor)
 
     def dist(self, x, y):
         return float(self.dist_many(x, y.coords))
@@ -501,17 +513,24 @@ class SPD(Manifold):
     # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
     # x and one stacked eigvalsh/eigh give the same bits as n single calls.
     # dist and log pass a single (d, d) matrix, so the formula lives here only.
-    # A stacked x pairs its rows with the targets' (dist_rows, log_rows).
+    # A stacked x (m, d, d) pairs its rows with (m, d, d) targets (dist_rows,
+    # log_rows), or each row with its n of (m, n, d, d) targets.
+    def _pair_over(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        S, Si, _ = self._sqrt_pair(x)
+        if targets.ndim > x.coords.ndim > 2:
+            return S[..., None, :, :], Si[..., None, :, :]
+        return S, Si
+
     def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """dist(x, Y_i) for every matrix of `targets`; returns shape (n,)."""
-        _, Si, _ = self._sqrt_pair(x)
+        _, Si = self._pair_over(x, targets)
         lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ targets @ Si)), 1e-300))
         # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
         return np.sqrt(np.vecdot(lw, lw))
 
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
-        S, Si, _ = self._sqrt_pair(x)
+        S, Si = self._pair_over(x, targets)
         return _sym(S @ _eig_apply(np.log, Si @ targets @ Si) @ S)
 
     def to_tangent_rows(self, x, coords):
@@ -548,7 +567,9 @@ class Product(Manifold):
 
     Points are stored as the flat concatenation of each factor's raveled
     ambient coordinates. Squared distances add over factors and the curvature
-    bounds are the envelope of the factors' bounds.
+    bounds are the envelope of the factors' bounds. ``split``/``join`` also
+    take (n, ambient) stacks, and ``exp_rows``, ``log_rows`` and
+    ``inner_rows`` hand each factor its rows, for its own row form.
     """
 
     def __init__(self, factors: Sequence[Manifold]):
@@ -566,30 +587,41 @@ class Product(Manifold):
             max(f.curvature.K for f in self.factors),
         )
 
+    def _split(self, coords: np.ndarray) -> list[np.ndarray]:
+        lead = coords.shape[:-1]
+        return [coords[..., s].reshape(lead + shape) for s, shape in zip(self._slices, self._shapes)]
+
+    def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        lead = parts[0].shape[: parts[0].ndim - len(self._shapes[0])]
+        return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
+
     def split(self, x: Point) -> tuple[Point, ...]:
         """The factor points of x, kept in its memo: the same objects every call."""
         parts = x.memo.get("product_split")
         if parts is None:
             parts = x.memo["product_split"] = tuple(
-                Point(x.coords[sl].reshape(shape), f.manifold_id)
-                for f, sl, shape in zip(self.factors, self._slices, self._shapes)
+                Point(c, f.manifold_id) for f, c in zip(self.factors, self._split(x.coords))
             )
         return parts
 
     def join(self, parts: Sequence[Point]) -> Point:
-        return Point(
-            np.concatenate([p.coords.ravel() for p in parts]), self.manifold_id
-        )
+        return Point(self._join([p.coords for p in parts]), self.manifold_id)
+
+    def stack(self, points):
+        """The stack of single points; each factor's stack keeps their factor
+        points as its rows, so a factorization any of them holds is reused."""
+        z = super().stack(points)
+        parts = self.split(z)
+        for part, rows in zip(parts, zip(*map(self.split, points))):
+            part.memo["rows"] = list(rows)
+        return z
 
     def split_tangent(self, v: TangentVector) -> list[TangentVector]:
         bases = self.split(v.base)
-        return [
-            TangentVector(b, v.coords[sl].reshape(shape))
-            for b, sl, shape in zip(bases, self._slices, self._shapes)
-        ]
+        return [TangentVector(b, c) for b, c in zip(bases, self._split(v.coords))]
 
     def join_tangent(self, base: Point, parts: Sequence[TangentVector]) -> TangentVector:
-        return TangentVector(base, np.concatenate([p.coords.ravel() for p in parts]))
+        return TangentVector(base, self._join([p.coords for p in parts]))
 
     def project(self, coords):
         c = np.asarray(coords, dtype=float).reshape(self.ambient)
@@ -651,6 +683,20 @@ class Product(Manifold):
         vs = self.split_tangent(v)
         parts = [f.transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, xs, ys, vs)]
         return self.join_tangent(y, parts)
+
+    def exp_rows(self, x, v):
+        self._require_base(x, v)
+        xs, vs = self.split(x), self.split_tangent(v)
+        return self.join([f.exp_rows(xi, vi) for f, xi, vi in zip(self.factors, xs, vs)])
+
+    def log_rows(self, x, y):
+        xs, ys = self.split(x), self.split(y)
+        return self.join_tangent(x, [f.log_rows(*p) for f, *p in zip(self.factors, xs, ys)])
+
+    def inner_rows(self, x, u, v):
+        us = self.split_tangent(u)
+        vs = us if v is u else self.split_tangent(v)
+        return sum(f.inner_rows(*p) for f, *p in zip(self.factors, self.split(x), us, vs))
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

@@ -319,18 +319,15 @@ def aoogd_round(
 
 
 def grad_variation(
-    manifold: Manifold,
-    grad_samples: Sequence[tuple[TangentVector, TangentVector]],
-    start: float = 0.0,
+    manifold: Manifold, grad_samples: Sequence[tuple[TangentVector, TangentVector]]
 ) -> float:
-    """Largest squared gradient difference over the probes, folded onto ``start``.
+    """Largest squared gradient difference over the probes, 0 for none.
 
     ``grad_samples`` pairs the current and previous losses' gradients taken at
     identical probe points. The result is a deterministic lower bound on the
-    round's gradient variation, the supremum over the feasible set; probes
-    shared by several learners are folded once and passed on as ``start``.
+    round's gradient variation, the supremum over the feasible set.
     """
-    vt = start
+    vt = 0.0
     for g_now, g_before in grad_samples:
         diff = g_now - g_before
         vt = max(vt, manifold.norm(g_now.base, diff) ** 2)

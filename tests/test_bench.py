@@ -112,30 +112,36 @@ def test_verify_n_triangles_must_be_a_positive_integer(tmp_path, capsys, n_trian
 
 
 def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
-    calls = []
-    original = ZeroSumGame.field
+    # field rows evaluated: 1 per single field call, n per call on an n-row stack
+    calls = {"field": [], "field_rows": []}
+    for name in calls:
+        original = getattr(ZeroSumGame, name)
 
-    def counting_field(self, z):
-        calls.append(z)
-        return original(self, z)
+        def counting(self, z, _name=name, _original=original):
+            calls[_name].append(1 if z.coords.ndim == 1 else len(z.coords))
+            return _original(self, z)
 
-    monkeypatch.setattr(ZeroSumGame, "field", counting_field)
+        monkeypatch.setattr(ZeroSumGame, name, counting)
     cfg = ExperimentConfig.from_dict(
         {"experiment": "quadgame", "d": 2, "T": 3, "algorithms": ["rogda", "rgda", "rceg"]}
     )
     run_experiment(cfg)
     # one point each for R-OGDA and RGDA, two (z and the midpoint) for RCEG
-    assert len(calls) == 4 * cfg.T
+    assert sum(calls["field"]) + sum(calls["field_rows"]) == 4 * cfg.T
+    # per round one call on the three committed points, one at RCEG's midpoint
+    assert calls["field_rows"] == [3] * cfg.T and calls["field"] == [1] * cfg.T
 
 
 def test_game_runner_factors_each_point_once(monkeypatch):
-    calls = {"slogdet": 0, "eigh": 0, "solve": 0}
+    calls = {name: 0 for name in ("slogdet", "eigh", "solve")}
+    matrices = dict(calls)
     for name in calls:
         original = getattr(np.linalg, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
+        def counting(a, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            matrices[_name] += int(np.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     cfg = ExperimentConfig.from_dict(GOLDEN_CONFIGS["quadgame"][1])
@@ -143,12 +149,20 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     # one logdet per SPD factor of each field point: R-OGDA 2, RGDA 2, RCEG 4
     # per round; the 4 the solvers share at z0 equal the 4 of R-OGDA's two
     # summary residuals
-    assert calls["slogdet"] == 8 * cfg.T
+    assert matrices["slogdet"] == 8 * cfg.T
     # eigh: one square root per factor of each new base point, plus the one
     # inside every exp/log/transport; solve: one per factor of each grad_norm.
     # Factoring a point twice anywhere raises these totals.
-    assert calls["eigh"] == 512
-    assert calls["solve"] == 120
+    assert matrices["eigh"] == 512
+    assert matrices["solve"] == 120
+    # the calls, per factor and round: slogdet for the committed points and
+    # for RCEG's midpoint (z0 once in round 1), plus the two residuals; eigh
+    # for R-OGDA's transport (from round 2), the committed points' square
+    # roots and first step, the stage-2 square roots (only the midpoint's in
+    # round 1, where the running average is z0), log and exp
+    assert calls["slogdet"] == 4 * cfg.T + 4
+    assert calls["eigh"] == 12 * cfg.T - 2
+    assert calls["solve"] == 2 * cfg.T
 
 
 def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
@@ -228,6 +242,35 @@ def test_diverging_solver_exits_3(tmp_path, capsys, name):
     assert err.startswith("numeric failure:")
     # the message is all of stderr: no numpy warning precedes it
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+OVERFLOW = "exp overflows: the step is too long for float64"
+
+
+@pytest.mark.parametrize(
+    "etas, message",
+    [
+        ({"rogda": 10.0, "rgda": 10.0, "rceg": 10.0}, OVERFLOW),
+        # both fail in the same round: the first in the configured order wins
+        ({"rogda": 3.0, "rceg": 3.0}, OVERFLOW),
+        ({"rceg": 3.0, "rogda": 3.0}, "matrix must be positive definite"),
+    ],
+    ids=["all_three", "rogda_first", "rceg_first"],
+)
+def test_diverging_population_raises_the_sequential_error(tmp_path, capsys, etas, message):
+    algorithms = [{"name": name, "eta": eta} for name, eta in etas.items()]
+    config = dict(UNSTABLE_QUADGAME, algorithms=algorithms)
+    assert _run_cli(tmp_path, "quadgame", config) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+def test_hyperbolic_exp_overflow_exits_3(tmp_path, capsys):
+    # a step of length beyond ~350 used to reach math.cosh and end in an
+    # OverflowError traceback (exit 1)
+    config = {"experiment": "frechet", "T": 20, "algorithms": [{"name": "roogd", "eta": 1e6}]}
+    assert _run_cli(tmp_path, "frechet", config) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: {OVERFLOW}\n"
 
 
 @pytest.mark.parametrize("seed, residual", [(0, "1.72"), (2, "1.9e-05")])
@@ -334,12 +377,24 @@ def test_seed_and_rounds_flags_override_every_sweep_config(tmp_path):
 
 
 # ------------------------------------------------------ independent players
-@pytest.mark.parametrize("name", ["frechet", "quadgame", "robust_pca"])
+SHARE_CONFIGS = {name: config for name, (_, config) in GOLDEN_CONFIGS.items()}
+# a subset in another order, with explicit step sizes
+for _name in GAMES:
+    SHARE_CONFIGS[f"{_name}_reordered"] = dict(
+        GOLDEN_CONFIGS[_name][1],
+        algorithms=[{"name": "rceg", "eta": 0.03}, {"name": "rogda", "eta": 0.05}],
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["frechet", "quadgame", "robust_pca", "quadgame_reordered", "robust_pca_reordered"]
+)
 def test_each_algorithm_alone_reproduces_its_share_of_the_joint_run(name):
-    _, config = GOLDEN_CONFIGS[name]
+    config = SHARE_CONFIGS[name]
     joint = run_experiment(ExperimentConfig.from_dict(config))
     for alg in config["algorithms"]:
         alone = run_experiment(ExperimentConfig.from_dict(dict(config, algorithms=[alg])))
+        alg = alg if isinstance(alg, str) else alg["name"]
         assert alone.rows == [r for r in joint.rows if r.algorithm == alg], alg
         assert alone.summary["algorithms"] == {alg: joint.summary["algorithms"][alg]}
         assert alone.summary["comparator_path_length"] == joint.summary["comparator_path_length"]

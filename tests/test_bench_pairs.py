@@ -53,17 +53,18 @@ def test_summarize_rejects_fewer_than_two_pairs():
 
 def _fake_batch(monkeypatch, fail=()):
     """Stub out git and perfbench: each run reads 1 (parent) or 0.5 (change),
-    plus the pair's index; the (pair, workload, side) runs in ``fail`` exit 1."""
+    plus the pair's index and a tenth of the seed; the (seed, pair, workload,
+    side) runs in ``fail`` exit 1."""
     calls = []
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: into)
 
     def run_once(checkout, workload, seed, seconds):
         side = checkout.name
-        pair = sum(1 for c in calls if c[1:] == (workload, side))
-        calls.append((pair, workload, side))
-        if (pair, workload, side) in fail:
+        pair = sum(1 for c in calls if c[0] == seed and c[2:] == (workload, side))
+        calls.append((seed, pair, workload, side))
+        if (seed, pair, workload, side) in fail:
             return {"failed": "BenchError: worker failed", "returncode": 1}
-        value = (1.0 if side == "parent" else 0.5) + pair
+        value = (1.0 if side == "parent" else 0.5) + pair + seed / 10
         return {"metrics": dict.fromkeys(bench_pairs.METRICS, value), "correct": True,
                 "output_rel_err": 0.0}
 
@@ -77,7 +78,7 @@ def test_main_runs_every_workload_in_each_pair_alternating_sides(monkeypatch, tm
     argv = ["A", "B", "--workload", "frechet", "--workload", "verify", "--pairs", "3",
             "--seconds", "1", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
-    assert calls == [
+    assert [c[1:] for c in calls] == [
         (0, "frechet", "parent"), (0, "frechet", "change"),
         (0, "verify", "parent"), (0, "verify", "change"),
         (1, "frechet", "change"), (1, "frechet", "parent"),
@@ -85,28 +86,51 @@ def test_main_runs_every_workload_in_each_pair_alternating_sides(monkeypatch, tm
         (2, "frechet", "parent"), (2, "frechet", "change"),
         (2, "verify", "parent"), (2, "verify", "change"),
     ]
+    assert {c[0] for c in calls} == {0}  # seed 0 when none is given
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert list(report["workloads"]) == ["frechet", "verify"]
-    for entry in report["workloads"].values():
+    assert list(report["seeds"]) == ["0"]
+    assert list(report["seeds"]["0"]) == ["frechet", "verify"]
+    for entry in report["seeds"]["0"].values():
         assert entry["wall_ref_s"]["change_wins"] == "3/3"
         assert entry["failed_runs"] == [] and entry["all_runs_correct"] is True
 
 
+def test_main_runs_each_seed_as_its_own_batch(monkeypatch, tmp_path):
+    calls = _fake_batch(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["A", "B", "--workload", "quadgame", "--seed", "0", "--seed", "63", "--seed", "0",
+            "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        (0, 0, "quadgame", "parent"), (0, 0, "quadgame", "change"),
+        (0, 1, "quadgame", "change"), (0, 1, "quadgame", "parent"),
+        (63, 0, "quadgame", "parent"), (63, 0, "quadgame", "change"),
+        (63, 1, "quadgame", "change"), (63, 1, "quadgame", "parent"),
+    ]
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report["seeds"]) == ["0", "63"]
+    for seed, entry in report["seeds"].items():
+        pairs = entry["quadgame"]["wall_ref_s"]["pairs"]
+        shift = int(seed) / 10
+        assert pairs == [[1.0 + shift, 0.5 + shift], [2.0 + shift, 1.5 + shift]]
+
+
 def test_main_records_a_failed_run_and_finishes_the_batch(monkeypatch, tmp_path):
-    _fake_batch(monkeypatch, fail={(1, "verify", "change")})
+    _fake_batch(monkeypatch, fail={(63, 1, "verify", "change")})
     out = tmp_path / "report.json"
     argv = ["A", "B", "--workload", "frechet", "--workload", "verify", "--pairs", "3",
-            "--out", str(out)]
+            "--seed", "0", "--seed", "63", "--out", str(out)]
     assert bench_pairs.main(argv) == 1
     report = json.loads(out.read_text(encoding="utf-8"))
-    verify = report["workloads"]["verify"]
+    verify = report["seeds"]["63"]["verify"]
     assert verify["failed_runs"] == [
         {"pair": 2, "side": "change", "failed": "BenchError: worker failed", "returncode": 1}
     ]
     assert verify["all_runs_correct"] is False
     # the failed pair is left out; the other two are summarised
-    assert verify["wall_ref_s"]["pairs"] == [[1.0, 0.5], [3.0, 2.5]]
-    assert report["workloads"]["frechet"]["wall_ref_s"]["change_wins"] == "3/3"
+    assert verify["wall_ref_s"]["pairs"] == [[7.3, 6.8], [9.3, 8.8]]
+    assert report["seeds"]["0"]["verify"]["failed_runs"] == []
+    assert report["seeds"]["63"]["frechet"]["wall_ref_s"]["change_wins"] == "3/3"
 
 
 def test_run_once_turns_a_non_zero_exit_into_a_failed_run(monkeypatch, tmp_path):

@@ -323,6 +323,52 @@ def test_robust_pca_gradients_match_finite_differences():
     assert rep.max_violation < 1e-5
 
 
+# ------------------------------------------------------------- row forms
+def _games_and_stacks():
+    """Both game families at d = 4, each with 5 joint points stacked by
+    ``space.stack``: one point twice and, for robust PCA, one at an anchor."""
+    quad = quad_logdet_game(4, 0.7, 1.3)
+    data = make_spd_dataset(4, 6, (0.2, 4.5), seed=2)
+    pca = robust_pca_game(data, alpha=1.0)
+    for game in (quad, pca):
+        f0, f1 = game.space.factors
+        pts = [game.join(f0.random_point(10 + i), f1.random_point(20 + i)) for i in range(4)]
+        if game is pca:
+            pts[2] = game.join(f0.project(data[3]), game.space.split(pts[2])[1])
+        yield game, pts[:3] + [pts[1], pts[3]]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_field_rows_and_value_rows_are_bitwise_the_single_calls(k):
+    game, pts = list(_games_and_stacks())[k]
+    Z = game.space.stack(pts)
+    F, vals = game.field_rows(Z), game.value_rows(Z)
+    for i, z in enumerate(pts):
+        fresh = Point(z.coords.copy(), z.manifold_id)
+        assert F.coords[i].tobytes() == game.field(fresh).coords.tobytes()
+        assert vals[i] == game.value(fresh)
+        assert type(game.value(fresh)) is float
+
+
+def test_robust_pca_payoff_and_field_share_each_anchor_distance(monkeypatch):
+    game, pts = list(_games_and_stacks())[1]
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(M, *args, **kwargs):
+        calls.append(np.shape(M)[:-2])
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    z = pts[0]
+    game.value(z), game.field(z), game.value(z)
+    assert calls == [(6,)]  # one point, its 6 anchor distances, once
+    Z = game.space.stack(pts[1:])
+    game.field_rows(Z), game.value_rows(Z)
+    # the 3 distinct points of the stack (one is there twice), in one call
+    assert calls == [(6,), (3, 6)]
+
+
 # ------------------------------------------------------------- diagnostics
 def test_ne_diagnostics_monotone_best(rng):
     game = quad_logdet_game(4, 1.0, 1.0)

@@ -573,3 +573,94 @@ def test_spd_exp_counts_the_scale_of_the_base_point():
     X = Point(np.stack([np.eye(2), x.coords]), m.manifold_id)
     with pytest.raises(GeometryError, match="exp overflows"):
         m.exp_rows(X, TangentVector(X, np.stack([np.zeros((2, 2)), v.coords])))
+
+
+# ------------------------------------------------- stacked kernels, stacks
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_numpy_stacked_kernels_give_each_matrix_the_bits_of_a_single_call(d):
+    # Every row-paired form rests on this: numpy runs a stack of matrices
+    # through the same LAPACK/BLAS call per matrix as a single matrix.
+    rng = np.random.default_rng(d)
+    n = 6
+    A = rng.standard_normal((n, d, d))
+    A = A @ A.mT + d * np.eye(d)
+    B = rng.standard_normal((n, d, d))
+    x = rng.standard_normal((n, d))
+    w, V = np.linalg.eigh(A)
+    sign, logdet = np.linalg.slogdet(A)
+    for i in range(n):
+        wi, Vi = np.linalg.eigh(A[i])
+        assert _bits(w[i]) == _bits(wi) and _bits(V[i]) == _bits(Vi)
+        assert _bits(np.linalg.eigvalsh(A)[i]) == _bits(np.linalg.eigvalsh(A[i]))
+        assert (sign[i], logdet[i]) == np.linalg.slogdet(A[i])
+        assert _bits(np.linalg.solve(A, B)[i]) == _bits(np.linalg.solve(A[i], B[i]))
+        assert _bits((A @ B)[i]) == _bits(A[i] @ B[i])
+        # a matrix against a stack, as a single base against its targets
+        assert _bits((A[:, None] @ B)[i]) == _bits(A[i] @ B)
+        # quadratic forms and matrix-vector products on rows
+        quad = (x[:, None, :] @ A @ x[:, :, None])[:, 0, 0]
+        assert _bits(quad[i]) == _bits(x[i] @ A[i] @ x[i])
+        assert _bits(((2.0 * A) @ x[..., None])[i, :, 0]) == _bits(2.0 * A[i] @ x[i])
+
+
+def test_a_stack_shares_each_factorization_with_its_rows(monkeypatch):
+    m = SPD(3)
+    rng = np.random.default_rng(1)
+    a, b, c = (m.random_point(rng) for _ in range(3))
+    m._sqrt_pair(a)  # a is factored before it joins a stack
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(M, *args, **kwargs):
+        calls.append(len(M) if M.ndim == 3 else 1)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    pair = m._sqrt_pair(m.stack([a, b, b, c]))
+    # only b and c are factored, b once, in one call
+    assert calls == [2]
+    for row, p in zip(pair[0], (a, b, b, c)):
+        assert _bits(row) == _bits(m._sqrt_pair(p)[0])
+    assert _bits(pair[0][1]) == _bits(m._sqrt_pair(b.copy())[0])
+    assert calls == [2, 1]  # b.copy() is a new point
+    # the rows now hold their square roots: a new stack of them factors nothing
+    m._sqrt_pair(m.stack([c, b]))
+    assert calls == [2, 1]
+
+
+def test_product_rows_forms_bitwise_equal_single_calls():
+    p = Product([SPD(2), Sphere(2)])
+    rng = np.random.default_rng(4)
+    xs = [p.random_point(rng) for _ in range(4)]
+    ys = [p.random_point(rng, center=x, radius=0.5) for x in xs]
+    vs = [p.random_tangent(x, rng, norm=0.4) for x in xs]
+    X, Y = p.stack(xs), p.stack(ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    assert _bits(p.join(p.split(X)).coords) == _bits(X.coords)
+    assert [f.coords.shape for f in p.split(X)] == [(4, 2, 2), (4, 3)]
+    assert _bits(p.exp_rows(X, V).coords) == _bits([p.exp(x, v).coords for x, v in zip(xs, vs)])
+    assert _bits(p.log_rows(X, Y).coords) == _bits([p.log(x, y).coords for x, y in zip(xs, ys)])
+    assert _bits(p.inner_rows(X, V, V)) == _bits([p.inner(x, v, v) for x, v in zip(xs, vs)])
+    # a single base broadcasts over the rows of a tangent stack
+    x = xs[0]
+    W = TangentVector(x, np.stack([v.coords for v in vs]) * 0.5)
+    assert _bits(p.exp_rows(x, W).coords) == _bits(
+        [p.exp(x, TangentVector(x, w)).coords for w in W.coords]
+    )
+
+
+def test_hyperbolic_exp_past_float64_raises_geometry_error():
+    # cosh(400) is finite, but the result's coordinates, squared by the
+    # projection, are not; beyond ~710 math.cosh itself overflows
+    m = Hyperbolic(2)
+    x = m.base_point()
+    for length in (400.0, 1e6):
+        v = TangentVector(x, np.array([length, 0.0, 0.0]))
+        with pytest.raises(GeometryError, match="exp overflows"):
+            m.exp(x, v)
+        X = _stack(m, [x, x])
+        V = TangentVector(X, np.stack([np.zeros(3), v.coords]))
+        with pytest.raises(GeometryError, match="exp overflows"):
+            m.exp_rows(X, V)
+    # a long step that stays in range still works
+    assert np.isfinite(m.exp(x, TangentVector(x, np.array([300.0, 0.0, 0.0]))).coords).all()

@@ -349,9 +349,13 @@ def test_regret_update_vt_is_max_over_probes(rng):
         (grad_at(x, [3.0, 0.0]), grad_at(x, [0.0, 0.0])),
     ]
     assert grad_variation(m, pairs) == pytest.approx(9.0)
-    # folding one pair onto the maximum of the others gives the same value
-    assert grad_variation(m, pairs[:1], start=grad_variation(m, pairs[1:])) == pytest.approx(9.0)
-    assert grad_variation(m, pairs, start=10.0) == 10.0
+    # the frechet runner's fold: each learner's own pair, its norm from one
+    # norm_rows call, folded onto the shared probes' value as max(shared, v**2)
+    for own, shared in ((pairs[:1], pairs[1:]), (pairs[1:], pairs[:1])):
+        xs = Point(np.stack([x.coords]), m.manifold_id)
+        change = TangentVector(xs, np.stack([own[0][0].coords - own[0][1].coords]))
+        (v,) = m.norm_rows(xs, change).tolist()
+        assert max(grad_variation(m, shared), v**2) == grad_variation(m, pairs)
     led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, grad_variation(m, pairs))
     assert led.grad_variation == pytest.approx(9.0)
 

@@ -1,17 +1,19 @@
 """Alternating parent/change pairs of the benchmark, summarised.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload frechet
-                                 [--workload quadgame ...] [--seed 0]
+                                 [--workload quadgame ...] [--seed 0 [--seed 63 ...]]
                                  [--pairs 10] [--seconds 30] [--out FILE]
 
 Exports each git revision with ``git archive`` into a temporary directory
 and runs ``perfbench/run.py --trace 0`` in each checkout, once per side,
-workload and pair. Pair k runs the parent first when k is even and the
-change first when k is odd, so a slow stretch of the machine does not fall
-on one side only. Run from inside the repository. Standard library only.
+seed, workload and pair. The seeds run one after the other (default: seed
+0 only). Pair k runs the parent first when k is even and the change first
+when k is odd, so a slow stretch of the machine does not fall on one side
+only. Run from inside the repository. Standard library only.
 
-Prints (or writes to ``--out``) one JSON object with one entry per
-workload: for each end-to-end metric the median and quartiles of each side
+Prints (or writes to ``--out``) one JSON object with one entry per seed
+and, in it, one per workload: for each end-to-end metric the median and
+quartiles of each side
 (linear interpolation, as numpy's default percentile), the pairs the change
 wins, the parent's quartile spread, the median change relative to the
 parent and every pair as ``[parent, change]``; plus the largest
@@ -132,7 +134,8 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; give it again for more")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a workload seed (default 0); give it again for more")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path)
@@ -140,32 +143,35 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
     workloads = list(dict.fromkeys(args.workload))
+    seeds = list(dict.fromkeys(args.seed or [0]))
 
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+    runs = {s: {w: {"parent": [], "change": []} for w in workloads} for s in seeds}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: export(getattr(args, side), Path(tmp) / side)
                  for side in ("parent", "change")}
-        for k in range(args.pairs):
-            for w in workloads:
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    run = run_once(trees[side], w, args.seed, args.seconds)
-                    runs[w][side].append(run)
-                    print(f"pair {k + 1} {w} {side}: {run.get('metrics', run)}", file=sys.stderr)
+        for seed in seeds:
+            for k in range(args.pairs):
+                for w in workloads:
+                    for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                        run = run_once(trees[side], w, seed, args.seconds)
+                        runs[seed][w][side].append(run)
+                        print(f"seed {seed} pair {k + 1} {w} {side}: {run.get('metrics', run)}",
+                              file=sys.stderr)
 
     report = {
-        "seed": args.seed,
         "parent": args.parent,
         "change": args.change,
         "pairs_run": args.pairs,
         "seconds": args.seconds,
-        "workloads": {w: workload_report(runs[w]) for w in workloads},
+        "seeds": {str(s): {w: workload_report(runs[s][w]) for w in workloads} for s in seeds},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 1 if any(r["failed_runs"] for r in report["workloads"].values()) else 0
+    failed = [r["failed_runs"] for entry in report["seeds"].values() for r in entry.values()]
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":
