@@ -265,7 +265,7 @@ def test_diverging_population_raises_the_sequential_error(tmp_path, capsys, etas
 
 
 def test_hyperbolic_exp_overflow_exits_3(tmp_path, capsys):
-    # a step of length beyond ~350 used to reach math.cosh and end in an
+    # a step this long used to overflow in math.cosh and end in an
     # OverflowError traceback (exit 1)
     config = {"experiment": "frechet", "T": 20, "algorithms": [{"name": "roogd", "eta": 1e6}]}
     assert _run_cli(tmp_path, "frechet", config) == 3
