@@ -13,9 +13,10 @@ the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 1. Every solver commits its point z_t. One ``field_rows``, ``value_rows``
    and ``norm_rows`` call on their stack gives the field, payoff and field
    norm at every z_t.
-2. R-OGDA transports its previous field to z_t (a single-row call). One
-   ``exp_rows`` call takes every solver's first step; RCEG's is its
-   midpoint w.
+2. R-OGDA transports its previous field to z_t: one ``transport_rows``
+   call on its single points, which on SPD x SPD covers both factors (see
+   ``Product``). One ``exp_rows`` call takes every solver's first step;
+   RCEG's is its midpoint w.
 3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
    at w, one ``log_rows`` call and one ``exp_rows`` call.
 
@@ -233,7 +234,10 @@ def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState)
         if name != "rogda":
             steps[i] = -eta * g
             continue
-        prev = g if avg.round == 0 else space.transport(avg.z_prev, avg.z_cur, avg.grad_prev).coords
+        if avg.round == 0:
+            prev = g
+        else:
+            prev = space.transport_rows(avg.z_prev, avg.z_cur, avg.grad_prev).coords
         steps[i] = -2.0 * eta * g + eta * prev
     ahead = space.exp_rows(Z, TangentVector(Z, steps)).coords
     new = {name: Point(c, space.manifold_id) for name, c in zip(names, ahead)}

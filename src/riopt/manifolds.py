@@ -60,6 +60,27 @@ def _rescale_rows(d: np.ndarray, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transport_rows(m: Manifold, x: Point, y: Point, v: TangentVector) -> TangentVector:
+    """transport_rows of Sphere and Hyperbolic, whose transport reflects v
+    through the geodesic's direction at both ends."""
+    shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
+    if len(shape) == 1:  # single points: one row, the single call
+        return m.transport(x, y, v)
+    m._require_base(x, v)
+    x_r, y_r = (Point(np.broadcast_to(p.coords, shape), m.manifold_id) for p in (x, y))
+    u = m.log_rows(x_r, y_r)
+    d = m.norm_rows(x_r, u)
+    # a row of zero distance keeps v; the others go on as transport does
+    w = np.array(np.broadcast_to(v.coords, shape))
+    k = d != 0.0
+    x_k, y_k = (Point(p.coords[k], m.manifold_id) for p in (x_r, y_r))
+    u_k, v_k = TangentVector(x_k, u.coords[k]), TangentVector(x_k, w[k])
+    u_back = m.log_rows(y_k, x_k).coords
+    scale = m.inner_rows(x_k, u_k, v_k) / _per_row(lambda a: a**2, d[k])
+    w[k] = m.to_tangent_rows(y_k, v_k.coords - scale[:, None] * (u_k.coords + u_back)).coords
+    return TangentVector(y, w)
+
+
 class Euclidean(Manifold):
     """Flat R^n; exp/log reduce to vector addition and transport is trivial."""
 
@@ -112,9 +133,10 @@ class Euclidean(Manifold):
     def dist_rows(self, x, y):
         return _row_norm(y.coords - x.coords)
 
-    # exp and log broadcast over rows as they are
+    # exp, log and transport broadcast over rows as they are
     exp_rows = exp
     log_rows = log
+    transport_rows = transport
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -230,6 +252,8 @@ class Sphere(Manifold):
         theta = self.dist_rows(x, y)
         u = y.coords - cosang[..., None] * x.coords
         return TangentVector(x, _rescale_rows(theta, u, _row_norm(u)))
+
+    transport_rows = _transport_rows
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -368,21 +392,7 @@ class Hyperbolic(Manifold):
         nu = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
         return TangentVector(x, _rescale_rows(d, u, nu))
 
-    def transport_rows(self, x, y, v):
-        self._require_base(x, v)
-        shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
-        x_r, y_r = (Point(np.broadcast_to(p.coords, shape), self.manifold_id) for p in (x, y))
-        u = self.log_rows(x_r, y_r).coords
-        d = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
-        # a row of zero distance keeps v; the others go on as transport does
-        w = np.array(np.broadcast_to(v.coords, shape))
-        m = d != 0.0
-        x_m, y_m = (Point(p.coords[m], self.manifold_id) for p in (x_r, y_r))
-        u_m, v_m = u[m], w[m]
-        u_back = self.log_rows(y_m, x_m).coords
-        scale = self.minkowski_rows(u_m, v_m) / _per_row(lambda a: a**2, d[m])
-        w[m] = self.to_tangent_rows(y_m, v_m - scale[:, None] * (u_m + u_back)).coords
-        return TangentVector(y, w)
+    transport_rows = _transport_rows
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -417,14 +427,9 @@ class Hyperbolic(Manifold):
         return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
 
 
-# Both helpers act on a single (d, d) matrix or on a stack (n, d, d) of them.
+# Acts on a single (d, d) matrix or on a stack (n, d, d) of them.
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.mT)
-
-
-def _eig_apply(fn: Callable[[np.ndarray], np.ndarray], M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(_sym(M))
-    return (V * fn(w)[..., None, :]) @ V.mT
 
 
 class SPD(Manifold):
@@ -506,8 +511,8 @@ class SPD(Manifold):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
         self._require_base(x, v)
         S, Si, _ = self._sqrt_pair(x)
-        middle = _eig_apply(np.sqrt, Si @ y.coords @ Si)
-        E = S @ middle @ Si
+        w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
+        E = S @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.mT))
 
     # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
@@ -531,7 +536,10 @@ class SPD(Manifold):
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
         S, Si = self._pair_over(x, targets)
-        return _sym(S @ _eig_apply(np.log, Si @ targets @ Si) @ S)
+        w, V = np.linalg.eigh(_sym(Si @ targets @ Si))
+        if (w[..., 0] <= 0).any():
+            raise GeometryError("log undefined: a target is not positive definite")
+        return _sym(S @ ((V * np.log(w)[..., None, :]) @ V.mT) @ S)
 
     def to_tangent_rows(self, x, coords):
         return TangentVector(x, _sym(np.asarray(coords, dtype=float).reshape(-1, self.d, self.d)))
@@ -544,9 +552,10 @@ class SPD(Manifold):
     def dist_rows(self, x, y):
         return self.dist_many(x, y.coords)
 
-    # exp and log broadcast over rows as they are
+    # exp, log and transport broadcast over rows as they are
     exp_rows = exp
     log_rows = log
+    transport_rows = transport
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -568,8 +577,13 @@ class Product(Manifold):
     Points are stored as the flat concatenation of each factor's raveled
     ambient coordinates. Squared distances add over factors and the curvature
     bounds are the envelope of the factors' bounds. ``split``/``join`` also
-    take (n, ambient) stacks, and ``exp_rows``, ``log_rows`` and
-    ``inner_rows`` hand each factor its rows, for its own row form.
+    take (n, ambient) stacks. ``exp_rows``, ``log_rows``, ``inner_rows`` and
+    ``transport_rows`` hand each factor its rows, for its own row form. When
+    the k factors are one manifold (one ``manifold_id``), they fold instead:
+    the (n, k * size) rows are, as a reshape, one (n k, ...) stack of that
+    factor, which its row form takes in a single call. The fold's rows are
+    the rows' factor points, so each is factored once whichever stack it
+    joins. The single calls stay per factor.
     """
 
     def __init__(self, factors: Sequence[Manifold]):
@@ -586,6 +600,9 @@ class Product(Manifold):
             min(f.curvature.kappa for f in self.factors),
             max(f.curvature.K for f in self.factors),
         )
+        # the factor whose row forms take the folded stacks, if all are one
+        same = len({f.manifold_id for f in self.factors}) == 1
+        self._common = self.factors[0] if same else None
 
     def _split(self, coords: np.ndarray) -> list[np.ndarray]:
         lead = coords.shape[:-1]
@@ -684,19 +701,58 @@ class Product(Manifold):
         parts = [f.transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, xs, ys, vs)]
         return self.join_tangent(y, parts)
 
+    def _fold(self, p: Point, lead: tuple) -> Point:
+        """The factor points of p's rows, a single p repeated to ``lead`` rows,
+        as one stack of the common factor; kept in p's memo."""
+        if p.coords.shape[:-1] != lead:
+            p = self.stack([p] * lead[0])
+        z = p.memo.get("product_fold")
+        if z is None:
+            z = Point(p.coords.reshape((-1,) + self._shapes[0]), self._common.manifold_id)
+            rows = p.memo.get("rows", [p] if p.coords.ndim == 1 else None)
+            if rows is not None:
+                z.memo["rows"] = [q for r in rows for q in self.split(r)]
+            p.memo["product_fold"] = z
+        return z
+
+    def _factor_rows(self, form: str, x: Point, *args):
+        """The factors' row form ``form`` at the rows of x and ``args`` (points,
+        or tangents at x): the product coords of its points or tangents, or the
+        sum over factors of its numbers. It runs once on the folded stacks, or
+        once per factor; an argument passed twice is folded or split once."""
+        chain = (x, *args)
+        if self._common is None:
+            parts = {id(a): self.split(a) if isinstance(a, Point) else self.split_tangent(a)
+                     for a in chain}
+            outs = [getattr(f, form)(*p)
+                    for f, *p in zip(self.factors, *(parts[id(a)] for a in chain))]
+            return self._join([o.coords for o in outs]) if hasattr(outs[0], "coords") else sum(outs)
+        lead = max((a.coords.shape[:-1] for a in chain), key=len)
+        X = self._fold(x, lead)
+        folded = {id(x): X}
+        for a in args:
+            if id(a) not in folded:
+                folded[id(a)] = (self._fold(a, lead) if isinstance(a, Point)
+                                 else TangentVector(X, a.coords.reshape(X.coords.shape)))
+        out = getattr(self._common, form)(*(folded[id(a)] for a in chain))
+        if hasattr(out, "coords"):
+            return out.coords.reshape(lead + (self.ambient,))
+        rows = out.reshape(lead + (len(self.factors),))
+        return sum(rows[..., j] for j in range(len(self.factors)))
+
     def exp_rows(self, x, v):
         self._require_base(x, v)
-        xs, vs = self.split(x), self.split_tangent(v)
-        return self.join([f.exp_rows(xi, vi) for f, xi, vi in zip(self.factors, xs, vs)])
+        return Point(self._factor_rows("exp_rows", x, v), self.manifold_id)
 
     def log_rows(self, x, y):
-        xs, ys = self.split(x), self.split(y)
-        return self.join_tangent(x, [f.log_rows(*p) for f, *p in zip(self.factors, xs, ys)])
+        return TangentVector(x, self._factor_rows("log_rows", x, y))
 
     def inner_rows(self, x, u, v):
-        us = self.split_tangent(u)
-        vs = us if v is u else self.split_tangent(v)
-        return sum(f.inner_rows(*p) for f, *p in zip(self.factors, self.split(x), us, vs))
+        return self._factor_rows("inner_rows", x, u, v)
+
+    def transport_rows(self, x, y, v):
+        self._require_base(x, v)
+        return TangentVector(y, self._factor_rows("transport_rows", x, y, v))
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

@@ -155,14 +155,16 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     # Factoring a point twice anywhere raises these totals.
     assert matrices["eigh"] == 512
     assert matrices["solve"] == 120
-    # the calls, per factor and round: slogdet for the committed points and
-    # for RCEG's midpoint (z0 once in round 1), plus the two residuals; eigh
+    # the calls: slogdet per factor and round for the committed points and
+    # for RCEG's midpoint (z0 once in round 1), plus the two residuals. The
+    # row forms fold both factors into one stack, so per round one eigh each
     # for R-OGDA's transport (from round 2), the committed points' square
     # roots and first step, the stage-2 square roots (only the midpoint's in
-    # round 1, where the running average is z0), log and exp
+    # round 1, where the running average is z0), log and exp; one solve for
+    # the norms
     assert calls["slogdet"] == 4 * cfg.T + 4
-    assert calls["eigh"] == 12 * cfg.T - 2
-    assert calls["solve"] == 2 * cfg.T
+    assert calls["eigh"] == 6 * cfg.T - 1
+    assert calls["solve"] == cfg.T
 
 
 def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
@@ -262,6 +264,27 @@ def test_diverging_population_raises_the_sequential_error(tmp_path, capsys, etas
     config = dict(UNSTABLE_QUADGAME, algorithms=algorithms)
     assert _run_cli(tmp_path, "quadgame", config) == 3
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config, seed",
+    [
+        ("quadgame", {"experiment": "quadgame", "d": 2, "c1": 0.0, "T": 30,
+                      "algorithms": [{"name": "rogda", "eta": 1.0}]}, "0"),
+        ("robust-pca", {"experiment": "robust_pca", "d": 3, "n_samples": 5, "T": 30,
+                        "algorithms": [{"name": "rceg", "eta": 2.0}]}, "1"),
+    ],
+    ids=["quadgame", "robust_pca"],
+)
+def test_spd_log_of_a_non_positive_whitened_matrix_exits_3(tmp_path, capsys, command, config, seed):
+    # a whitened eigenvalue rounds to 0 or below: numpy's log used to warn
+    # on stderr before the failure
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", seed]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: log undefined: a target is not positive definite\n"
 
 
 def test_hyperbolic_exp_overflow_exits_3(tmp_path, capsys):

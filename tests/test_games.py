@@ -19,6 +19,7 @@ from riopt import (
     rogda_init,
     rogda_step,
 )
+from riopt.games import play_round, play_round_rows
 from riopt.geometry import GeometryError, Point, TangentVector
 from riopt.streams import child_rng
 from riopt.verify import fd_gradient_check
@@ -348,6 +349,29 @@ def test_field_rows_and_value_rows_are_bitwise_the_single_calls(k):
         assert F.coords[i].tobytes() == game.field(fresh).coords.tobytes()
         assert vals[i] == game.value(fresh)
         assert type(game.value(fresh)) is float
+
+
+@pytest.mark.parametrize("c1", [0.0, 0.5])
+def test_play_round_rows_is_bitwise_play_round(c1):
+    game = quad_logdet_game(10, c1, 1.0)
+    spd = game.space.factors[0]
+    z0 = game.join(spd.random_point(child_rng(7, 1)), spd.random_point(child_rng(7, 2)))
+    etas = {"rogda": 0.01, "rgda": 0.02, "rceg": 0.01}
+    # each side starts from its own copy of z0, so no memo is shared
+    sides = []
+    for play in (play_round_rows, play_round):
+        z = z0.copy()
+        sides.append([play, dict.fromkeys(etas, z), rogda_init(game, z)])
+    for _ in range(12):
+        outs = []
+        for side in sides:
+            play, points, avg = side
+            points, avg, vals, norms = play(game, etas, points, avg)
+            side[1:] = points, avg
+            coords = [p.coords for p in points.values()]
+            coords += [avg.z_cur.coords, avg.z_bar.coords, avg.grad_prev.coords]
+            outs.append((np.stack(coords).tobytes(), vals, norms))
+        assert outs[0] == outs[1]
 
 
 def test_robust_pca_payoff_and_field_share_each_anchor_distance(monkeypatch):

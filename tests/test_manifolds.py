@@ -536,6 +536,21 @@ def test_spd_rows_raise_on_a_non_pd_matrix():
     assert X.memo == {}
 
 
+@pytest.mark.parametrize("eig", [0.0, -1e-3])
+def test_spd_log_of_a_target_not_positive_definite_raises_one_error(eig):
+    # its whitened eigenvalue is eig: numpy's log of it used to warn and
+    # return non-finite coordinates
+    m = SPD(2)
+    x, y = m.base_point(), Point(np.diag([1.0, eig]), m.manifold_id)
+    for call in (
+        lambda: m.log(x, y),
+        lambda: m.log_rows(_stack(m, [x, x]), _stack(m, [x, y])),
+        lambda: m.log_many(x, np.stack([x.coords, y.coords])),
+    ):
+        with pytest.raises(GeometryError, match="log undefined"):
+            call()
+
+
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_row_exp_rejects_a_non_finite_tangent(m):
     xs, _, vs, _ = _row_cases(m)
@@ -647,6 +662,112 @@ def test_product_rows_forms_bitwise_equal_single_calls():
     assert _bits(p.exp_rows(x, W).coords) == _bits(
         [p.exp(x, TangentVector(x, w)).coords for w in W.coords]
     )
+
+
+FOLD_PRODUCTS = [
+    Product([SPD(3), SPD(3)]),
+    Product([SPD(2), SPD(2), SPD(2)]),
+    Product([Hyperbolic(2), Hyperbolic(2)]),
+    Product([Sphere(2), Sphere(2)]),
+    Product([Euclidean(3), Euclidean(3)]),
+    Product([SPD(2), Sphere(2)]),  # mixed: one call per factor
+]
+FOLD_IDS = ["spd3x2", "spd2x3", "hyperbolic2x2", "sphere2x2", "euclidean3x2", "spd_sphere"]
+
+
+def _factorwise(p, X, Y, V, W):
+    """Each row form of p, run factor by factor on copies that share no memo."""
+    x, y = (Point(a.coords.copy(), p.manifold_id) for a in (X, Y))
+    xs, ys = p.split(x), p.split(y)
+    vs, ws = (p.split_tangent(TangentVector(x, t.coords)) for t in (V, W))
+    fs = p.factors
+    return {
+        "exp": p.join([f.exp_rows(*a) for f, *a in zip(fs, xs, vs)]).coords,
+        "log": p.join_tangent(x, [f.log_rows(*a) for f, *a in zip(fs, xs, ys)]).coords,
+        "inner": sum(f.inner_rows(*a) for f, *a in zip(fs, xs, vs, ws)),
+        "norm": sum(f.inner_rows(*a) for f, *a in zip(fs, xs, vs, vs)),
+        "transport": p.join_tangent(
+            y, [f.transport_rows(*a) for f, *a in zip(fs, xs, ys, vs)]
+        ).coords,
+    }
+
+
+@pytest.mark.parametrize("p", FOLD_PRODUCTS, ids=FOLD_IDS)
+def test_product_row_forms_bitwise_equal_the_factorwise_path_and_single_calls(p):
+    xs, ys, vs, raw = _row_cases(p)
+    ws = [p.to_tangent(x, r) for x, r in zip(xs, raw)]
+    X, Y = p.stack(xs), p.stack(ys)
+    V, W = (TangentVector(X, np.stack([t.coords for t in ts])) for ts in (vs, ws))
+    rows = {
+        "exp": p.exp_rows(X, V).coords,
+        "log": p.log_rows(X, Y).coords,
+        "inner": p.inner_rows(X, V, W),
+        "norm": p.inner_rows(X, V, V),
+        "transport": p.transport_rows(X, Y, V).coords,
+    }
+    reference = _factorwise(p, X, Y, V, W)
+    single = {
+        "exp": [p.exp(x, v).coords for x, v in zip(xs, vs)],
+        "log": [p.log(x, y).coords for x, y in zip(xs, ys)],
+        "inner": [p.inner(x, v, w) for x, v, w in zip(xs, vs, ws)],
+        "norm": [p.inner(x, v, v) for x, v in zip(xs, vs)],
+        "transport": [p.transport(x, y, v).coords for x, y, v in zip(xs, ys, vs)],
+    }
+    for form, got in rows.items():
+        assert _bits(got) == _bits(reference[form]) == _bits(single[form]), form
+    # single points are one row; a single base broadcasts over stacked rows
+    x, y, v = xs[3], ys[3], vs[3]
+    assert _bits(p.transport_rows(x, y, v).coords) == _bits(single["transport"][3])
+    assert _bits(p.exp_rows(x, v).coords) == _bits(single["exp"][3])
+    U = TangentVector(x, 0.5 * V.coords)
+    assert _bits(p.exp_rows(x, U).coords) == _bits(
+        [p.exp(x, TangentVector(x, u)).coords for u in U.coords]
+    )
+    assert _bits(p.log_rows(x, Y).coords) == _bits([p.log(x, y).coords for y in ys])
+
+
+def _count_eigh(monkeypatch):
+    """The number of matrices in each np.linalg.eigh call, as calls happen."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(M, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(M)[:-2])))
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_folded_rows_share_square_roots_with_their_single_points(monkeypatch):
+    p = Product([SPD(3), SPD(3)])
+    rng = np.random.default_rng(5)
+    a, b = (p.random_point(rng) for _ in range(2))
+    va, vb = (p.random_tangent(z, rng, norm=0.3) for z in (a, b))
+    p.exp(a, va)  # factors a's two matrices, one by one
+    calls = _count_eigh(monkeypatch)
+    X = p.stack([a, b])
+    p.exp_rows(X, TangentVector(X, np.stack([va.coords, vb.coords])))
+    # b's two square roots in one call (a keeps its own), then one exp call
+    # over all four matrices
+    assert calls == [2, 4]
+    p.exp(b, vb)  # b's factors hold their square roots: only the exps
+    assert calls == [2, 4, 1, 1]
+    # a single point's transport folds too: one call over both factors
+    p.transport_rows(a, b, va)
+    assert calls == [2, 4, 1, 1, 2]
+
+
+def test_single_product_calls_make_one_eigh_per_matrix(monkeypatch):
+    # The single exp, log and transport stay per factor: perfbench reads
+    # kernel.eigh.matrices == kernel.eigh.calls on single game steps
+    p = Product([SPD(2), SPD(2)])
+    rng = np.random.default_rng(6)
+    x, y = (p.random_point(rng) for _ in range(2))
+    v = p.random_tangent(x, rng, norm=0.3)
+    calls = _count_eigh(monkeypatch)
+    p.exp(x, v), p.log(x, y), p.transport(x, y, v), p.exp(y, p.log(y, x))
+    assert len(calls) > 0 and set(calls) == {1}
 
 
 def test_hyperbolic_exp_past_float64_raises_geometry_error():
