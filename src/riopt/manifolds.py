@@ -40,7 +40,10 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
 
 
 def _per_row(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+    """fn at each row of args, shaped as args[0]; a single point's 0-d
+    values are one row."""
+    values = map(fn, *(np.ravel(a).tolist() for a in args))
+    return np.array(list(values), dtype=float).reshape(np.shape(args[0]))
 
 
 def _rotate_rows(x, v, t, cos, sin):

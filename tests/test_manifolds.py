@@ -472,6 +472,14 @@ def test_row_forms_broadcast_a_single_base(m):
     assert _bits(m.log_rows(x, Y).coords) == _bits([m.log(x, y).coords for y in ys])
 
 
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_dist_and_log_rows_take_single_points_as_one_row(m):
+    xs, ys, _, _ = _row_cases(m)
+    for x, y in zip(xs, ys):  # with the base point and a coincident pair
+        assert _bits(m.dist_rows(x, y)) == _bits(m.dist(x, y))
+        assert _bits(m.log_rows(x, y).coords) == _bits(m.log(x, y).coords)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 10])
 def test_hyperbolic_transport_rows_bitwise_equal_transport(dim):
     # row 2 is coincident (x == y, v kept); row 1 moves the zero tangent

@@ -4,7 +4,7 @@ per-sample and per-point calls they replace."""
 import numpy as np
 import pytest
 
-from riopt import SPD, Hyperbolic
+from riopt import SPD, Hyperbolic, streams
 from riopt.geometry import Point
 from riopt.streams import (
     TAG_CENTER,
@@ -15,7 +15,12 @@ from riopt.streams import (
     child_rng,
     fixed_probe_points,
     gen_frechet_stream,
+    seed_states,
+    state_rng,
 )
+
+# seeds of one, two and three entropy words
+SEEDS = [*range(8), 2**32 - 1, 2**32, 2**40, 2**64 + 3]
 
 
 def _stream_targets_longhand(manifold, T, n_points, mode, S, drift, ball_radius, center_diam, seed):
@@ -53,10 +58,23 @@ def _bits(arrays):
 def test_stream_targets_bitwise_equal_per_sample_random_point(mode, dim, n_points):
     h = Hyperbolic(dim)
     args = dict(T=6, n_points=n_points, mode=mode, S=4, drift=0.3, center_diam=2.0)
-    for seed in range(8):
+    for seed in SEEDS:
         for ball_radius in (1.5, 0.0):
             stream = gen_frechet_stream(h, ball_radius=ball_radius, seed=seed, **args)
             want = _stream_targets_longhand(h, ball_radius=ball_radius, seed=seed, **args)
+            assert _bits([loss.targets for loss in stream.losses]) == _bits(want)
+
+
+@pytest.mark.parametrize("block", [1, 5, 7])
+def test_stream_seeded_in_blocks_equals_longhand(monkeypatch, block):
+    # a block of 5 keys holds 5 rounds of one sample or 1 round of three
+    monkeypatch.setattr(streams, "_SEED_BLOCK", block)
+    h = Hyperbolic(2)
+    for mode in ("abrupt", "drift"):
+        for n_points in (1, 3):
+            args = dict(T=11, n_points=n_points, mode=mode, S=4, drift=0.3, ball_radius=1.5)
+            stream = gen_frechet_stream(h, seed=5, **args)
+            want = _stream_targets_longhand(h, center_diam=1.0, seed=5, **args)
             assert _bits([loss.targets for loss in stream.losses]) == _bits(want)
 
 
@@ -71,13 +89,60 @@ def test_zero_radius_stream_samples_are_the_center():
 def test_fixed_probes_bitwise_equal_per_probe_random_point(dim):
     h = Hyperbolic(dim)
     anchor = h.base_point()
-    for seed in range(4):
+    for seed in SEEDS:
         probes = fixed_probe_points(h, anchor, 1.5, 14, seed)
         want = [
             h.random_point(child_rng(seed, TAG_PROBE, i), center=anchor, radius=1.5).coords
             for i in range(14)
         ]
         assert _bits([p.coords for p in probes]) == _bits(want)
+
+
+# A canary on numpy's SeedSequence: seed_states repeats its hash, so a
+# numpy that changed the hash fails here before any stream moves.
+@pytest.mark.parametrize("seed", [0, 63, 2**32 - 1, 2**32, 2**40])
+def test_seed_states_equal_seed_sequence_states_and_draws(seed):
+    keys = np.array([0, 1, 7, 2**32 - 1])
+    paths = [
+        ((TAG_PROBE, keys), [(TAG_PROBE, k) for k in keys]),  # 3 words
+        (  # 4 words, the last varying fastest
+            (TAG_SAMPLE, keys, keys[::-1]),
+            [(TAG_SAMPLE, t, i) for t in keys for i in keys[::-1]],
+        ),
+        ((TAG_PROBE, np.array([2**32, 3])), [(TAG_PROBE, 2**32), (TAG_PROBE, 3)]),  # a 2-word key
+        ((TAG_CENTER, 2), [(TAG_CENTER, 2)]),  # no array: one key
+    ]
+    for path, want_keys in paths:
+        states = seed_states(seed, *path)
+        assert states.shape == (len(want_keys), 4) and states.dtype == np.uint64
+        for state, key in zip(states, want_keys):
+            want = np.random.SeedSequence([seed, *map(int, key)]).generate_state(4, np.uint64)
+            assert state.tobytes() == want.tobytes()
+            got, ref = state_rng(state), child_rng(seed, *key)
+            assert got.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+            assert got.uniform() == ref.uniform()
+
+
+def test_seed_states_of_no_keys_and_of_negative_ints():
+    h = Hyperbolic(2)
+    assert seed_states(3, TAG_PROBE, np.arange(0)).shape == (0, 4)
+    assert fixed_probe_points(h, h.base_point(), 1.5, 0, 3) == []
+    for call in (
+        lambda: child_rng(-1, TAG_PROBE, 0),
+        lambda: seed_states(-1, TAG_PROBE, np.arange(3)),
+        lambda: seed_states(0, TAG_PROBE, np.array([2, -1])),
+        lambda: fixed_probe_points(h, h.base_point(), 1.5, 14, -1),
+        lambda: gen_frechet_stream(h, T=3, n_points=2, seed=-1),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+
+
+def test_state_rng_takes_only_a_contiguous_row_of_four_uint64_words():
+    states = seed_states(0, TAG_PROBE, np.arange(3))
+    for bad in (states.ravel()[::3], states[0, :3], states[0].astype(np.uint32), states[:2]):
+        with pytest.raises(ValueError, match="C-contiguous uint64"):
+            state_rng(bad)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
