@@ -459,8 +459,8 @@ def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, .
     Solved on stacks, COMPARATOR_BLOCK rounds at a time: the block's Karcher
     means in one ``frechet_mean_rows`` iteration, then one ``value_rows`` and
     two ``grad_rows`` calls on its stacked losses (row t paired with u_t).
-    Every row has the bits of the per-round call, and the first failing round
-    raises its own error.
+    Every row agrees with the per-round call to rounding, and the first
+    failing round raises its own error.
     """
     T, ambient = len(losses), manifold.ambient
     comps, vals = np.empty((T, ambient)), np.empty(T)
@@ -548,8 +548,8 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                 grads[name] = TangentVector(points[name], g)
         played = [play(loss, prev_loss, grads[name]) for name, (_, play) in players.items()]
 
-        # each per-learner quantity from one row-paired call, row i bitwise
-        # the single call at learner i's point
+        # each per-learner quantity from one row-paired call, row i the
+        # single call at learner i's point to rounding
         xs = Point(np.stack([x.coords for x, _ in played]), manifold.manifold_id)
         gs = TangentVector(xs, np.stack([g.coords for _, g in played]))
         inst = loss.value_rows(xs).tolist()
@@ -621,9 +621,9 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
 
     Round protocol (``games.play_round_rows``): every solver commits its
     point z_t, then each stage of the round runs once, as one row-paired
-    call over the solvers that take part in it. Row i of each call has the
-    bits of solver i's single call, so each solver's rows are those it
-    gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
+    call over the solvers that take part in it. Row i of each call agrees
+    with solver i's single call (see ``games``), and each solver's rows are
+    those it gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
     If a stacked stage fails (GeometryError, a numpy linear-algebra error,
     or a floating-point overflow, invalid value or division by zero), the
     round is replayed solver by solver through ``rogda_step``, ``rgda_step``

@@ -20,16 +20,18 @@ the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
    at w, one ``log_rows`` call and one ``exp_rows`` call.
 
-Row i of each stacked call has the bits of the single call at row i. When
-a stage fails, the runner replays the round with ``play_round``, solver by
-solver through the step functions in the configured order, so the error
-raised is the one that sequential loop meets first.
+Row i of each stacked call agrees with the single call at row i: bitwise on
+SPD, whose row forms are its single calls, and to rounding on the sphere
+factor of robust PCA, whose row forms are numpy kernels. When a stage
+fails, the runner replays the round with ``play_round``, solver by solver
+through the step functions in the configured order, so the error raised
+is the one that sequential loop meets first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,7 +59,9 @@ class ZeroSumGame:
     respective factor points. The joint field F(z) = [grad_x, -grad_y] drives
     all solvers; a zero of F is a candidate Nash equilibrium. ``payoff``,
     ``grad_x`` and ``grad_y`` also take stacked factor points, (n, ...) rows,
-    for the row-paired ``field_rows`` and ``value_rows``.
+    for the row-paired ``field_rows`` and ``value_rows``. ``duality_gap_fn``
+    is the game's exact duality gap at an averaged pair, where it has one
+    (``quad_duality_gap``).
     """
 
     space: Product
@@ -66,9 +70,8 @@ class ZeroSumGame:
     grad_y: PartialGradFn
     mu: float = 0.0
     smoothness_L: float = float("nan")
-    tag: str = "generic"
-    params: dict = field(default_factory=dict)
     residual_fn: Optional[Callable[[Point], np.ndarray]] = None
+    duality_gap_fn: Optional[Callable[[Point, Point], float]] = None
 
     def join(self, x: Point, y: Point) -> Point:
         return self.space.join([x, y])
@@ -220,8 +223,8 @@ def play_round(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
 
 def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
     """``play_round`` with each stage one row-paired call over the solvers
-    that take part in it (see the module docstring); the results have the
-    bits of ``play_round``."""
+    that take part in it (see the module docstring); the results agree with
+    ``play_round``, bitwise on SPD."""
     space, names = game.space, list(etas)
     commits = [points[name] for name in names]
     Z = space.stack(commits)
@@ -334,6 +337,12 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
         x, y = space.split(z)
         return np.array([_logdet(x), _logdet(y)])
 
+    def duality_gap(x_bar: Point, y_bar: Point) -> float:
+        if c1 <= 0:
+            raise ValueError("gap unsupported for c1 = 0: best responses are unbounded")
+        u, v = _logdet(x_bar), _logdet(y_bar)
+        return (4.0 * c1 * c1 + c2 * c2) / (4.0 * c1) * (u * u + v * v)
+
     # mu is bookkeeping for step-size configuration only: strong convexity in
     # the logdet coordinate scaled by the d-fold reduction factor. Linear-rate
     # behavior is always measured empirically, not against this value.
@@ -344,9 +353,8 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
         grad_y=grad_y,
         mu=2.0 * c1 * d,
         smoothness_L=math.sqrt(4.0 * c1 * c1 + c2 * c2) * d,
-        tag="quad_logdet",
-        params={"d": d, "c1": c1, "c2": c2},
         residual_fn=residual,
+        duality_gap_fn=duality_gap,
     )
 
 
@@ -357,13 +365,9 @@ def quad_duality_gap(game: ZeroSumGame, x_bar: Point, y_bar: Point) -> float:
     inner best responses are interior for c1 > 0 and yield
     gap = (4 c1^2 + c2^2) / (4 c1) * (u^2 + v^2) >= 0.
     """
-    if game.tag != "quad_logdet":
+    if game.duality_gap_fn is None:
         raise ValueError("duality gap is defined for quad_logdet games only")
-    c1, c2 = game.params["c1"], game.params["c2"]
-    if c1 <= 0:
-        raise ValueError("gap unsupported for c1 = 0: best responses are unbounded")
-    u, v = _logdet(x_bar), _logdet(y_bar)
-    return (4.0 * c1 * c1 + c2 * c2) / (4.0 * c1) * (u * u + v * v)
+    return game.duality_gap_fn(x_bar, y_bar)
 
 
 def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
@@ -440,8 +444,6 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         grad_y=grad_max_player,
         mu=0.0,
         smoothness_L=2.0 * lam_max + alpha,
-        tag="robust_pca",
-        params={"d": d, "n": n, "alpha": alpha},
     )
 
 

@@ -279,13 +279,14 @@ class Manifold(ABC):
     ) -> Point:
         """``random_point(rng, center, radius)`` on stacks, from its draws.
 
-        Row i is bitwise the point ``random_point`` returns when its generator
-        yields ``normals[i]`` from ``standard_normal`` and then ``uniforms[i]``
-        from ``uniform()``: ``random_tangent(center, norm=1.0)``, the step
-        ``(radius * u) * direction`` and ``exp``, repeated expression for
-        expression through the row-paired ``to_tangent_rows``, ``inner_rows``
-        and ``exp_rows`` (Euclidean, Sphere, Hyperbolic and SPD have them).
-        ``center`` is a single point or a stack paired with the rows.
+        Row i is the point ``random_point`` returns when its generator yields
+        ``normals[i]`` from ``standard_normal`` and then ``uniforms[i]`` from
+        ``uniform()``: ``random_tangent(center, norm=1.0)``, the step
+        ``(radius * u) * direction`` and ``exp``, through the row-paired
+        ``to_tangent_rows``, ``inner_rows`` and ``exp_rows`` (Euclidean,
+        Sphere, Hyperbolic and SPD have them), so it agrees with that point
+        to rounding. ``center`` is a single point or a stack paired with the
+        rows.
         """
         v = self.to_tangent_rows(center, normals)
         n = self.norm_rows(center, v)
@@ -328,6 +329,49 @@ KARCHER_TOL = 1e-9
 KARCHER_MAX_ITER = 200
 
 
+def _karcher(
+    manifold: Manifold, x: Point, targets: np.ndarray, w: np.ndarray, tol: float, max_iter: int
+) -> Point:
+    """Karcher iterations x <- exp_x(sum_i w_i log_x(p_i)), unit step.
+
+    x is a single point with its (n, ...) cloud ``targets``, or a stack of m
+    starting points with their (m, n, ...) clouds; ``w`` weights the n points
+    of a cloud. Each iteration takes the logs from one ``log_many`` call,
+    sums them in point order and steps with one ``norm`` and one ``exp``
+    call, or on a stack ``norm_rows`` and ``exp_rows``. A cloud whose
+    residual is <= tol stops moving and is never touched again. After
+    max_iter iterations, FrechetMeanError for the lowest cloud still moving.
+    """
+    point_ndim = manifold.base_point().coords.ndim
+    single = x.coords.ndim == point_ndim
+    norm, exp = (manifold.norm, manifold.exp) if single else (manifold.norm_rows, manifold.exp_rows)
+    w = w.reshape((-1,) + (1,) * point_ndim)
+    out, active, residual = x.coords.copy(), np.arange(len(targets)), math.inf
+    for _ in range(max_iter):
+        direction = TangentVector(x, (w * manifold.log_many(x, targets)).sum(axis=-w.ndim))
+        residual = norm(x, direction)
+        done = residual <= tol
+        if np.any(done):
+            if single:
+                return x
+            out[active[done]] = x.coords[done]
+            keep = ~done
+            if not keep.any():
+                return Point(out, manifold.manifold_id)
+            active, targets, residual = active[keep], targets[keep], residual[keep]
+            x = Point(x.coords[keep], manifold.manifold_id)
+            direction = TangentVector(x, direction.coords[keep])
+        x = exp(x, direction)
+    if not single:
+        x = Point(x.coords[0].copy(), x.manifold_id)
+    residual = float(np.ravel(residual)[0])
+    raise FrechetMeanError(
+        f"no convergence after {max_iter} iterations (residual {residual:.3g})",
+        last_iterate=x,
+        residual=residual,
+    )
+
+
 def weighted_frechet_mean(
     manifold: Manifold,
     points: Sequence[Point],
@@ -341,9 +385,8 @@ def weighted_frechet_mean(
     step, which is contractive inside the injectivity ball. The result
     satisfies the first-order condition ||sum_i w_i log_x(p_i)|| <= tol.
 
-    Points of weight zero are skipped. Each iteration takes the logs of the
-    others from one ``log_many`` call, sums them in point order and makes one
-    ``exp`` call; FrechetMeanError (last iterate, residual) after max_iter.
+    Starts at the point of largest weight and skips points of weight zero;
+    FrechetMeanError (last iterate, residual) after max_iter iterations.
     """
     if len(points) == 0:
         raise GeometryError("points must be nonempty")
@@ -355,25 +398,9 @@ def weighted_frechet_mean(
         raise GeometryError(f"weights must sum to 1 (got {total})")
     w = w / total
 
-    if len(points) == 1:
-        return points[0]
-
-    x = points[int(np.argmax(w))]
     keep = np.flatnonzero(w != 0.0)
     targets = np.stack([points[i].coords for i in keep])
-    w_k = w[keep].reshape((-1,) + (1,) * x.coords.ndim)
-    residual = math.inf
-    for _ in range(max_iter):
-        direction = TangentVector(x, (w_k * manifold.log_many(x, targets)).sum(axis=0))
-        residual = manifold.norm(x, direction)
-        if residual <= tol:
-            return x
-        x = manifold.exp(x, direction)
-    raise FrechetMeanError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3g})",
-        last_iterate=x,
-        residual=residual,
-    )
+    return _karcher(manifold, points[int(np.argmax(w))], targets, w[keep], tol, max_iter)
 
 
 def frechet_mean(manifold: Manifold, points: Sequence[Point], **kwargs) -> Point:
@@ -385,53 +412,25 @@ def frechet_mean(manifold: Manifold, points: Sequence[Point], **kwargs) -> Point
 def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
     """``frechet_mean`` of every cloud of a (m, n, ...) stack, as one iteration.
 
-    Row i of the result is bitwise ``frechet_mean`` of the n points of cloud
-    i: it starts at point 0 and repeats the equal-weight step of
-    ``weighted_frechet_mean`` expression for expression, through ``log_many``
-    on the stacked iterates with row-paired targets, ``inner_rows`` and
-    ``exp_rows`` (Hyperbolic has all three). A row whose residual is <=
-    KARCHER_TOL stops moving and is never touched again.
+    Row i of the result is the mean of cloud i, from its point 0, by the
+    equal-weight iteration of ``weighted_frechet_mean`` on the stacked
+    iterates: ``log_many`` with row-paired targets, ``norm_rows`` and
+    ``exp_rows`` (Hyperbolic has all three). It agrees with ``frechet_mean``
+    of the cloud to rounding.
 
     A failure is the one ``frechet_mean`` raises for the lowest-index cloud
     that fails. After KARCHER_MAX_ITER iterations that is FrechetMeanError
     for the lowest cloud still moving, with its residual and last iterate. A
-    GeometryError names no row, so the clouds still moving at that point are
-    redone one by one, in order, and the first to fail raises its own error.
+    GeometryError names no row, so then the clouds are redone one by one, in
+    order, and the first to fail raises its own error.
     """
     clouds = np.asarray(clouds, dtype=float)
     if clouds.ndim < 3 or 0 in clouds.shape[:2]:
         raise GeometryError("clouds must be a nonempty (m, n, ...) stack")
     n = clouds.shape[1]
-    out = clouds[:, 0].copy()
-    if n == 1:
-        return Point(out, manifold.manifold_id)
-    w = np.full(n, 1.0 / n)
-    w_k = (w / w.sum()).reshape((-1,) + (1,) * (clouds.ndim - 2))
-    active = np.arange(len(clouds))
-    x = Point(out, manifold.manifold_id)
-    targets = clouds
+    x = Point(clouds[:, 0], manifold.manifold_id)
     try:
-        for _ in range(KARCHER_MAX_ITER):
-            logs = manifold.log_many(x, targets)
-            direction = TangentVector(x, (w_k * logs).sum(axis=-2))
-            residual = manifold.norm_rows(x, direction)
-            done = residual <= KARCHER_TOL
-            if done.any():
-                out[active[done]] = x.coords[done]
-                keep = ~done
-                if not keep.any():
-                    return Point(out, manifold.manifold_id)
-                active, targets, residual = active[keep], targets[keep], residual[keep]
-                x = Point(x.coords[keep], manifold.manifold_id)
-                direction = TangentVector(x, direction.coords[keep])
-            x = manifold.exp_rows(x, direction)
+        return _karcher(manifold, x, clouds, np.full(n, 1.0 / n), KARCHER_TOL, KARCHER_MAX_ITER)
     except GeometryError:
-        for i in active:
-            points = [Point(p, manifold.manifold_id) for p in clouds[i]]
-            out[i] = frechet_mean(manifold, points).coords
-        return Point(out, manifold.manifold_id)
-    raise FrechetMeanError(
-        f"no convergence after {KARCHER_MAX_ITER} iterations (residual {residual[0]:.3g})",
-        last_iterate=Point(x.coords[0].copy(), manifold.manifold_id),
-        residual=float(residual[0]),
-    )
+        means = [frechet_mean(manifold, [Point(p, x.manifold_id) for p in c]) for c in clouds]
+        return Point(np.stack([p.coords for p in means]), x.manifold_id)

@@ -8,7 +8,7 @@ matrices with the affine-invariant metric, and products of the above.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,60 +28,25 @@ _ANTIPODAL_TOL = 1e-10
 _EXP_MAX_ARG = math.log(np.finfo(float).max)
 
 
-# Helpers of the row-paired forms (`*_rows`): row i of a stacked base Point
-# (coords of shape (n, ...)) goes with row i of the argument, and a single
-# base broadcasts. Each form repeats the expressions of its single call, so
-# every row has that call's bits: np.linalg.norm of a vector is
-# sqrt(dot(a, a)), which vecdot matches, but numpy's cosh, sinh, asinh and
-# atan2 round differently from math's, so each math function runs per row,
-# and so does a Python float's ``**`` (C pow).
+# Row-paired forms (`*_rows`): row i of a stacked base Point (coords of
+# shape (n, ...)) goes with row i of the argument, and a single base
+# broadcasts. They are numpy kernels; a single call agrees with its row to
+# rounding, not bitwise.
 def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def _per_row(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """fn at each row of args, shaped as args[0]; a single point's 0-d
-    values are one row."""
-    values = map(fn, *(np.ravel(a).tolist() for a in args))
-    return np.array(list(values), dtype=float).reshape(np.shape(args[0]))
-
-
-def _rotate_rows(x, v, t, cos, sin):
-    """Rows of x, the mask t != 0 and cos(t) x + sin(t) v / t on it (unprojected)."""
-    out = np.broadcast_to(x.coords, v.coords.shape).copy()
-    m = t != 0.0
-    tm = t[m]
-    cos_t, sin_t = _per_row(cos, tm)[:, None], _per_row(sin, tm)[:, None]
-    return out, m, cos_t * out[m] + sin_t * v.coords[m] / tm[:, None]
-
-
-def _rescale_rows(d: np.ndarray, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """(d / nu) u per row, and the zero vector where nu or d is 0 (log rows)."""
-    out = np.zeros_like(u)
-    m = (nu != 0.0) & (d != 0.0)
-    out[m] = (d[m] / nu[m])[:, None] * u[m]
-    return out
-
-
 def _transport_rows(m: Manifold, x: Point, y: Point, v: TangentVector) -> TangentVector:
-    """transport_rows of Sphere and Hyperbolic, whose transport reflects v
-    through the geodesic's direction at both ends."""
-    shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
-    if len(shape) == 1:  # single points: one row, the single call
-        return m.transport(x, y, v)
+    """transport_rows of Sphere and Hyperbolic: v reflected through the
+    geodesic's direction at both ends; a row of zero distance keeps v."""
     m._require_base(x, v)
-    x_r, y_r = (Point(np.broadcast_to(p.coords, shape), m.manifold_id) for p in (x, y))
-    u = m.log_rows(x_r, y_r)
-    d = m.norm_rows(x_r, u)
-    # a row of zero distance keeps v; the others go on as transport does
-    w = np.array(np.broadcast_to(v.coords, shape))
-    k = d != 0.0
-    x_k, y_k = (Point(p.coords[k], m.manifold_id) for p in (x_r, y_r))
-    u_k, v_k = TangentVector(x_k, u.coords[k]), TangentVector(x_k, w[k])
-    u_back = m.log_rows(y_k, x_k).coords
-    scale = m.inner_rows(x_k, u_k, v_k) / _per_row(lambda a: a**2, d[k])
-    w[k] = m.to_tangent_rows(y_k, v_k.coords - scale[:, None] * (u_k.coords + u_back)).coords
-    return TangentVector(y, w)
+    shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
+    u = m.log_rows(x, y)
+    d2 = m.inner_rows(x, u, u)
+    scale = np.divide(m.inner_rows(x, u, v), d2, out=np.zeros_like(d2), where=d2 > 0)
+    w = v.coords - scale[..., None] * (u.coords + m.log_rows(y, x).coords)
+    w = m.to_tangent_rows(y, w).coords.reshape(shape)
+    return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
 
 
 class Euclidean(Manifold):
@@ -185,17 +150,19 @@ class Sphere(Manifold):
     def tangent_defect(self, x, coords):
         return abs(float(np.dot(x.coords, coords)))
 
-    def inner(self, x, u, v):
+    # The single calls stay scalar (a one-row kernel costs 2-2.5x as much):
+    # bench verify's rectangles and holonomy probe make them one at a time.
+    def inner(self, x, u, v):  # hot: the norms of random_tangent and the holonomy probe
         return float(np.dot(u.coords, v.coords))
 
-    def dist(self, x, y):
+    def dist(self, x, y):  # hot: each log, and the holonomy probe's side lengths
         # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
         # and, unlike arccos, loses no precision near 0 or pi
         chord = np.linalg.norm(x.coords - y.coords)
         cochord = np.linalg.norm(x.coords + y.coords)
         return 2.0 * math.atan2(chord, cochord)
 
-    def exp(self, x, v):
+    def exp(self, x, v):  # hot: the rectangles' corners
         self._require_base(x, v)
         self._require_finite(v)
         theta = np.linalg.norm(v.coords)
@@ -204,7 +171,7 @@ class Sphere(Manifold):
         c = math.cos(theta) * x.coords + math.sin(theta) * v.coords / theta
         return self.project(c)
 
-    def log(self, x, y):
+    def log(self, x, y):  # hot: two per transport
         cosang = float(np.dot(x.coords, y.coords))
         if cosang <= -1.0 + _ANTIPODAL_TOL:
             raise GeometryError("log undefined at antipodal points")
@@ -215,7 +182,7 @@ class Sphere(Manifold):
             return self.zero_tangent(x)
         return TangentVector(x, (theta / nu) * u)
 
-    def transport(self, x, y, v):
+    def transport(self, x, y, v):  # hot: four per holonomy probe
         # Rotate the geodesic direction into its image at y; the orthogonal
         # complement of span{x, y} is transported unchanged.
         self._require_base(x, v)
@@ -234,19 +201,18 @@ class Sphere(Manifold):
     inner_rows = Euclidean.inner_rows
 
     def dist_rows(self, x, y):
-        chord = _row_norm(x.coords - y.coords)
-        cochord = _row_norm(x.coords + y.coords)
-        return 2.0 * _per_row(math.atan2, chord, cochord)
+        return 2.0 * np.arctan2(_row_norm(x.coords - y.coords), _row_norm(x.coords + y.coords))
 
     def exp_rows(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        out, m, c = _rotate_rows(x, v, _row_norm(v.coords), math.cos, math.sin)
-        nrm = _row_norm(c)
+        t = _row_norm(v.coords)[..., None]
+        c = np.cos(t) * x.coords + np.sin(t) * v.coords / np.where(t > 0, t, 1.0)
+        nrm = _row_norm(c)[..., None]
         if np.any(nrm == 0):
             raise GeometryError("cannot project the origin onto the sphere")
-        out[m] = c / nrm[:, None]
-        return Point(out, self.manifold_id)
+        # a zero step returns the base as it is
+        return Point(np.where(t > 0, c / nrm, x.coords), self.manifold_id)
 
     def log_rows(self, x, y):
         cosang = np.vecdot(x.coords, y.coords)
@@ -254,7 +220,9 @@ class Sphere(Manifold):
             raise GeometryError("log undefined at antipodal points")
         theta = self.dist_rows(x, y)
         u = y.coords - cosang[..., None] * x.coords
-        return TangentVector(x, _rescale_rows(theta, u, _row_norm(u)))
+        nu = _row_norm(u)
+        scale = np.divide(theta, nu, out=np.zeros_like(theta), where=nu > 0)
+        return TangentVector(x, scale[..., None] * u)
 
     transport_rows = _transport_rows
 
@@ -312,16 +280,11 @@ class Hyperbolic(Manifold):
     def tangent_defect(self, x, coords):
         return abs(self.minkowski(x.coords, coords))
 
-    def inner(self, x, u, v):
+    def inner(self, x, u, v):  # hot, scalar: every norm of the frechet learners and Karcher means
         return self.minkowski(u.coords, v.coords)
 
     def dist(self, x, y):
-        # Minkowski chord: <x-y, x-y>_M = 2(cosh d - 1), so
-        # d = 2 asinh(sqrt(<x-y, x-y>_M / 4)); unlike arccosh this does not
-        # amplify ulp noise near coincident points.
-        diff = x.coords - y.coords
-        q = max(self.minkowski(diff, diff), 0.0)
-        return 2.0 * math.asinh(0.5 * math.sqrt(q))
+        return float(self.dist_rows(x, y))
 
     def _exp_cap(self, x: np.ndarray):
         """The longest step exp takes from x: the result's coordinates grow
@@ -329,37 +292,21 @@ class Hyperbolic(Manifold):
         top = np.log(np.maximum(x[..., -1], 1.0))
         return 0.5 * (_EXP_MAX_ARG - math.log(4 * self.ambient)) - top
 
-    def exp(self, x, v):
+    def exp(self, x, v):  # hot, scalar: R-AOOGD's Karcher means and the single learners
         self._require_base(x, v)
         self._require_finite(v)
-        nv = self.norm(x, v)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge step's norm is inf or nan
+            nv = self.norm(x, v)
         if nv == 0.0:
             return x.copy()
-        if nv > self._exp_cap(x.coords):
+        if not nv <= self._exp_cap(x.coords):
             raise GeometryError("exp overflows: the step is too long for float64")
         c = math.cosh(nv) * x.coords + math.sinh(nv) * v.coords / nv
         return self.project(c)
 
     def log(self, x, y):
-        d = self.dist(x, y)
-        u = y.coords + self.minkowski(x.coords, y.coords) * x.coords
-        nu = math.sqrt(max(self.minkowski(u, u), 0.0))
-        if nu == 0.0 or d == 0.0:
-            return self.zero_tangent(x)
-        return TangentVector(x, (d / nu) * u)
+        return TangentVector(x, self._log(x.coords, y.coords))
 
-    def transport(self, x, y, v):
-        self._require_base(x, v)
-        u = self.log(x, y)
-        d = self.norm(x, u)
-        if d == 0.0:
-            return TangentVector(y, v.coords.copy())
-        u_back = self.log(y, x)
-        w = v.coords - (self.minkowski(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
-        return self.to_tangent(y, w)
-
-    # Row-paired forms: to_tangent_rows, inner_rows, dist_rows, exp_rows,
-    # log_rows and transport_rows, each bitwise its single call per row.
     @staticmethod
     def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
@@ -371,31 +318,43 @@ class Hyperbolic(Manifold):
     def inner_rows(self, x, u, v):
         return self.minkowski_rows(u.coords, v.coords)
 
+    # The dist and log kernels broadcast a against b (x against y) over their
+    # leading axes: the row forms pair rows, and the *_many forms put a
+    # cloud axis on the base.
+    @classmethod
+    def _dist(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Minkowski chord: <a-b, a-b>_M = 2(cosh d - 1), so
+        # d = 2 asinh(sqrt(<a-b, a-b>_M / 4)); unlike arccosh this does not
+        # amplify ulp noise near coincident points.
+        diff = a - b
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(cls.minkowski_rows(diff, diff), 0.0)))
+
+    @classmethod
+    def _log(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        d = cls._dist(x, y)
+        u = y + cls.minkowski_rows(x, y)[..., None] * x
+        nu = np.sqrt(np.maximum(cls.minkowski_rows(u, u), 0.0))
+        return np.divide(d, nu, out=np.zeros_like(d), where=nu > 0)[..., None] * u
+
     def dist_rows(self, x, y):
-        diff = x.coords - y.coords
-        q = np.maximum(self.minkowski_rows(diff, diff), 0.0)
-        return 2.0 * _per_row(math.asinh, 0.5 * np.sqrt(q))
+        return self._dist(x.coords, y.coords)
 
     def exp_rows(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        nv = np.sqrt(np.maximum(self.minkowski_rows(v.coords, v.coords), 0.0))
-        if np.any(nv > self._exp_cap(x.coords)):
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge step's norm is inf or nan
+            nv = self.norm_rows(x, v)[..., None]
+        if not np.all(nv <= self._exp_cap(x.coords)[..., None]):
             raise GeometryError("exp overflows: the step is too long for float64")
-        out, m, c = _rotate_rows(x, v, nv, math.cosh, math.sinh)
-        q = -self.minkowski_rows(c, c)
-        if np.any((q <= 0) | (c[:, -1] <= 0)):
+        c = np.cosh(nv) * x.coords + np.sinh(nv) * v.coords / np.where(nv > 0, nv, 1.0)
+        q = -self.minkowski_rows(c, c)[..., None]
+        if np.any((q <= 0) | (c[..., -1:] <= 0)):
             raise GeometryError("coordinates are not near the upper hyperboloid")
-        out[m] = c / np.sqrt(q)[:, None]
-        return Point(out, self.manifold_id)
+        # a zero step returns the base as it is
+        return Point(np.where(nv > 0, c / np.sqrt(q), x.coords), self.manifold_id)
 
-    def log_rows(self, x, y):
-        d = self.dist_rows(x, y)
-        u = y.coords + self.minkowski_rows(x.coords, y.coords)[..., None] * x.coords
-        nu = np.sqrt(np.maximum(self.minkowski_rows(u, u), 0.0))
-        return TangentVector(x, _rescale_rows(d, u, nu))
-
-    transport_rows = _transport_rows
+    log_rows = log
+    transport = transport_rows = _transport_rows
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -407,27 +366,16 @@ class Hyperbolic(Manifold):
         r = radius * rng.uniform()
         return self.exp(center, r * direction)
 
-    # Batched helpers used by the experiment layer (hot loops). x is a single
-    # point or a stack of m bases (coords (m, ambient)); a stacked base gives
-    # an (m, n, ...) result whose row i has the bits of the call at base i:
-    # the mat-vec below runs as the same gemv per base (X @ T.T, einsum and
-    # vecdot reassociate it). With a stacked base, targets are (n, ambient),
-    # shared by every base, or (m, n, ambient), row i paired with base i.
+    # x is a single point or a stack of m bases (coords (m, ambient)). With a
+    # stacked base, targets are (n, ambient), shared by every base, or
+    # (m, n, ambient), row i paired with base i.
     def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """log_x of every target row; (n, ambient) or, stacked, (m, n, ambient)."""
-        xc = x.coords
-        mdot = (targets[..., :-1] @ xc[..., :-1, None])[..., 0] - targets[..., -1] * xc[..., -1:]
-        d = self.dist_many(x, targets)
-        u = targets + mdot[..., None] * xc[..., None, :]
-        nu = np.sqrt(np.maximum(np.sum(u[..., :-1] ** 2, axis=-1) - u[..., -1] ** 2, 0.0))
-        scale = np.where(nu > 0, d / np.where(nu > 0, nu, 1.0), 0.0)
-        return u * scale[..., None]
+        return self._log(x.coords[..., None, :], targets)
 
     def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
         """dist(x, row) for every row of `targets`; (n,) or, stacked, (m, n)."""
-        diff = targets - x.coords[..., None, :]
-        q = np.maximum(np.sum(diff[..., :-1] ** 2, axis=-1) - diff[..., -1] ** 2, 0.0)
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+        return self._dist(x.coords[..., None, :], targets)
 
 
 # Acts on a single (d, d) matrix or on a stack (n, d, d) of them.

@@ -152,7 +152,7 @@ def roogd_step_rows(
 ) -> OptimisticState:
     """``roogd_step`` of every learner of a stacked state, as one step.
 
-    Row i is bitwise ``roogd_step`` of learner i: the step repeats its
+    Row i is ``roogd_step`` of learner i, to rounding: the step repeats its
     expressions with the step sizes as a column, through ``transport_rows``
     and ``exp_rows`` (Hyperbolic has both).
     """

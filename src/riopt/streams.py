@@ -239,8 +239,8 @@ def gen_frechet_stream(
     A drift step of round t draws from ``child_rng(seed, TAG_DRIFT, t)``. The
     generators of a block of rounds (about ``_SEED_BLOCK`` samples) come
     from one ``seed_states`` pass. The round's samples are then evaluated
-    on one stack (``random_point_rows``), bitwise the per-sample
-    ``random_point`` calls.
+    on one stack (``random_point_rows``), which agrees with the per-sample
+    ``random_point`` calls to rounding.
     """
     if mode not in ("abrupt", "drift"):
         raise ValueError(f"unknown stream mode: {mode!r}")

@@ -104,8 +104,8 @@ def triangle_comparison_suite(
     so all draws come first and the triangles are evaluated on stacks, with
     ``random_point_rows`` and the row-paired forms (``dist_rows``,
     ``log_rows``, ``inner_rows``) that Euclidean, Sphere, Hyperbolic and SPD
-    have. The report is bitwise the one of evaluating the triangles one at a
-    time with the single calls. A non-finite distance or inner product
+    have. The report agrees to rounding with evaluating the triangles one at
+    a time with the single calls. A non-finite distance or inner product
     raises GeometryError.
     """
     from .geometry import sigma_constant, zeta_constant

@@ -21,6 +21,8 @@ from riopt.bench import N_FIXED_PROBES
 from riopt.cli import main
 from riopt.geometry import Point
 
+from agreement import assert_agree
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # Inputs of the stored outputs under tests/golden/<name>/, all at seed 0.
@@ -330,11 +332,11 @@ def test_frechet_comparator_track_is_bitwise_the_per_round_calls(monkeypatch, bl
     losses = gen_frechet_stream(h, T=10, n_points=5, mode="drift", S=4, drift=0.3).losses
     comps, vals, now, before = bench._comparator_track(h, losses)
     means = [frechet_mean(h, [Point(p, h.manifold_id) for p in loss.targets]) for loss in losses]
-    assert comps.tobytes() == np.stack([u.coords for u in means]).tobytes()
-    assert vals.tolist() == [loss.value(u) for loss, u in zip(losses, means)]
+    assert_agree(comps, [u.coords for u in means])
+    assert_agree(vals, [loss.value(u) for loss, u in zip(losses, means)])
     grads = [(losses[t].grad(means[t]), losses[t - 1].grad(means[t])) for t in range(1, 10)]
-    assert now.tobytes() == np.stack([g.coords for g, _ in grads]).tobytes()
-    assert before.tobytes() == np.stack([g.coords for _, g in grads]).tobytes()
+    assert_agree(now, [g.coords for g, _ in grads])
+    assert_agree(before, [g.coords for _, g in grads])
     # the first failing round (9 of the wide-cloud config at seed 2) raises
     # its own error, from whichever block holds it
     wide = {"experiment": "frechet", "ball_radius": 3, "center_diam": 6, "T": 20, "S": 5}

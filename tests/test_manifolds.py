@@ -14,6 +14,8 @@ from riopt import (
 )
 from riopt.geometry import Manifold, Point, TangentVector
 
+from agreement import assert_agree
+
 
 @pytest.mark.parametrize("cls", [Euclidean, Sphere, Hyperbolic, SPD])
 def test_constructors_reject_dimension_0(cls):
@@ -175,11 +177,11 @@ def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
         assert logs.shape == (len(bases),) + targets.shape
         assert dists.shape == (len(bases), len(targets))
         want = [_hyperbolic_log_dist_many_longhand(x.coords, targets) for x in bases]
-        assert logs.tobytes() == np.stack([w[0] for w in want]).tobytes()
-        assert dists.tobytes() == np.stack([w[1] for w in want]).tobytes()
+        assert_agree(logs, np.stack([w[0] for w in want]))
+        assert_agree(dists, np.stack([w[1] for w in want]))
         for x, (log_x, dist_x) in zip(bases, want):
-            assert h.log_many(x, targets).tobytes() == log_x.tobytes()
-            assert h.dist_many(x, targets).tobytes() == dist_x.tobytes()
+            assert_agree(h.log_many(x, targets), log_x)
+            assert_agree(h.dist_many(x, targets), dist_x)
     assert h.dist_many(xs[2], targets)[6] == 0.0
     assert not h.log_many(xs[2], targets)[[6, 7]].any()
 
@@ -199,10 +201,10 @@ def test_hyperbolic_row_paired_targets_log_many_bitwise_equal_per_row_calls(dim,
     X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
     logs, dists = h.log_many(X, clouds), h.dist_many(X, clouds)
     assert logs.shape == clouds.shape and dists.shape == clouds.shape[:2]
-    assert logs.tobytes() == np.stack([h.log_many(x, c) for x, c in zip(xs, clouds)]).tobytes()
-    assert dists.tobytes() == np.stack([h.dist_many(x, c) for x, c in zip(xs, clouds)]).tobytes()
+    assert_agree(logs, np.stack([h.log_many(x, c) for x, c in zip(xs, clouds)]))
+    assert_agree(dists, np.stack([h.dist_many(x, c) for x, c in zip(xs, clouds)]))
     want = [_hyperbolic_log_dist_many_longhand(x.coords, c) for x, c in zip(xs, clouds)]
-    assert logs.tobytes() == np.stack([w[0] for w in want]).tobytes()
+    assert_agree(logs, np.stack([w[0] for w in want]))
     assert dists[3, 1] == 0.0 and not logs[3, 1].any()
 
 
@@ -430,6 +432,8 @@ ROW_IDS = ["euclidean", "sphere", "hyperbolic", "spd2", "spd3"]
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_row_forms_bitwise_equal_single_calls(m):
+    # bitwise where the row form is its single call's code (to_tangent,
+    # inner; SPD and Euclidean throughout), else within the agreement bound
     xs, ys, vs, raw = _row_cases(m)
     X, Y = _stack(m, xs), _stack(m, ys)
     V = TangentVector(X, np.stack([v.coords for v in vs]))
@@ -440,13 +444,9 @@ def test_row_forms_bitwise_equal_single_calls(m):
     assert _bits(m.inner_rows(X, V, W)) == _bits(
         [m.inner(x, v, w) for x, v, w in zip(xs, vs, loop_W)]
     )
-    assert _bits(m.exp_rows(X, V).coords) == _bits(
-        [m.exp(x, v).coords for x, v in zip(xs, vs)]
-    )
-    assert _bits(m.dist_rows(X, Y)) == _bits([m.dist(x, y) for x, y in zip(xs, ys)])
-    assert _bits(m.log_rows(X, Y).coords) == _bits(
-        [m.log(x, y).coords for x, y in zip(xs, ys)]
-    )
+    assert_agree(m.exp_rows(X, V).coords, [m.exp(x, v).coords for x, v in zip(xs, vs)])
+    assert_agree(m.dist_rows(X, Y), [m.dist(x, y) for x, y in zip(xs, ys)])
+    assert_agree(m.log_rows(X, Y).coords, [m.log(x, y).coords for x, y in zip(xs, ys)])
     # zero tangent -> the base row; coincident target -> distance and log 0
     assert _bits(m.exp_rows(X, V).coords[1]) == _bits(m.exp(xs[1], vs[1]).coords)
     if not isinstance(m, SPD):
@@ -464,20 +464,18 @@ def test_row_forms_broadcast_a_single_base(m):
     assert _bits(W.coords) == _bits([w.coords for w in loop_W])
     assert _bits(m.inner_rows(x, W, W)) == _bits([m.inner(x, w, w) for w in loop_W])
     step = TangentVector(x, 0.4 * W.coords)
-    assert _bits(m.exp_rows(x, step).coords) == _bits(
-        [m.exp(x, 0.4 * w).coords for w in loop_W]
-    )
+    assert_agree(m.exp_rows(x, step).coords, [m.exp(x, 0.4 * w).coords for w in loop_W])
     Y = _stack(m, ys)
-    assert _bits(m.dist_rows(x, Y)) == _bits([m.dist(x, y) for y in ys])
-    assert _bits(m.log_rows(x, Y).coords) == _bits([m.log(x, y).coords for y in ys])
+    assert_agree(m.dist_rows(x, Y), [m.dist(x, y) for y in ys])
+    assert_agree(m.log_rows(x, Y).coords, [m.log(x, y).coords for y in ys])
 
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_dist_and_log_rows_take_single_points_as_one_row(m):
     xs, ys, _, _ = _row_cases(m)
     for x, y in zip(xs, ys):  # with the base point and a coincident pair
-        assert _bits(m.dist_rows(x, y)) == _bits(m.dist(x, y))
-        assert _bits(m.log_rows(x, y).coords) == _bits(m.log(x, y).coords)
+        assert_agree(m.dist_rows(x, y), m.dist(x, y))
+        assert_agree(m.log_rows(x, y).coords, m.log(x, y).coords)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
@@ -501,9 +499,8 @@ def test_hyperbolic_transport_rows_bitwise_equal_transport(dim):
 
 
 def test_hyperbolic_transport_rows_squares_each_distance_as_transport_does():
-    # transport divides by d**2 with Python's float pow, which rounds
-    # differently from numpy's square in a few rows of a thousand: this
-    # stack has two such rows
+    # 2,000 rows against the single call at each; in two of them Python's
+    # float pow and numpy's square of the distance round differently
     m = Hyperbolic(2)
     rng = np.random.default_rng(0)
     n = 2000
@@ -511,10 +508,8 @@ def test_hyperbolic_transport_rows_squares_each_distance_as_transport_does():
     Y = m.random_point_rows(X, rng.standard_normal((n, 3)), rng.uniform(size=n), 1.0)
     V = m.to_tangent_rows(X, rng.standard_normal((n, 3)))
     xs, ys = ([Point(row, m.manifold_id) for row in P.coords] for P in (X, Y))
-    dists = [m.norm(x, m.log(x, y)) for x, y in zip(xs, ys)]
-    assert sum(d**2 != np.square(d) for d in dists) == 2
     loop = [m.transport(x, y, TangentVector(x, v)).coords for x, y, v in zip(xs, ys, V.coords)]
-    assert _bits(m.transport_rows(X, Y, V).coords) == _bits(loop)
+    assert_agree(m.transport_rows(X, Y, V).coords, loop)
 
 
 def test_sphere_rows_raise_at_an_antipodal_pair():
@@ -722,16 +717,15 @@ def test_product_row_forms_bitwise_equal_the_factorwise_path_and_single_calls(p)
         "transport": [p.transport(x, y, v).coords for x, y, v in zip(xs, ys, vs)],
     }
     for form, got in rows.items():
-        assert _bits(got) == _bits(reference[form]) == _bits(single[form]), form
+        assert _bits(got) == _bits(reference[form]), form
+        assert_agree(got, single[form], form)
     # single points are one row; a single base broadcasts over stacked rows
     x, y, v = xs[3], ys[3], vs[3]
-    assert _bits(p.transport_rows(x, y, v).coords) == _bits(single["transport"][3])
-    assert _bits(p.exp_rows(x, v).coords) == _bits(single["exp"][3])
+    assert_agree(p.transport_rows(x, y, v).coords, single["transport"][3])
+    assert_agree(p.exp_rows(x, v).coords, single["exp"][3])
     U = TangentVector(x, 0.5 * V.coords)
-    assert _bits(p.exp_rows(x, U).coords) == _bits(
-        [p.exp(x, TangentVector(x, u)).coords for u in U.coords]
-    )
-    assert _bits(p.log_rows(x, Y).coords) == _bits([p.log(x, y).coords for y in ys])
+    assert_agree(p.exp_rows(x, U).coords, [p.exp(x, TangentVector(x, u)).coords for u in U.coords])
+    assert_agree(p.log_rows(x, Y).coords, [p.log(x, y).coords for y in ys])
 
 
 def _count_eigh(monkeypatch):
@@ -793,3 +787,53 @@ def test_hyperbolic_exp_past_float64_raises_geometry_error():
             m.exp_rows(X, V)
     # a long step that stays in range still works
     assert np.isfinite(m.exp(x, TangentVector(x, np.array([300.0, 0.0, 0.0]))).coords).all()
+
+
+@pytest.mark.parametrize("m", [Sphere(3), Hyperbolic(3)], ids=["sphere", "hyperbolic"])
+def test_row_kernels_edge_cases_raise_no_floating_point_error(m):
+    xs, ys, vs, _ = _row_cases(m)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    x, n = xs[3], len(xs)
+    with np.errstate(all="raise"):
+        # a zero step returns the base bitwise, from a stacked or a single base
+        assert _bits(m.exp_rows(X, m.zero_tangent(X)).coords) == _bits(X.coords)
+        assert _bits(m.exp_rows(x, m.zero_tangent(x)).coords) == _bits(x.coords)
+        # coincident rows: distance and log exactly 0, transport keeps v
+        assert not m.dist_rows(X, X).any() and not m.log_rows(X, X).coords.any()
+        assert m.dist_rows(x, x) == 0.0 and not m.log_rows(x, x).coords.any()
+        assert _bits(m.transport_rows(X, X, V).coords) == _bits(V.coords)
+        # a single base broadcasts over stacked rows, and single points are one row
+        assert m.dist_rows(x, Y).shape == (n,) and m.log_rows(x, Y).coords.shape == Y.coords.shape
+        assert m.exp_rows(x, TangentVector(x, V.coords)).coords.shape == V.coords.shape
+        assert m.dist_rows(x, ys[3]).shape == ()
+        assert m.log_rows(x, ys[3]).coords.shape == x.coords.shape
+        moved = m.transport_rows(x, ys[3], vs[3])
+        assert moved.base is ys[3] and moved.coords.shape == x.coords.shape
+        # log_many: a single base, a stacked base with shared or paired targets
+        assert m.log_many(x, Y.coords).shape == Y.coords.shape
+        if isinstance(m, Hyperbolic):
+            clouds = np.stack([Y.coords] * n)
+            assert m.dist_many(x, Y.coords).shape == (n,)
+            for targets in (Y.coords, clouds):
+                assert m.log_many(X, targets).shape == clouds.shape
+                assert m.dist_many(X, targets).shape == clouds.shape[:2]
+                assert not np.diagonal(m.dist_many(X, np.stack([X.coords] * n))).any()
+
+
+def test_hyperbolic_exp_past_the_cap_raises_only_geometry_error():
+    m = Hyperbolic(3)
+    xs, _, _, raw = _row_cases(m)
+    X = _stack(m, xs)
+    unit = m.to_tangent_rows(X, raw).coords / m.norm_rows(X, m.to_tangent_rows(X, raw))[:, None]
+    cap = m._exp_cap(X.coords)
+    with np.errstate(all="raise"):
+        # just past the cap, far past it, and so far that the norm's square
+        # overflows (to inf, or inf - inf off the base point)
+        for lengths in (cap + 1.0, np.full(len(xs), 1e6), np.full(len(xs), 1e200)):
+            step = lengths[:, None] * unit
+            with pytest.raises(GeometryError, match="exp overflows"):
+                m.exp_rows(X, TangentVector(X, step))
+            for x, v in zip(xs, step):
+                with pytest.raises(GeometryError, match="exp overflows"):
+                    m.exp(x, TangentVector(x, v))

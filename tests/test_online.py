@@ -24,8 +24,10 @@ from riopt import (
     roogd_step_rows,
 )
 from riopt.geometry import Point, TangentVector, weighted_frechet_mean, zeta_constant
-from riopt.online import _hedge_weights
+from riopt.online import OptimisticState, _hedge_weights
 from riopt.streams import FrechetMeanLoss, gen_frechet_stream
+
+from agreement import assert_agree
 
 
 def grad_at(state_point, values):
@@ -223,28 +225,40 @@ def _bits(a):
 
 
 def _assert_pool_is(pool, experts):
-    """The stacked pool state is bitwise the per-expert states."""
+    """The stacked pool state is the per-expert states: the rounds and step
+    sizes bitwise, the points and gradients within the agreement bound."""
     assert pool.rounds == experts[0].rounds and all(s.rounds == pool.rounds for s in experts)
     assert _bits(pool.step_size[:, 0]) == _bits([s.step_size for s in experts])
     for field in ("x_prev", "x_cur", "grad_prev"):
-        assert _bits(getattr(pool, field).coords) == _bits(
-            [getattr(s, field).coords for s in experts]
-        )
+        assert_agree(getattr(pool, field).coords, [getattr(s, field).coords for s in experts])
+
+
+def _experts_of(pool):
+    """The single learner states at the rows of a stacked pool."""
+    m_id, out = pool.x_cur.manifold_id, []
+    for p, c, g, eta in zip(pool.x_prev.coords, pool.x_cur.coords, pool.grad_prev.coords,
+                            pool.step_size[:, 0]):
+        x_prev = Point(p, m_id)
+        out.append(OptimisticState(x_prev, Point(c, m_id), TangentVector(x_prev, g),
+                                   float(eta), pool.rounds))
+    return out
 
 
 def test_roogd_step_rows_bitwise_equal_per_expert_steps():
     # doubling step sizes from round 0; in round 2 expert 1 takes half its
     # transported previous gradient, so its step is exactly zero and round 3
-    # transports a nonzero gradient over x_prev == x_cur
+    # transports a nonzero gradient over x_prev == x_cur. Each round steps
+    # the single learners from the pool's rows: the largest step size
+    # diverges, and over rounds it would amplify their rounding gap.
     h = Hyperbolic(3)
     base = h.base_point()
     etas = [0.05 * 2.0**i for i in range(5)]
-    experts = [roogd_init(h, base, e) for e in etas]
     pool = roogd_init_rows(h, base, etas)
-    _assert_pool_is(pool, experts)
+    _assert_pool_is(pool, [roogd_init(h, base, e) for e in etas])
     losses = gen_frechet_stream(h, T=7, n_points=6, S=3, seed=4).losses
     coincident_rounds = 0
     for t, loss in enumerate(losses):
+        experts = _experts_of(pool) if t else [roogd_init(h, base, e) for e in etas]
         grads = [loss.grad(s.x_cur) for s in experts]
         if t == 2:
             s = experts[1]
@@ -254,6 +268,7 @@ def test_roogd_step_rows_bitwise_equal_per_expert_steps():
         experts = [roogd_step(h, s, g) for s, g in zip(experts, grads)]
         _assert_pool_is(pool, experts)
         same = [np.array_equal(s.x_prev.coords, s.x_cur.coords) for s in experts]
+        assert same == [np.array_equal(*r) for r in zip(pool.x_prev.coords, pool.x_cur.coords)]
         if any(same):
             assert same == [False, True, False, False, False]
             assert experts[1].grad_prev.coords.any()
@@ -298,14 +313,14 @@ def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
         x_play, pool, weights, diag = aoogd_round(h, pool, weights, 0.6, loss.grad_rows, prev_grad)
         ref = _aoogd_round_reference(h, experts, ref_weights, 0.6, loss.grad, prev_grad)
         x_ref, experts, ref_weights, (x_bar, optimism, surrogate, g_play) = ref
-        assert _bits(x_play.coords) == _bits(x_ref.coords)
-        assert _bits(weights.w) == _bits(ref_weights.w)
-        assert _bits(weights.cumulative_surrogate) == _bits(ref_weights.cumulative_surrogate)
-        assert _bits(diag.x_bar.coords) == _bits(x_bar.coords)
-        assert _bits(diag.optimism) == _bits(optimism)
-        assert _bits(diag.surrogate_losses) == _bits(surrogate)
+        assert_agree(x_play.coords, x_ref.coords)
+        assert_agree(weights.w, ref_weights.w)
+        assert_agree(weights.cumulative_surrogate, ref_weights.cumulative_surrogate)
+        assert_agree(diag.x_bar.coords, x_bar.coords)
+        assert_agree(diag.optimism, optimism)
+        assert_agree(diag.surrogate_losses, surrogate)
         assert diag.g_play.base is x_play
-        assert _bits(diag.g_play.coords) == _bits(g_play.coords)
+        assert_agree(diag.g_play.coords, g_play.coords)
         _assert_pool_is(pool, experts)
         prev = loss
     # the hedge moved away from uniform, and the optimism term was live

@@ -1,5 +1,6 @@
-"""The stacked stream sampler and the stacked gradients keep the bits of the
-per-sample and per-point calls they replace."""
+"""The stacked stream sampler agrees with the per-sample calls it replaces,
+within the agreement bound; the stacked gradients keep the bits of the
+per-point calls."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from riopt.streams import (
     seed_states,
     state_rng,
 )
+
+from agreement import assert_agree
 
 # seeds of one, two and three entropy words
 SEEDS = [*range(8), 2**32 - 1, 2**32, 2**40, 2**64 + 3]
@@ -62,7 +65,7 @@ def test_stream_targets_bitwise_equal_per_sample_random_point(mode, dim, n_point
         for ball_radius in (1.5, 0.0):
             stream = gen_frechet_stream(h, ball_radius=ball_radius, seed=seed, **args)
             want = _stream_targets_longhand(h, ball_radius=ball_radius, seed=seed, **args)
-            assert _bits([loss.targets for loss in stream.losses]) == _bits(want)
+            assert_agree([loss.targets for loss in stream.losses], want)
 
 
 @pytest.mark.parametrize("block", [1, 5, 7])
@@ -75,7 +78,7 @@ def test_stream_seeded_in_blocks_equals_longhand(monkeypatch, block):
             args = dict(T=11, n_points=n_points, mode=mode, S=4, drift=0.3, ball_radius=1.5)
             stream = gen_frechet_stream(h, seed=5, **args)
             want = _stream_targets_longhand(h, center_diam=1.0, seed=5, **args)
-            assert _bits([loss.targets for loss in stream.losses]) == _bits(want)
+            assert_agree([loss.targets for loss in stream.losses], want)
 
 
 def test_zero_radius_stream_samples_are_the_center():
@@ -95,7 +98,7 @@ def test_fixed_probes_bitwise_equal_per_probe_random_point(dim):
             h.random_point(child_rng(seed, TAG_PROBE, i), center=anchor, radius=1.5).coords
             for i in range(14)
         ]
-        assert _bits([p.coords for p in probes]) == _bits(want)
+        assert_agree([p.coords for p in probes], want)
 
 
 # A canary on numpy's SeedSequence: seed_states repeats its hash, so a
