@@ -194,16 +194,18 @@ def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
 
 
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
-    # one (loss, point) pair per single grad call and per row of grad_rows
+    # one (loss, point) pair per single grad call and per row of grad_rows;
+    # the pairs hold the losses themselves, since the id of a loss freed
+    # within a round can be reused by the next one
     calls = []
     grad, grad_rows = FrechetMeanLoss.grad, FrechetMeanLoss.grad_rows
 
     def counting_grad(self, x):
-        calls.append((id(self), x.coords.tobytes()))
+        calls.append((self, x.coords.tobytes()))
         return grad(self, x)
 
     def counting_grad_rows(self, x):
-        calls.extend((id(self), row.tobytes()) for row in x.coords)
+        calls.extend((self, row.tobytes()) for row in x.coords)
         return grad_rows(self, x)
 
     monkeypatch.setattr(FrechetMeanLoss, "grad", counting_grad)
