@@ -32,7 +32,6 @@ from .online import (
     roogd_init,
     roogd_init_rows,
     roogd_step,
-    roogd_step_rows,
 )
 from .games import (
     GameState,

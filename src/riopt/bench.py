@@ -400,13 +400,13 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
 
     Round protocol: every learner commits its point x_t before the round's
     loss is touched, and each stack of points takes its gradients from one
-    ``grad_rows`` call. ``point()`` is x_t, or None for R-AOOGD, whose x_t
+    ``grad`` call. ``point()`` is x_t, or None for R-AOOGD, whose x_t
     depends on the previous loss. The runner stacks the other learners'
     points and passes each the gradient at its row to ``play(loss,
     prev_loss, g_t)``, which returns ``(x_t, g_t)`` and advances the learner.
     R-AOOGD's ``play`` (given None) runs ``aoogd_round``: it commits x_t, then
     takes its experts' gradients and the gradient at x_t from one
-    ``loss.grad_rows`` call. ``prev_loss`` is None in round 1; only R-AOOGD
+    ``loss.grad`` call on their stack. ``prev_loss`` is None in round 1; only R-AOOGD
     reads it, for its optimism. R-AOOGD ignores ``eta`` and hedges over its
     own pool of R-OOGD experts, which advance as one stacked step.
     """
@@ -423,7 +423,7 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
             nonlocal experts, weights
             prev_grad = prev_loss.grad if prev_loss is not None else None
             x_t, experts, weights, diag = aoogd_round(
-                manifold, experts, weights, beta, loss.grad_rows, prev_grad
+                manifold, experts, weights, beta, loss.grad, prev_grad
             )
             return x_t, diag.g_play
 
@@ -457,8 +457,8 @@ def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, .
     on, the gradients of f_t and f_{t-1} at u_t.
 
     Solved on stacks, COMPARATOR_BLOCK rounds at a time: the block's Karcher
-    means in one ``frechet_mean_rows`` iteration, then one ``value_rows`` and
-    two ``grad_rows`` calls on its stacked losses (row t paired with u_t).
+    means in one ``frechet_mean_rows`` iteration, then one ``value`` and two
+    ``grad`` calls on its stacked losses (row t paired with u_t).
     Every row agrees with the per-round call to rounding, and the first
     failing round raises its own error.
     """
@@ -471,12 +471,12 @@ def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, .
         clouds = np.stack([loss.targets for loss in losses[lo:j]])
         u = frechet_mean_rows(manifold, clouds[i - lo :])
         comps[i:j] = u.coords
-        vals[i:j] = FrechetMeanLoss(manifold, clouds[i - lo :]).value_rows(u)
+        vals[i:j] = FrechetMeanLoss(manifold, clouds[i - lo :]).value(u)
         k = max(i, 1)
         u_k = Point(comps[k:j], manifold.manifold_id)
-        now[k - 1 : j - 1] = FrechetMeanLoss(manifold, clouds[k - lo :]).grad_rows(u_k).coords
+        now[k - 1 : j - 1] = FrechetMeanLoss(manifold, clouds[k - lo :]).grad(u_k).coords
         prev = FrechetMeanLoss(manifold, clouds[k - 1 - lo : j - 1 - lo])
-        before[k - 1 : j - 1] = prev.grad_rows(u_k).coords
+        before[k - 1 : j - 1] = prev.grad(u_k).coords
     return comps, vals, now, before
 
 
@@ -510,13 +510,13 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     # before the learners play round 1.
     comps, comp_vals, comp_now, comp_before = _comparator_track(manifold, stream.losses)
     later = Point(comps[1:], manifold.manifold_id)
-    hops = [0.0] + manifold.dist_rows(later, Point(comps[:-1], manifold.manifold_id)).tolist()
+    hops = [0.0] + manifold.dist(later, Point(comps[:-1], manifold.manifold_id)).tolist()
     comp_vals = comp_vals.tolist()
 
     # Each round, the gradient variation at the shared probes (the fixed
     # points and the comparator) is computed once; each learner then folds
     # in only its own point. The probes never move, so each loss's probe
-    # gradients, one grad_rows call on the stacked probes, also serve as the
+    # gradients, one grad call on the stacked probes, also serve as the
     # next round's previous values.
     rows: list[ResultRow] = []
     prev_loss = None
@@ -525,7 +525,7 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         loss = stream.losses[t - 1]
         comp_val, hop = comp_vals[t - 1], hops[t - 1]
         probe_grads = [
-            TangentVector(p, g) for p, g in zip(probes, loss.grad_rows(probe_stack).coords)
+            TangentVector(p, g) for p, g in zip(probes, loss.grad(probe_stack).coords)
         ]
         shared_vt = 0.0
         if prev_loss is not None:
@@ -537,28 +537,28 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
             shared_vt = grad_variation(manifold, shared_pairs)
 
         # every learner commits x_t before the loss is touched; the committed
-        # points take their gradients from one grad_rows call, then each
+        # points take their gradients from one grad call, then each
         # learner plays in the configured order
         points = {name: point() for name, (point, _) in players.items()}
         committed = [name for name, x in points.items() if x is not None]
         grads = dict.fromkeys(players)
         if committed:
             stack = Point(np.stack([points[n].coords for n in committed]), manifold.manifold_id)
-            for name, g in zip(committed, loss.grad_rows(stack).coords):
+            for name, g in zip(committed, loss.grad(stack).coords):
                 grads[name] = TangentVector(points[name], g)
         played = [play(loss, prev_loss, grads[name]) for name, (_, play) in players.items()]
 
-        # each per-learner quantity from one row-paired call, row i the
-        # single call at learner i's point to rounding
+        # each per-learner quantity from one call on the stacked points, row
+        # i the single call at learner i's point to rounding
         xs = Point(np.stack([x.coords for x, _ in played]), manifold.manifold_id)
         gs = TangentVector(xs, np.stack([g.coords for _, g in played]))
-        inst = loss.value_rows(xs).tolist()
-        grad_norms = manifold.norm_rows(xs, gs).tolist()
-        anchor_dists = manifold.dist_rows(xs, anchor).tolist()
+        inst = loss.value(xs).tolist()
+        grad_norms = manifold.norm(xs, gs).tolist()
+        anchor_dists = manifold.dist(xs, anchor).tolist()
         vts = [shared_vt] * len(played)
         if prev_loss is not None:
-            change = TangentVector(xs, gs.coords - prev_loss.grad_rows(xs).coords)
-            vts = [max(shared_vt, v**2) for v in manifold.norm_rows(xs, change).tolist()]
+            change = TangentVector(xs, gs.coords - prev_loss.grad(xs).coords)
+            vts = [max(shared_vt, v**2) for v in manifold.norm(xs, change).tolist()]
         for name, val, norm, dist, vt in zip(players, inst, grad_norms, anchor_dists, vts):
             led = ledgers[name] = regret_update(ledgers[name], val, comp_val, hop, vt)
             max_dist[name] = max(max_dist[name], dist)
@@ -620,8 +620,8 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     """Run every configured game solver from the shared start z0.
 
     Round protocol (``games.play_round_rows``): every solver commits its
-    point z_t, then each stage of the round runs once, as one row-paired
-    call over the solvers that take part in it. Row i of each call agrees
+    point z_t, then each stage of the round runs once, as one call on the
+    stack of the solvers that take part in it. Row i of each call agrees
     with solver i's single call (see ``games``), and each solver's rows are
     those it gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
     If a stacked stage fails (GeometryError, a numpy linear-algebra error,

@@ -10,19 +10,19 @@ Each step function (``rogda_step``, ``rgda_step``, ``rceg_step``) advances
 one solver. ``play_round_rows`` advances several together, one round with
 the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 
-1. Every solver commits its point z_t. One ``field_rows``, ``value_rows``
-   and ``norm_rows`` call on their stack gives the field, payoff and field
-   norm at every z_t.
-2. R-OGDA transports its previous field to z_t: one ``transport_rows``
-   call on its single points, which on SPD x SPD covers both factors (see
-   ``Product``). One ``exp_rows`` call takes every solver's first step;
-   RCEG's is its midpoint w.
+1. Every solver commits its point z_t. One ``field``, ``value`` and
+   ``norm`` call on their stack gives the field, payoff and field norm at
+   every z_t.
+2. R-OGDA transports its previous field to z_t: one ``transport`` call on
+   the one-row stacks of its points, which on SPD x SPD covers both
+   factors (see ``Product``). One ``exp`` call on the stack takes every
+   solver's first step; RCEG's is its midpoint w.
 3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
-   at w, one ``log_rows`` call and one ``exp_rows`` call.
+   at w, one ``log`` call and one ``exp`` call on the stack.
 
 Row i of each stacked call agrees with the single call at row i: bitwise on
-SPD, whose row forms are its single calls, and to rounding on the sphere
-factor of robust PCA, whose row forms are numpy kernels. When a stage
+SPD, whose stacks run its single-point formula, and to rounding on the
+sphere factor of robust PCA, whose stacks run numpy kernels. When a stage
 fails, the runner replays the round with ``play_round``, solver by solver
 through the step functions in the configured order, so the error raised
 is the one that sequential loop meets first.
@@ -59,7 +59,10 @@ class ZeroSumGame:
     respective factor points. The joint field F(z) = [grad_x, -grad_y] drives
     all solvers; a zero of F is a candidate Nash equilibrium. ``payoff``,
     ``grad_x`` and ``grad_y`` also take stacked factor points, (n, ...) rows,
-    for the row-paired ``field_rows`` and ``value_rows``. ``duality_gap_fn``
+    so ``value`` and ``field`` take an (n, ambient) stack of joint points in
+    one call: row i is bitwise their single call at row i. A stack made by
+    ``space.stack`` shares its rows' factorizations both ways
+    (``memo_entry``). ``duality_gap_fn``
     is the game's exact duality gap at an averaged pair, where it has one
     (``quad_duality_gap``).
     """
@@ -85,12 +88,6 @@ class ZeroSumGame:
         gx = self.grad_x(x, y)
         gy = self.grad_y(x, y)
         return self.space.join_tangent(z, [gx, -1.0 * gy])
-
-    # value and field on an (n, ambient) stack of joint points, one call
-    # each; row i is bitwise value/field at row i. A stack made by
-    # ``space.stack`` shares its rows' factorizations both ways (memo_entry).
-    value_rows = value
-    field_rows = field
 
     def gradient(self, z: Point) -> TangentVector:
         """Joint Riemannian gradient of the payoff on the product manifold."""
@@ -222,14 +219,14 @@ def play_round(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
 
 
 def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
-    """``play_round`` with each stage one row-paired call over the solvers
+    """``play_round`` with each stage one call on the stack of the solvers
     that take part in it (see the module docstring); the results agree with
     ``play_round``, bitwise on SPD."""
     space, names = game.space, list(etas)
     commits = [points[name] for name in names]
     Z = space.stack(commits)
-    F = game.field_rows(Z)
-    vals, norms = game.value_rows(Z).tolist(), space.norm_rows(Z, F).tolist()
+    F = game.field(Z)
+    vals, norms = game.value(Z).tolist(), space.norm(Z, F).tolist()
 
     steps = np.empty_like(F.coords)
     for i, (name, eta) in enumerate(etas.items()):
@@ -240,9 +237,11 @@ def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState)
         if avg.round == 0:
             prev = g
         else:
-            prev = space.transport_rows(avg.z_prev, avg.z_cur, avg.grad_prev).coords
+            P = space.stack([avg.z_prev])
+            G = TangentVector(P, avg.grad_prev.coords[None])
+            prev = space.transport(P, space.stack([avg.z_cur]), G).coords[0]
         steps[i] = -2.0 * eta * g + eta * prev
-    ahead = space.exp_rows(Z, TangentVector(Z, steps)).coords
+    ahead = space.exp(Z, TangentVector(Z, steps)).coords
     new = {name: Point(c, space.manifold_id) for name, c in zip(names, ahead)}
 
     # stage 2, rows [R-OGDA, RCEG] of those present: the running average
@@ -257,12 +256,12 @@ def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState)
         targets.append(points["rceg"])
     if bases:
         B = space.stack(bases)
-        step = space.log_rows(B, Point(np.stack([y.coords for y in targets]), B.manifold_id)).coords
+        step = space.log(B, Point(np.stack([y.coords for y in targets]), B.manifold_id)).coords
         if "rogda" in etas:
             step[0] = (1.0 / (avg.round + 2.0)) * step[0]
         if "rceg" in etas:
             step[-1] = -etas["rceg"] * Fw.coords + step[-1]
-        after = space.exp_rows(B, TangentVector(B, step)).coords
+        after = space.exp(B, TangentVector(B, step)).coords
         if "rceg" in etas:
             new["rceg"] = Point(after[-1], space.manifold_id)
     if "rogda" in etas:
@@ -434,7 +433,7 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
 
     def grad_max_player(a: Point, x: Point) -> TangentVector:
         c = (2.0 * a.coords @ x.coords[..., None])[..., 0]
-        return (sphere.to_tangent_rows if c.ndim > 1 else sphere.to_tangent)(x, c)
+        return sphere.to_tangent(x, c)
 
     lam_max = max(float(w[-1]) for w in eigs)
     return ZeroSumGame(

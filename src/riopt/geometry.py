@@ -192,10 +192,21 @@ class Manifold(ABC):
     geodesics and report their sectional-curvature bounds. Outputs of ``exp``
     and ``transport`` are re-projected onto the manifold / tangent space to
     suppress numerical drift over long runs.
+
+    Each operation has one name, which takes single points and tangents,
+    stacks of them (coords with leading axes before a point's
+    ``point_ndim`` axes; row i of each stacked operand goes with row i of
+    the others) or a single point broadcast against stacked operands. It
+    picks its body from the shapes of its operands: when every operand is
+    single, the single-point body, and ``inner``, ``dist`` and ``norm``
+    return a Python float; otherwise a kernel over the rows, which returns
+    an array. The two bodies agree to rounding, not bitwise.
     """
 
     manifold_id: str
     curvature: CurvatureBounds
+    # the ndim of a single point's coords
+    point_ndim = 1
 
     # -- representation -------------------------------------------------
     @abstractmethod
@@ -213,17 +224,23 @@ class Manifold(ABC):
     def zero_tangent(self, x: Point) -> TangentVector:
         return TangentVector(x, np.zeros_like(x.coords))
 
+    def _single(self, *operands) -> bool:
+        """Whether every operand (a Point or TangentVector) is a single one."""
+        for a in operands:
+            if a.coords.ndim != self.point_ndim:
+                return False
+        return True
+
     # -- metric ----------------------------------------------------------
     @abstractmethod
     def inner(self, x: Point, u: TangentVector, v: TangentVector) -> float:
         """Riemannian inner product at x."""
 
     def norm(self, x: Point, v: TangentVector) -> float:
-        return math.sqrt(max(self.inner(x, v, v), 0.0))
-
-    def norm_rows(self, x: Point, v: TangentVector) -> np.ndarray:
-        """``norm`` at every row, from one ``inner_rows`` call."""
-        return np.sqrt(np.maximum(self.inner_rows(x, v, v), 0.0))
+        s = self.inner(x, v, v)
+        if self._single(x, v):
+            return math.sqrt(max(s, 0.0))
+        return np.sqrt(np.maximum(s, 0.0))
 
     @abstractmethod
     def dist(self, x: Point, y: Point) -> float:
@@ -282,28 +299,22 @@ class Manifold(ABC):
         Row i is the point ``random_point`` returns when its generator yields
         ``normals[i]`` from ``standard_normal`` and then ``uniforms[i]`` from
         ``uniform()``: ``random_tangent(center, norm=1.0)``, the step
-        ``(radius * u) * direction`` and ``exp``, through the row-paired
-        ``to_tangent_rows``, ``inner_rows`` and ``exp_rows`` (Euclidean,
-        Sphere, Hyperbolic and SPD have them), so it agrees with that point
-        to rounding. ``center`` is a single point or a stack paired with the
-        rows.
+        ``(radius * u) * direction`` and ``exp``, each one call on the
+        stacked draws, so it agrees with that point to rounding. ``center``
+        is a single point or a stack paired with the rows.
         """
-        v = self.to_tangent_rows(center, normals)
-        n = self.norm_rows(center, v)
+        v = self.to_tangent(center, normals)
+        n = self.norm(center, v)
         column = (-1,) + (1,) * (normals.ndim - 1)
         inv = (1.0 / np.where(n == 0.0, 1.0, n)).reshape(column)
         unit = np.where(n.reshape(column) == 0.0, 0.0, inv * v.coords)
         step = (radius * uniforms).reshape(column) * unit
-        return self.exp_rows(center, TangentVector(center, step))
+        return self.exp(center, TangentVector(center, step))
 
     # -- validation ----------------------------------------------------------
     @abstractmethod
     def point_defect(self, coords: np.ndarray) -> float:
         """Residual of the manifold membership equation (0 when on-manifold)."""
-
-    @abstractmethod
-    def tangent_defect(self, x: Point, coords: np.ndarray) -> float:
-        """Residual of the tangency constraint at x."""
 
     def check_point(self, x: Point, tol: float = 1e-9) -> None:
         if x.manifold_id != self.manifold_id:
@@ -338,18 +349,16 @@ def _karcher(
     starting points with their (m, n, ...) clouds; ``w`` weights the n points
     of a cloud. Each iteration takes the logs from one ``log_many`` call,
     sums them in point order and steps with one ``norm`` and one ``exp``
-    call, or on a stack ``norm_rows`` and ``exp_rows``. A cloud whose
-    residual is <= tol stops moving and is never touched again. After
-    max_iter iterations, FrechetMeanError for the lowest cloud still moving.
+    call, on the single point or the stack. A cloud whose residual is <= tol
+    stops moving and is never touched again. After max_iter iterations,
+    FrechetMeanError for the lowest cloud still moving.
     """
-    point_ndim = manifold.base_point().coords.ndim
-    single = x.coords.ndim == point_ndim
-    norm, exp = (manifold.norm, manifold.exp) if single else (manifold.norm_rows, manifold.exp_rows)
-    w = w.reshape((-1,) + (1,) * point_ndim)
+    single = manifold._single(x)
+    w = w.reshape((-1,) + (1,) * manifold.point_ndim)
     out, active, residual = x.coords.copy(), np.arange(len(targets)), math.inf
     for _ in range(max_iter):
         direction = TangentVector(x, (w * manifold.log_many(x, targets)).sum(axis=-w.ndim))
-        residual = norm(x, direction)
+        residual = manifold.norm(x, direction)
         done = residual <= tol
         if np.any(done):
             if single:
@@ -361,7 +370,7 @@ def _karcher(
             active, targets, residual = active[keep], targets[keep], residual[keep]
             x = Point(x.coords[keep], manifold.manifold_id)
             direction = TangentVector(x, direction.coords[keep])
-        x = exp(x, direction)
+        x = manifold.exp(x, direction)
     if not single:
         x = Point(x.coords[0].copy(), x.manifold_id)
     residual = float(np.ravel(residual)[0])
@@ -414,9 +423,9 @@ def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
 
     Row i of the result is the mean of cloud i, from its point 0, by the
     equal-weight iteration of ``weighted_frechet_mean`` on the stacked
-    iterates: ``log_many`` with row-paired targets, ``norm_rows`` and
-    ``exp_rows`` (Hyperbolic has all three). It agrees with ``frechet_mean``
-    of the cloud to rounding.
+    iterates: ``log_many`` with row-paired targets, and ``norm`` and ``exp``
+    on the stack (Hyperbolic takes all three). It agrees with
+    ``frechet_mean`` of the cloud to rounding.
 
     A failure is the one ``frechet_mean`` raises for the lowest-index cloud
     that fails. After KARCHER_MAX_ITER iterations that is FrechetMeanError

@@ -3,6 +3,18 @@
 Provided spaces: Euclidean R^n, the unit sphere S^n in R^{n+1}, hyperbolic
 space H^n in the Lorentz (hyperboloid) model, symmetric positive definite
 matrices with the affine-invariant metric, and products of the above.
+
+One rule holds for every operation (``to_tangent``, ``inner``, ``norm``,
+``dist``, ``exp``, ``log``, ``transport``): one name takes single points,
+stacks whose rows pair up, or a single point broadcast against stacked
+operands, and picks its body from the shapes of its operands. When every
+operand is single it runs the single-point body: scalar ``math`` code on the
+sphere and for hyperbolic ``exp`` and ``inner`` (a one-row numpy kernel
+costs 2-2.5x as much, and bench verify's holonomy probe and R-AOOGD's
+Karcher means make them one at a time), one call per factor on a product.
+Otherwise it runs a numpy kernel over the rows, or on a product one call per
+factor stack or on the folded stack (see ``Product``). Where SPD and
+Euclidean bodies are one broadcasting formula, it serves both.
 """
 
 from __future__ import annotations
@@ -28,25 +40,21 @@ _ANTIPODAL_TOL = 1e-10
 _EXP_MAX_ARG = math.log(np.finfo(float).max)
 
 
-# Row-paired forms (`*_rows`): row i of a stacked base Point (coords of
-# shape (n, ...)) goes with row i of the argument, and a single base
-# broadcasts. They are numpy kernels; a single call agrees with its row to
-# rounding, not bitwise.
+# The kernels below act on coordinate arrays: a point's coords or a stack
+# of them along leading axes, which broadcast against each other.
 def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def _transport_rows(m: Manifold, x: Point, y: Point, v: TangentVector) -> TangentVector:
-    """transport_rows of Sphere and Hyperbolic: v reflected through the
-    geodesic's direction at both ends; a row of zero distance keeps v."""
-    m._require_base(x, v)
-    shape = np.broadcast_shapes(x.coords.shape, y.coords.shape, v.coords.shape)
-    u = m.log_rows(x, y)
-    d2 = m.inner_rows(x, u, u)
-    scale = np.divide(m.inner_rows(x, u, v), d2, out=np.zeros_like(d2), where=d2 > 0)
-    w = v.coords - scale[..., None] * (u.coords + m.log_rows(y, x).coords)
-    w = m.to_tangent_rows(y, w).coords.reshape(shape)
-    return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
+def _reflect(k, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Transport by the kernels of k (Sphere or Hyperbolic): v reflected
+    through the geodesic's direction at both ends; a row of zero distance
+    keeps v."""
+    u = k._log(x, y)
+    d2 = k._inner(u, u)
+    scale = np.divide(k._inner(u, v), d2, out=np.zeros_like(d2), where=d2 > 0)
+    w = k._tangent(y, v - scale[..., None] * (u + k._log(y, x)))
+    return np.where((d2 > 0)[..., None], w, v)
 
 
 class Euclidean(Manifold):
@@ -63,7 +71,7 @@ class Euclidean(Manifold):
         return Point(np.asarray(coords, dtype=float).reshape(self.n), self.manifold_id)
 
     def to_tangent(self, x, coords):
-        return TangentVector(x, np.asarray(coords, dtype=float).reshape(self.n))
+        return TangentVector(x, np.asarray(coords, dtype=float))
 
     def base_point(self):
         return Point(np.zeros(self.n), self.manifold_id)
@@ -71,14 +79,15 @@ class Euclidean(Manifold):
     def point_defect(self, coords):
         return 0.0
 
-    def tangent_defect(self, x, coords):
-        return 0.0
-
     def inner(self, x, u, v):
-        return float(np.dot(u.coords, v.coords))
+        if self._single(x, u, v):
+            return float(np.dot(u.coords, v.coords))
+        return np.vecdot(u.coords, v.coords)
 
     def dist(self, x, y):
-        return float(np.linalg.norm(y.coords - x.coords))
+        if self._single(x, y):
+            return float(np.linalg.norm(y.coords - x.coords))
+        return _row_norm(y.coords - x.coords)
 
     def exp(self, x, v):
         self._require_base(x, v)
@@ -91,20 +100,6 @@ class Euclidean(Manifold):
     def transport(self, x, y, v):
         self._require_base(x, v)
         return TangentVector(y, v.coords.copy())
-
-    def to_tangent_rows(self, x, coords):
-        return TangentVector(x, np.asarray(coords, dtype=float).reshape(-1, self.n))
-
-    def inner_rows(self, x, u, v):
-        return np.vecdot(u.coords, v.coords)
-
-    def dist_rows(self, x, y):
-        return _row_norm(y.coords - x.coords)
-
-    # exp, log and transport broadcast over rows as they are
-    exp_rows = exp
-    log_rows = log
-    transport_rows = transport
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -136,8 +131,10 @@ class Sphere(Manifold):
         return Point(c / nrm, self.manifold_id)
 
     def to_tangent(self, x, coords):
-        c = np.asarray(coords, dtype=float).reshape(self.ambient)
-        return TangentVector(x, c - np.dot(x.coords, c) * x.coords)
+        c = np.asarray(coords, dtype=float)
+        if x.coords.ndim == c.ndim == 1:
+            return TangentVector(x, c - np.dot(x.coords, c) * x.coords)
+        return TangentVector(x, self._tangent(x.coords, c))
 
     def base_point(self):
         e = np.zeros(self.ambient)
@@ -147,15 +144,14 @@ class Sphere(Manifold):
     def point_defect(self, coords):
         return abs(np.linalg.norm(coords) - 1.0)
 
-    def tangent_defect(self, x, coords):
-        return abs(float(np.dot(x.coords, coords)))
-
-    # The single calls stay scalar (a one-row kernel costs 2-2.5x as much):
-    # bench verify's rectangles and holonomy probe make them one at a time.
-    def inner(self, x, u, v):  # hot: the norms of random_tangent and the holonomy probe
-        return float(np.dot(u.coords, v.coords))
+    # The single-point bodies stay scalar (a one-row kernel costs 2-2.5x as
+    # much): bench verify's rectangles and holonomy probe make them one at a
+    # time. The kernels follow them.
+    inner = Euclidean.inner  # hot: the norms of random_tangent and the holonomy probe
 
     def dist(self, x, y):  # hot: each log, and the holonomy probe's side lengths
+        if not self._single(x, y):
+            return self._dist(x.coords, y.coords)
         # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
         # and, unlike arccos, loses no precision near 0 or pi
         chord = np.linalg.norm(x.coords - y.coords)
@@ -165,13 +161,23 @@ class Sphere(Manifold):
     def exp(self, x, v):  # hot: the rectangles' corners
         self._require_base(x, v)
         self._require_finite(v)
-        theta = np.linalg.norm(v.coords)
-        if theta == 0.0:
-            return x.copy()
-        c = math.cos(theta) * x.coords + math.sin(theta) * v.coords / theta
-        return self.project(c)
+        if self._single(x, v):
+            theta = np.linalg.norm(v.coords)
+            if theta == 0.0:
+                return x.copy()
+            c = math.cos(theta) * x.coords + math.sin(theta) * v.coords / theta
+            return self.project(c)
+        t = _row_norm(v.coords)[..., None]
+        c = np.cos(t) * x.coords + np.sin(t) * v.coords / np.where(t > 0, t, 1.0)
+        nrm = _row_norm(c)[..., None]
+        if np.any(nrm == 0):
+            raise GeometryError("cannot project the origin onto the sphere")
+        # a zero step returns the base as it is
+        return Point(np.where(t > 0, c / nrm, x.coords), self.manifold_id)
 
     def log(self, x, y):  # hot: two per transport
+        if not self._single(x, y):
+            return TangentVector(x, self._log(x.coords, y.coords))
         cosang = float(np.dot(x.coords, y.coords))
         if cosang <= -1.0 + _ANTIPODAL_TOL:
             raise GeometryError("log undefined at antipodal points")
@@ -186,6 +192,8 @@ class Sphere(Manifold):
         # Rotate the geodesic direction into its image at y; the orthogonal
         # complement of span{x, y} is transported unchanged.
         self._require_base(x, v)
+        if not self._single(x, y, v):
+            return TangentVector(y, _reflect(self, x.coords, y.coords, v.coords))
         u = self.log(x, y)
         d = np.linalg.norm(u.coords)
         if d == 0.0:
@@ -194,37 +202,27 @@ class Sphere(Manifold):
         w = v.coords - (np.dot(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
         return self.to_tangent(y, w)
 
-    def to_tangent_rows(self, x, coords):
-        c = np.asarray(coords, dtype=float).reshape(-1, self.ambient)
-        return TangentVector(x, c - np.vecdot(x.coords, c)[..., None] * x.coords)
+    # the kernels on coordinate arrays, which _reflect also takes
+    _inner = staticmethod(np.vecdot)
 
-    inner_rows = Euclidean.inner_rows
+    @staticmethod
+    def _tangent(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return c - np.vecdot(x, c)[..., None] * x
 
-    def dist_rows(self, x, y):
-        return 2.0 * np.arctan2(_row_norm(x.coords - y.coords), _row_norm(x.coords + y.coords))
+    @staticmethod
+    def _dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return 2.0 * np.arctan2(_row_norm(x - y), _row_norm(x + y))
 
-    def exp_rows(self, x, v):
-        self._require_base(x, v)
-        self._require_finite(v)
-        t = _row_norm(v.coords)[..., None]
-        c = np.cos(t) * x.coords + np.sin(t) * v.coords / np.where(t > 0, t, 1.0)
-        nrm = _row_norm(c)[..., None]
-        if np.any(nrm == 0):
-            raise GeometryError("cannot project the origin onto the sphere")
-        # a zero step returns the base as it is
-        return Point(np.where(t > 0, c / nrm, x.coords), self.manifold_id)
-
-    def log_rows(self, x, y):
-        cosang = np.vecdot(x.coords, y.coords)
+    @classmethod
+    def _log(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        cosang = np.vecdot(x, y)
         if np.any(cosang <= -1.0 + _ANTIPODAL_TOL):
             raise GeometryError("log undefined at antipodal points")
-        theta = self.dist_rows(x, y)
-        u = y.coords - cosang[..., None] * x.coords
+        theta = cls._dist(x, y)
+        u = y - cosang[..., None] * x
         nu = _row_norm(u)
         scale = np.divide(theta, nu, out=np.zeros_like(theta), where=nu > 0)
-        return TangentVector(x, scale[..., None] * u)
-
-    transport_rows = _transport_rows
+        return scale[..., None] * u
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -264,8 +262,10 @@ class Hyperbolic(Manifold):
         return Point(c / math.sqrt(q), self.manifold_id)
 
     def to_tangent(self, x, coords):
-        c = np.asarray(coords, dtype=float).reshape(self.ambient)
-        return TangentVector(x, c + self.minkowski(x.coords, c) * x.coords)
+        c = np.asarray(coords, dtype=float)
+        if x.coords.ndim == c.ndim == 1:
+            return TangentVector(x, c + self.minkowski(x.coords, c) * x.coords)
+        return TangentVector(x, self._tangent(x.coords, c))
 
     def base_point(self):
         e = np.zeros(self.ambient)
@@ -277,14 +277,14 @@ class Hyperbolic(Manifold):
             return math.inf
         return abs(self.minkowski(coords, coords) + 1.0)
 
-    def tangent_defect(self, x, coords):
-        return abs(self.minkowski(x.coords, coords))
-
     def inner(self, x, u, v):  # hot, scalar: every norm of the frechet learners and Karcher means
-        return self.minkowski(u.coords, v.coords)
+        if self._single(x, u, v):
+            return self.minkowski(u.coords, v.coords)
+        return self._inner(u.coords, v.coords)
 
     def dist(self, x, y):
-        return float(self.dist_rows(x, y))
+        d = self._dist(x.coords, y.coords)
+        return float(d) if self._single(x, y) else d
 
     def _exp_cap(self, x: np.ndarray):
         """The longest step exp takes from x: the result's coordinates grow
@@ -297,64 +297,56 @@ class Hyperbolic(Manifold):
         self._require_finite(v)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge step's norm is inf or nan
             nv = self.norm(x, v)
-        if nv == 0.0:
-            return x.copy()
-        if not nv <= self._exp_cap(x.coords):
+        if self._single(x, v):
+            if nv == 0.0:
+                return x.copy()
+            if not nv <= self._exp_cap(x.coords):
+                raise GeometryError("exp overflows: the step is too long for float64")
+            c = math.cosh(nv) * x.coords + math.sinh(nv) * v.coords / nv
+            return self.project(c)
+        nv = nv[..., None]
+        if not np.all(nv <= self._exp_cap(x.coords)[..., None]):
             raise GeometryError("exp overflows: the step is too long for float64")
-        c = math.cosh(nv) * x.coords + math.sinh(nv) * v.coords / nv
-        return self.project(c)
+        c = np.cosh(nv) * x.coords + np.sinh(nv) * v.coords / np.where(nv > 0, nv, 1.0)
+        q = -self._inner(c, c)[..., None]
+        if np.any((q <= 0) | (c[..., -1:] <= 0)):
+            raise GeometryError("coordinates are not near the upper hyperboloid")
+        # a zero step returns the base as it is
+        return Point(np.where(nv > 0, c / np.sqrt(q), x.coords), self.manifold_id)
 
     def log(self, x, y):
         return TangentVector(x, self._log(x.coords, y.coords))
 
+    def transport(self, x, y, v):
+        self._require_base(x, v)
+        return TangentVector(y, _reflect(self, x.coords, y.coords, v.coords))
+
+    # the kernels on coordinate arrays, which _reflect also takes
     @staticmethod
-    def minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
 
-    def to_tangent_rows(self, x, coords):
-        c = np.asarray(coords, dtype=float).reshape(-1, self.ambient)
-        return TangentVector(x, c + self.minkowski_rows(x.coords, c)[..., None] * x.coords)
-
-    def inner_rows(self, x, u, v):
-        return self.minkowski_rows(u.coords, v.coords)
+    @classmethod
+    def _tangent(cls, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return c + cls._inner(x, c)[..., None] * x
 
     # The dist and log kernels broadcast a against b (x against y) over their
-    # leading axes: the row forms pair rows, and the *_many forms put a
-    # cloud axis on the base.
+    # leading axes: stacks pair rows, and the *_many forms put a cloud axis
+    # on the base.
     @classmethod
     def _dist(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Minkowski chord: <a-b, a-b>_M = 2(cosh d - 1), so
         # d = 2 asinh(sqrt(<a-b, a-b>_M / 4)); unlike arccosh this does not
         # amplify ulp noise near coincident points.
         diff = a - b
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(cls.minkowski_rows(diff, diff), 0.0)))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(cls._inner(diff, diff), 0.0)))
 
     @classmethod
     def _log(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = cls._dist(x, y)
-        u = y + cls.minkowski_rows(x, y)[..., None] * x
-        nu = np.sqrt(np.maximum(cls.minkowski_rows(u, u), 0.0))
+        u = y + cls._inner(x, y)[..., None] * x
+        nu = np.sqrt(np.maximum(cls._inner(u, u), 0.0))
         return np.divide(d, nu, out=np.zeros_like(d), where=nu > 0)[..., None] * u
-
-    def dist_rows(self, x, y):
-        return self._dist(x.coords, y.coords)
-
-    def exp_rows(self, x, v):
-        self._require_base(x, v)
-        self._require_finite(v)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge step's norm is inf or nan
-            nv = self.norm_rows(x, v)[..., None]
-        if not np.all(nv <= self._exp_cap(x.coords)[..., None]):
-            raise GeometryError("exp overflows: the step is too long for float64")
-        c = np.cosh(nv) * x.coords + np.sinh(nv) * v.coords / np.where(nv > 0, nv, 1.0)
-        q = -self.minkowski_rows(c, c)[..., None]
-        if np.any((q <= 0) | (c[..., -1:] <= 0)):
-            raise GeometryError("coordinates are not near the upper hyperboloid")
-        # a zero step returns the base as it is
-        return Point(np.where(nv > 0, c / np.sqrt(q), x.coords), self.manifold_id)
-
-    log_rows = log
-    transport = transport_rows = _transport_rows
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -395,8 +387,12 @@ class SPD(Manifold):
     memo on first use; exp, log, transport, dist_many and log_many at that
     base point reuse it. A point that is not positive definite stores nothing
     and raises on every call. A stacked point (coords of shape (n, d, d))
-    stores the pairs of all its matrices in one memo entry.
+    stores the pairs of all its matrices in one memo entry. Every operation
+    is one formula over single matrices and stacks alike: numpy's stacked
+    kernels give each matrix the bits of a single call.
     """
+
+    point_ndim = 2
 
     def __init__(self, d: int, eig_range: tuple[float, float] = (0.5, 2.0)):
         if d < 1:
@@ -411,7 +407,7 @@ class SPD(Manifold):
         return Point(c, self.manifold_id)
 
     def to_tangent(self, x, coords):
-        return TangentVector(x, _sym(np.asarray(coords, dtype=float).reshape(self.d, self.d)))
+        return TangentVector(x, _sym(np.asarray(coords, dtype=float)))
 
     def base_point(self):
         return Point(np.eye(self.d), self.manifold_id)
@@ -421,11 +417,11 @@ class SPD(Manifold):
         eigmin = float(np.linalg.eigvalsh(_sym(coords)).min())
         return asym if eigmin > 0 else math.inf
 
-    def tangent_defect(self, x, coords):
-        return float(np.max(np.abs(coords - coords.T), initial=0.0))
-
     def inner(self, x, u, v):
-        return float(self.inner_rows(x, u, v))
+        a = np.linalg.solve(x.coords, u.coords)
+        b = a if v is u else np.linalg.solve(x.coords, v.coords)
+        t = np.trace(a @ b, axis1=-2, axis2=-1)
+        return float(t) if self._single(x, u, v) else t
 
     def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """X^(1/2), X^(-1/2) and the cap on a step's whitened eigenvalues."""
@@ -444,7 +440,8 @@ class SPD(Manifold):
         return memo_entry(x, "spd_sqrt", factor)
 
     def dist(self, x, y):
-        return float(self.dist_many(x, y.coords))
+        d = self.dist_many(x, y.coords)
+        return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
         self._require_base(x, v)
@@ -468,9 +465,9 @@ class SPD(Manifold):
 
     # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
     # x and one stacked eigvalsh/eigh give the same bits as n single calls.
-    # dist and log pass a single (d, d) matrix, so the formula lives here only.
-    # A stacked x (m, d, d) pairs its rows with (m, d, d) targets (dist_rows,
-    # log_rows), or each row with its n of (m, n, d, d) targets.
+    # dist and log pass their y, so the formula lives here only. A stacked x
+    # (m, d, d) pairs its rows with (m, d, d) targets (dist, log), or each
+    # row with its n of (m, n, d, d) targets.
     def _pair_over(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S, Si, _ = self._sqrt_pair(x)
         if targets.ndim > x.coords.ndim > 2:
@@ -492,22 +489,6 @@ class SPD(Manifold):
             raise GeometryError("log undefined: a target is not positive definite")
         return _sym(S @ ((V * np.log(w)[..., None, :]) @ V.mT) @ S)
 
-    def to_tangent_rows(self, x, coords):
-        return TangentVector(x, _sym(np.asarray(coords, dtype=float).reshape(-1, self.d, self.d)))
-
-    def inner_rows(self, x, u, v):
-        a = np.linalg.solve(x.coords, u.coords)
-        b = a if v is u else np.linalg.solve(x.coords, v.coords)
-        return np.trace(a @ b, axis1=-2, axis2=-1)
-
-    def dist_rows(self, x, y):
-        return self.dist_many(x, y.coords)
-
-    # exp, log and transport broadcast over rows as they are
-    exp_rows = exp
-    log_rows = log
-    transport_rows = transport
-
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
         if center is None:
@@ -528,13 +509,13 @@ class Product(Manifold):
     Points are stored as the flat concatenation of each factor's raveled
     ambient coordinates. Squared distances add over factors and the curvature
     bounds are the envelope of the factors' bounds. ``split``/``join`` also
-    take (n, ambient) stacks. ``exp_rows``, ``log_rows``, ``inner_rows`` and
-    ``transport_rows`` hand each factor its rows, for its own row form. When
-    the k factors are one manifold (one ``manifold_id``), they fold instead:
-    the (n, k * size) rows are, as a reshape, one (n k, ...) stack of that
-    factor, which its row form takes in a single call. The fold's rows are
-    the rows' factor points, so each is factored once whichever stack it
-    joins. The single calls stay per factor.
+    take (n, ambient) stacks. With single operands every operation makes one
+    call per factor. With stacked operands each factor gets its rows in one
+    call; when the k factors are one manifold (one ``manifold_id``), ``exp``,
+    ``log``, ``inner`` and ``transport`` fold instead: the (n, k * size)
+    rows are, as a reshape, one (n k, ...) stack of that factor, which it
+    takes in a single call. The fold's rows are the rows' factor points, so
+    each is factored once whichever stack it joins.
     """
 
     def __init__(self, factors: Sequence[Manifold]):
@@ -551,7 +532,7 @@ class Product(Manifold):
             min(f.curvature.kappa for f in self.factors),
             max(f.curvature.K for f in self.factors),
         )
-        # the factor whose row forms take the folded stacks, if all are one
+        # the factor that takes the folded stacks, if all are one
         same = len({f.manifold_id for f in self.factors}) == 1
         self._common = self.factors[0] if same else None
 
@@ -600,12 +581,8 @@ class Product(Manifold):
         return self.join(parts)
 
     def to_tangent(self, x, coords):
-        c = np.asarray(coords, dtype=float).reshape(self.ambient)
-        xs = self.split(x)
-        parts = [
-            f.to_tangent(xi, c[sl].reshape(shape))
-            for f, xi, sl, shape in zip(self.factors, xs, self._slices, self._shapes)
-        ]
+        cs = self._split(np.asarray(coords, dtype=float))
+        parts = [f.to_tangent(xi, c) for f, xi, c in zip(self.factors, self.split(x), cs)]
         return self.join_tangent(x, parts)
 
     def base_point(self):
@@ -617,14 +594,9 @@ class Product(Manifold):
             for f, sl, shape in zip(self.factors, self._slices, self._shapes)
         )
 
-    def tangent_defect(self, x, coords):
-        xs = self.split(x)
-        return max(
-            f.tangent_defect(xi, coords[sl].reshape(shape))
-            for f, xi, sl, shape in zip(self.factors, xs, self._slices, self._shapes)
-        )
-
     def inner(self, x, u, v):
+        if not self._single(x, u, v):
+            return self._on_factors("inner", x, u, v)
         xs = self.split(x)
         us = self.split_tangent(u)
         vs = us if v is u else self.split_tangent(v)
@@ -632,21 +604,28 @@ class Product(Manifold):
 
     def dist(self, x, y):
         xs, ys = self.split(x), self.split(y)
-        return math.sqrt(sum(f.dist(xi, yi) ** 2 for f, xi, yi in zip(self.factors, xs, ys)))
+        sq = sum(f.dist(xi, yi) ** 2 for f, xi, yi in zip(self.factors, xs, ys))
+        return math.sqrt(sq) if self._single(x, y) else np.sqrt(sq)
 
     def exp(self, x, v):
         self._require_base(x, v)
+        if not self._single(x, v):
+            return Point(self._on_factors("exp", x, v), self.manifold_id)
         xs = self.split(x)
         vs = self.split_tangent(v)
         return self.join([f.exp(xi, vi) for f, xi, vi in zip(self.factors, xs, vs)])
 
     def log(self, x, y):
+        if not self._single(x, y):
+            return TangentVector(x, self._on_factors("log", x, y))
         xs, ys = self.split(x), self.split(y)
         parts = [f.log(xi, yi) for f, xi, yi in zip(self.factors, xs, ys)]
         return self.join_tangent(x, parts)
 
     def transport(self, x, y, v):
         self._require_base(x, v)
+        if not self._single(x, y, v):
+            return TangentVector(y, self._on_factors("transport", x, y, v))
         xs, ys = self.split(x), self.split(y)
         vs = self.split_tangent(v)
         parts = [f.transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, xs, ys, vs)]
@@ -666,16 +645,17 @@ class Product(Manifold):
             p.memo["product_fold"] = z
         return z
 
-    def _factor_rows(self, form: str, x: Point, *args):
-        """The factors' row form ``form`` at the rows of x and ``args`` (points,
-        or tangents at x): the product coords of its points or tangents, or the
-        sum over factors of its numbers. It runs once on the folded stacks, or
-        once per factor; an argument passed twice is folded or split once."""
+    def _on_factors(self, op: str, x: Point, *args):
+        """The factors' operation ``op`` at the rows of x and ``args`` (points,
+        or tangents at x), some of them stacked: the product coords of its
+        points or tangents, or the sum over factors of its numbers. It runs
+        once on the folded stacks, or once per factor; an argument passed
+        twice is folded or split once."""
         chain = (x, *args)
         if self._common is None:
             parts = {id(a): self.split(a) if isinstance(a, Point) else self.split_tangent(a)
                      for a in chain}
-            outs = [getattr(f, form)(*p)
+            outs = [getattr(f, op)(*p)
                     for f, *p in zip(self.factors, *(parts[id(a)] for a in chain))]
             return self._join([o.coords for o in outs]) if hasattr(outs[0], "coords") else sum(outs)
         lead = max((a.coords.shape[:-1] for a in chain), key=len)
@@ -685,25 +665,11 @@ class Product(Manifold):
             if id(a) not in folded:
                 folded[id(a)] = (self._fold(a, lead) if isinstance(a, Point)
                                  else TangentVector(X, a.coords.reshape(X.coords.shape)))
-        out = getattr(self._common, form)(*(folded[id(a)] for a in chain))
+        out = getattr(self._common, op)(*(folded[id(a)] for a in chain))
         if hasattr(out, "coords"):
             return out.coords.reshape(lead + (self.ambient,))
         rows = out.reshape(lead + (len(self.factors),))
         return sum(rows[..., j] for j in range(len(self.factors)))
-
-    def exp_rows(self, x, v):
-        self._require_base(x, v)
-        return Point(self._factor_rows("exp_rows", x, v), self.manifold_id)
-
-    def log_rows(self, x, y):
-        return TangentVector(x, self._factor_rows("log_rows", x, y))
-
-    def inner_rows(self, x, u, v):
-        return self._factor_rows("inner_rows", x, u, v)
-
-    def transport_rows(self, x, y, v):
-        self._require_base(x, v)
-        return TangentVector(y, self._factor_rows("transport_rows", x, y, v))
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)

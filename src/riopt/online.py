@@ -34,8 +34,8 @@ class OptimisticState:
     move a plain gradient step of length eta.
 
     A stacked state (``roogd_init_rows``) holds a pool of learners that
-    advance together: the three fields stack a row per learner and
-    ``step_size`` is the column of their step sizes.
+    advance together through ``roogd_step``: the three fields stack a row
+    per learner and ``step_size`` is the column of their step sizes.
     """
 
     x_prev: Point
@@ -115,7 +115,7 @@ def roogd_init(manifold: Manifold, x0: Point, eta: float) -> OptimisticState:
 
 def roogd_init_rows(manifold: Manifold, x0: Point, etas: Sequence[float]) -> OptimisticState:
     """Fresh optimistic learners anchored at x0, one per step size, as one
-    stacked state for ``roogd_step_rows``."""
+    stacked state for ``roogd_step``."""
     column = np.array(etas, dtype=float).reshape(-1, 1)
     if column.size == 0 or np.any(column <= 0):
         raise ValueError("step sizes must be positive")
@@ -128,33 +128,11 @@ def roogd_init_rows(manifold: Manifold, x0: Point, etas: Sequence[float]) -> Opt
 def roogd_step(
     manifold: Manifold, state: OptimisticState, grad_cur: TangentVector
 ) -> OptimisticState:
-    """One optimistic update: exp_x(-2 eta g_t + eta transported g_{t-1})."""
-    manifold._require_base(state.x_cur, grad_cur)
-    manifold._require_finite(grad_cur)
-    eta = state.step_size
-    if state.rounds == 0:
-        prev_at_cur = grad_cur
-    else:
-        prev_at_cur = manifold.transport(state.x_prev, state.x_cur, state.grad_prev)
-    step = -2.0 * eta * grad_cur + eta * prev_at_cur
-    x_next = manifold.exp(state.x_cur, step)
-    return OptimisticState(
-        x_prev=state.x_cur,
-        x_cur=x_next,
-        grad_prev=grad_cur,
-        step_size=eta,
-        rounds=state.rounds + 1,
-    )
+    """One optimistic update: exp_x(-2 eta g_t + eta transported g_{t-1}).
 
-
-def roogd_step_rows(
-    manifold: Manifold, state: OptimisticState, grad_cur: TangentVector
-) -> OptimisticState:
-    """``roogd_step`` of every learner of a stacked state, as one step.
-
-    Row i is ``roogd_step`` of learner i, to rounding: the step repeats its
-    expressions with the step sizes as a column, through ``transport_rows``
-    and ``exp_rows`` (Hyperbolic has both).
+    On a stacked state every learner steps at once, with its own step size
+    from the column; row i agrees with ``roogd_step`` of learner i alone to
+    rounding.
     """
     manifold._require_base(state.x_cur, grad_cur)
     manifold._require_finite(grad_cur)
@@ -162,9 +140,9 @@ def roogd_step_rows(
     if state.rounds == 0:
         prev_at_cur = grad_cur
     else:
-        prev_at_cur = manifold.transport_rows(state.x_prev, state.x_cur, state.grad_prev)
+        prev_at_cur = manifold.transport(state.x_prev, state.x_cur, state.grad_prev)
     step = (-2.0 * eta) * grad_cur.coords + eta * prev_at_cur.coords
-    x_next = manifold.exp_rows(state.x_cur, TangentVector(state.x_cur, step))
+    x_next = manifold.exp(state.x_cur, TangentVector(state.x_cur, step))
     return OptimisticState(
         x_prev=state.x_cur,
         x_cur=x_next,
@@ -260,8 +238,8 @@ def _linear_scores(
     manifold: Manifold, x: Point, g: TangentVector, targets: np.ndarray
 ) -> np.ndarray:
     """<g, log_x(p_i)>_x for every stacked point p_i: the logs from one
-    ``log_many`` call, the products from one ``inner_rows`` call."""
-    return manifold.inner_rows(x, g, TangentVector(x, manifold.log_many(x, targets)))
+    ``log_many`` call, the products from one ``inner`` call."""
+    return manifold.inner(x, g, TangentVector(x, manifold.log_many(x, targets)))
 
 
 def aoogd_round(
@@ -283,12 +261,13 @@ def aoogd_round(
 
     Round protocol: the played point is committed before the revealed loss is
     touched. ``grad_fn`` then takes a stacked point and gives the gradient at
-    each row (``FrechetMeanLoss.grad_rows``): one call gives the experts'
+    each row (``FrechetMeanLoss.grad``): one call gives the experts'
     gradients and the played point's, the last row. ``prev_grad_fn`` takes
     the single point x_bar. The optimism and surrogate scores each come from
-    one ``log_many`` and one ``inner_rows`` call, and the experts advance as
-    one ``roogd_step_rows``. ``experts`` is a state of ``roogd_init_rows``;
-    ``diag.g_play`` is the gradient at the played point.
+    one ``log_many`` and one ``inner`` call, and the experts advance as one
+    ``roogd_step`` on their stacked state. ``experts`` is a state of
+    ``roogd_init_rows``; ``diag.g_play`` is the gradient at the played
+    point.
     """
     stacked = experts.x_cur.coords
     n = len(stacked)
@@ -311,7 +290,7 @@ def aoogd_round(
     surrogate = _linear_scores(manifold, x_play, g_play, stacked)
     meta = MetaWeights(w_new, weights.cumulative_surrogate + surrogate)
 
-    advanced = roogd_step_rows(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
+    advanced = roogd_step(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
     diag = AoogdDiagnostics(
         x_bar=x_bar, optimism=optimism, surrogate_losses=surrogate, g_play=g_play
     )

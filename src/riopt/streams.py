@@ -163,45 +163,37 @@ class FrechetMeanLoss:
 
     ``targets`` stacks the A_i along the axis before a point's coordinates;
     value and gradient each make one ``dist_many`` / ``log_many`` call
-    (Hyperbolic and SPD have ``dist_many``). Hyperbolic targets of shape
-    (m, N, ambient) stack m losses, loss i paired with row i of a stacked
-    point in ``value_rows`` and ``grad_rows``.
+    (Hyperbolic and SPD have ``dist_many``). Both take a single point or,
+    on a manifold whose ``*_many`` take a stacked base (Hyperbolic), a
+    stacked point: then they give the value (an array) or gradient at each
+    row. Hyperbolic targets of shape (m, N, ambient) stack m losses, loss i
+    paired with row i of a stacked point.
 
     In a frechet round the learners commit their points before the loss is
     touched; each stack of points then takes its gradients from one
-    ``grad_rows`` call (R-AOOGD's experts with its played point, and the
-    other learners' points), and the learners' values from one
-    ``value_rows`` call.
+    ``grad`` call (R-AOOGD's experts with its played point, and the other
+    learners' points), and the learners' values from one ``value`` call.
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):
         self.manifold = manifold
         self.targets = np.asarray(targets, dtype=float)
-        self.n = self.targets.shape[-1 - manifold.base_point().coords.ndim]
+        # the axis of the A_i, before a point's coordinates
+        self.axis = -1 - manifold.point_ndim
+        self.n = self.targets.shape[self.axis]
 
     def value(self, x: Point) -> float:
-        return float(self.value_rows(x))
-
-    def value_rows(self, x: Point) -> np.ndarray:
-        """The value at each row of a stacked point (at a single point, a
-        0-d array), from one ``dist_many``; row i is bitwise ``value`` there."""
         d = self.manifold.dist_many(x, self.targets)
-        return np.sum(d * d, axis=-1) / (2.0 * self.n)
+        v = np.sum(d * d, axis=-1) / (2.0 * self.n)
+        return v if v.ndim else float(v)
 
     def grad(self, x: Point) -> TangentVector:
+        """Row i of a stacked point's gradient is bitwise ``grad`` at row i
+        (of loss i, if the targets are stacked too): the logs of a stacked
+        base sum along the target axis in the same order, and ``to_tangent``
+        agrees bitwise with its single-point body."""
         logs = self.manifold.log_many(x, self.targets)
-        return self.manifold.to_tangent(x, -logs.sum(axis=0) / self.n)
-
-    def grad_rows(self, x: Point) -> TangentVector:
-        """The gradient at each row of a stacked point, from one ``log_many``.
-
-        Row i is bitwise ``grad`` at row i (of loss i, if the targets are
-        stacked too): the logs of a stacked base sum along the target axis
-        in the same order, and ``to_tangent_rows`` repeats ``to_tangent``.
-        Needs a manifold whose ``log_many`` takes a stacked base (Hyperbolic).
-        """
-        logs = self.manifold.log_many(x, self.targets)
-        return self.manifold.to_tangent_rows(x, -logs.sum(axis=-2) / self.n)
+        return self.manifold.to_tangent(x, -logs.sum(axis=self.axis) / self.n)
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,9 @@ def triangle_comparison_suite(
     radius)`` does: ``standard_normal(shape)`` for the direction, then
     ``uniform()`` for the radius. The geometry fixes only the shape of a draw,
     so all draws come first and the triangles are evaluated on stacks, with
-    ``random_point_rows`` and the row-paired forms (``dist_rows``,
-    ``log_rows``, ``inner_rows``) that Euclidean, Sphere, Hyperbolic and SPD
-    have. The report agrees to rounding with evaluating the triangles one at
-    a time with the single calls. A non-finite distance or inner product
+    ``random_point_rows`` and one ``dist``, ``log`` or ``inner`` call per
+    quantity on the stacked vertices. The report agrees to rounding with
+    evaluating the triangles one at a time with single points. A non-finite distance or inner product
     raises GeometryError.
     """
     from .geometry import sigma_constant, zeta_constant
@@ -125,8 +124,8 @@ def triangle_comparison_suite(
     A = manifold.random_point_rows(base, normals[:, 0], uniforms[:, 0], max_diam)
     B = manifold.random_point_rows(A, normals[:, 1], uniforms[:, 1], max_diam / 2.0)
     C = manifold.random_point_rows(A, normals[:, 2], uniforms[:, 2], max_diam / 2.0)
-    sides = [manifold.dist_rows(A, B), manifold.dist_rows(A, C), manifold.dist_rows(B, C)]
-    lhs = 2.0 * manifold.inner_rows(A, manifold.log_rows(A, C), manifold.log_rows(A, B))
+    sides = [manifold.dist(A, B), manifold.dist(A, C), manifold.dist(B, C)]
+    lhs = 2.0 * manifold.inner(A, manifold.log(A, C), manifold.log(A, B))
     table = np.stack(sides + [lhs], axis=1)  # one row (dAB, dAC, dBC, lhs) per triangle
     if not np.isfinite(table).all():
         raise GeometryError("a triangle has a non-finite distance or inner product")

@@ -115,23 +115,22 @@ def test_verify_n_triangles_must_be_a_positive_integer(tmp_path, capsys, n_trian
 
 def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
     # field rows evaluated: 1 per single field call, n per call on an n-row stack
-    calls = {"field": [], "field_rows": []}
-    for name in calls:
-        original = getattr(ZeroSumGame, name)
+    calls = []
+    original = ZeroSumGame.field
 
-        def counting(self, z, _name=name, _original=original):
-            calls[_name].append(1 if z.coords.ndim == 1 else len(z.coords))
-            return _original(self, z)
+    def counting(self, z):
+        calls.append(1 if z.coords.ndim == 1 else len(z.coords))
+        return original(self, z)
 
-        monkeypatch.setattr(ZeroSumGame, name, counting)
+    monkeypatch.setattr(ZeroSumGame, "field", counting)
     cfg = ExperimentConfig.from_dict(
         {"experiment": "quadgame", "d": 2, "T": 3, "algorithms": ["rogda", "rgda", "rceg"]}
     )
     run_experiment(cfg)
     # one point each for R-OGDA and RGDA, two (z and the midpoint) for RCEG
-    assert sum(calls["field"]) + sum(calls["field_rows"]) == 4 * cfg.T
+    assert sum(calls) == 4 * cfg.T
     # per round one call on the three committed points, one at RCEG's midpoint
-    assert calls["field_rows"] == [3] * cfg.T and calls["field"] == [1] * cfg.T
+    assert calls == [3, 1] * cfg.T
 
 
 def test_game_runner_factors_each_point_once(monkeypatch):
@@ -194,22 +193,18 @@ def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
 
 
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
-    # one (loss, point) pair per single grad call and per row of grad_rows;
+    # one (loss, point) pair per single grad call and per row of a stack;
     # the pairs hold the losses themselves, since the id of a loss freed
     # within a round can be reused by the next one
     calls = []
-    grad, grad_rows = FrechetMeanLoss.grad, FrechetMeanLoss.grad_rows
+    grad = FrechetMeanLoss.grad
 
     def counting_grad(self, x):
-        calls.append((self, x.coords.tobytes()))
+        rows = [x.coords] if x.coords.ndim == 1 else x.coords
+        calls.extend((self, row.tobytes()) for row in rows)
         return grad(self, x)
 
-    def counting_grad_rows(self, x):
-        calls.extend((self, row.tobytes()) for row in x.coords)
-        return grad_rows(self, x)
-
     monkeypatch.setattr(FrechetMeanLoss, "grad", counting_grad)
-    monkeypatch.setattr(FrechetMeanLoss, "grad_rows", counting_grad_rows)
     cfg = ExperimentConfig.from_dict(
         {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 10, "S": 4, "algorithms": ["roogd"]}
     )

@@ -343,7 +343,8 @@ def _games_and_stacks():
 def test_field_rows_and_value_rows_are_bitwise_the_single_calls(k):
     game, pts = list(_games_and_stacks())[k]
     Z = game.space.stack(pts)
-    F, vals = game.field_rows(Z), game.value_rows(Z)
+    F, vals = game.field(Z), game.value(Z)
+    assert isinstance(vals, np.ndarray) and vals.shape == (len(pts),)
     for i, z in enumerate(pts):
         fresh = Point(z.coords.copy(), z.manifold_id)
         assert F.coords[i].tobytes() == game.field(fresh).coords.tobytes()
@@ -388,7 +389,7 @@ def test_robust_pca_payoff_and_field_share_each_anchor_distance(monkeypatch):
     game.value(z), game.field(z), game.value(z)
     assert calls == [(6,)]  # one point, its 6 anchor distances, once
     Z = game.space.stack(pts[1:])
-    game.field_rows(Z), game.value_rows(Z)
+    game.field(Z), game.value(Z)
     # the 3 distinct points of the stack (one is there twice), in one call
     assert calls == [(6,), (3, 6)]
 

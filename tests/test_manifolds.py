@@ -375,7 +375,8 @@ def test_random_tangent_contract(rng):
         x = m.random_point(rng)
         v = m.random_tangent(x, rng, norm=2.5)
         assert m.norm(x, v) == pytest.approx(2.5, abs=1e-10)
-        assert m.tangent_defect(x, v.coords) < 1e-9
+        # v is tangent at x: projecting it onto the tangent space keeps it
+        np.testing.assert_allclose(m.to_tangent(x, v.coords).coords, v.coords, rtol=0, atol=1e-9)
         z = m.random_tangent(x, rng, norm=0.0)
         assert m.norm(x, z) == 0.0
 
@@ -426,56 +427,71 @@ def _stack(m, pts):
     return Point(np.stack([p.coords for p in pts]), m.manifold_id)
 
 
-ROW_MANIFOLDS = [Euclidean(3), Sphere(2), Hyperbolic(2), SPD(2), SPD(3)]
-ROW_IDS = ["euclidean", "sphere", "hyperbolic", "spd2", "spd3"]
+ROW_MANIFOLDS = [
+    Euclidean(3),
+    Sphere(2),
+    Hyperbolic(2),
+    SPD(2),
+    SPD(3),
+    Product([SPD(2), SPD(2)]),  # one manifold: the stacks fold
+    Product([SPD(2), Sphere(2)]),  # mixed: one call per factor
+]
+ROW_IDS = ["euclidean", "sphere", "hyperbolic", "spd2", "spd3", "spd2x2", "spd_sphere"]
+
+
+def _has_spd(m):
+    return any(isinstance(f, SPD) for f in getattr(m, "factors", [m]))
 
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_row_forms_bitwise_equal_single_calls(m):
-    # bitwise where the row form is its single call's code (to_tangent,
-    # inner; SPD and Euclidean throughout), else within the agreement bound
+    # stacked operands against single points at each row: bitwise where the
+    # two bodies are one formula (to_tangent, inner; SPD and Euclidean
+    # throughout), else within the agreement bound
     xs, ys, vs, raw = _row_cases(m)
     X, Y = _stack(m, xs), _stack(m, ys)
     V = TangentVector(X, np.stack([v.coords for v in vs]))
-    W = m.to_tangent_rows(X, raw)
+    W = m.to_tangent(X, raw)
     loop_W = [m.to_tangent(x, r) for x, r in zip(xs, raw)]
     assert _bits(W.coords) == _bits([w.coords for w in loop_W])
-    assert _bits(m.inner_rows(X, V, V)) == _bits([m.inner(x, v, v) for x, v in zip(xs, vs)])
-    assert _bits(m.inner_rows(X, V, W)) == _bits(
+    assert _bits(m.inner(X, V, V)) == _bits([m.inner(x, v, v) for x, v in zip(xs, vs)])
+    assert _bits(m.inner(X, V, W)) == _bits(
         [m.inner(x, v, w) for x, v, w in zip(xs, vs, loop_W)]
     )
-    assert_agree(m.exp_rows(X, V).coords, [m.exp(x, v).coords for x, v in zip(xs, vs)])
-    assert_agree(m.dist_rows(X, Y), [m.dist(x, y) for x, y in zip(xs, ys)])
-    assert_agree(m.log_rows(X, Y).coords, [m.log(x, y).coords for x, y in zip(xs, ys)])
+    assert_agree(m.exp(X, V).coords, [m.exp(x, v).coords for x, v in zip(xs, vs)])
+    assert_agree(m.dist(X, Y), [m.dist(x, y) for x, y in zip(xs, ys)])
+    assert_agree(m.log(X, Y).coords, [m.log(x, y).coords for x, y in zip(xs, ys)])
     # zero tangent -> the base row; coincident target -> distance and log 0
-    assert _bits(m.exp_rows(X, V).coords[1]) == _bits(m.exp(xs[1], vs[1]).coords)
-    if not isinstance(m, SPD):
-        assert np.array_equal(m.exp_rows(X, V).coords[1], xs[1].coords)
-        assert m.dist_rows(X, Y)[2] == 0.0
-        assert not m.log_rows(X, Y).coords[2].any()
+    assert _bits(m.exp(X, V).coords[1]) == _bits(m.exp(xs[1], vs[1]).coords)
+    if not _has_spd(m):
+        assert np.array_equal(m.exp(X, V).coords[1], xs[1].coords)
+        assert m.dist(X, Y)[2] == 0.0
+        assert not m.log(X, Y).coords[2].any()
 
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_row_forms_broadcast_a_single_base(m):
     xs, ys, vs, raw = _row_cases(m)
     x = m.base_point()
-    W = m.to_tangent_rows(x, raw)
+    W = m.to_tangent(x, raw)
     loop_W = [m.to_tangent(x, r) for r in raw]
     assert _bits(W.coords) == _bits([w.coords for w in loop_W])
-    assert _bits(m.inner_rows(x, W, W)) == _bits([m.inner(x, w, w) for w in loop_W])
+    assert _bits(m.inner(x, W, W)) == _bits([m.inner(x, w, w) for w in loop_W])
     step = TangentVector(x, 0.4 * W.coords)
-    assert_agree(m.exp_rows(x, step).coords, [m.exp(x, 0.4 * w).coords for w in loop_W])
+    assert_agree(m.exp(x, step).coords, [m.exp(x, 0.4 * w).coords for w in loop_W])
     Y = _stack(m, ys)
-    assert_agree(m.dist_rows(x, Y), [m.dist(x, y) for y in ys])
-    assert_agree(m.log_rows(x, Y).coords, [m.log(x, y).coords for y in ys])
+    assert_agree(m.dist(x, Y), [m.dist(x, y) for y in ys])
+    assert_agree(m.log(x, Y).coords, [m.log(x, y).coords for y in ys])
 
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_dist_and_log_rows_take_single_points_as_one_row(m):
+    # single points agree with the one-row stacks of them
     xs, ys, _, _ = _row_cases(m)
     for x, y in zip(xs, ys):  # with the base point and a coincident pair
-        assert_agree(m.dist_rows(x, y), m.dist(x, y))
-        assert_agree(m.log_rows(x, y).coords, m.log(x, y).coords)
+        X1, Y1 = _stack(m, [x]), _stack(m, [y])
+        assert_agree(m.dist(X1, Y1), [m.dist(x, y)])
+        assert_agree(m.log(X1, Y1).coords, [m.log(x, y).coords])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
@@ -485,15 +501,15 @@ def test_hyperbolic_transport_rows_bitwise_equal_transport(dim):
     xs, ys, vs, _ = _row_cases(m, seed=dim)
     X, Y = _stack(m, xs), _stack(m, ys)
     V = TangentVector(X, np.stack([v.coords for v in vs]))
-    rows = m.transport_rows(X, Y, V).coords
+    rows = m.transport(X, Y, V).coords
     loop = [m.transport(x, y, v).coords for x, y, v in zip(xs, ys, vs)]
     assert _bits(rows) == _bits(loop)
     assert _bits(rows[2]) == _bits(vs[2].coords) and vs[2].coords.any()
     # every row coincident, and a single base that broadcasts
-    assert _bits(m.transport_rows(X, X, V).coords) == _bits(V.coords)
+    assert _bits(m.transport(X, X, V).coords) == _bits(V.coords)
     x = m.base_point()
-    W = TangentVector(x, m.to_tangent_rows(x, 0.3 * V.coords).coords)
-    assert _bits(m.transport_rows(x, Y, W).coords) == _bits(
+    W = TangentVector(x, m.to_tangent(x, 0.3 * V.coords).coords)
+    assert _bits(m.transport(x, Y, W).coords) == _bits(
         [m.transport(x, y, TangentVector(x, w)).coords for y, w in zip(ys, W.coords)]
     )
 
@@ -506,10 +522,10 @@ def test_hyperbolic_transport_rows_squares_each_distance_as_transport_does():
     n = 2000
     X = m.random_point_rows(m.base_point(), rng.standard_normal((n, 3)), rng.uniform(size=n), 2.0)
     Y = m.random_point_rows(X, rng.standard_normal((n, 3)), rng.uniform(size=n), 1.0)
-    V = m.to_tangent_rows(X, rng.standard_normal((n, 3)))
+    V = m.to_tangent(X, rng.standard_normal((n, 3)))
     xs, ys = ([Point(row, m.manifold_id) for row in P.coords] for P in (X, Y))
     loop = [m.transport(x, y, TangentVector(x, v)).coords for x, y, v in zip(xs, ys, V.coords)]
-    assert_agree(m.transport_rows(X, Y, V).coords, loop)
+    assert_agree(m.transport(X, Y, V).coords, loop)
 
 
 def test_sphere_rows_raise_at_an_antipodal_pair():
@@ -519,7 +535,7 @@ def test_sphere_rows_raise_at_an_antipodal_pair():
     with pytest.raises(GeometryError, match="antipodal"):
         m.log(xs[4], ys[4])
     with pytest.raises(GeometryError, match="antipodal"):
-        m.log_rows(_stack(m, xs), _stack(m, ys))
+        m.log(_stack(m, xs), _stack(m, ys))
 
 
 def test_spd_rows_raise_on_a_non_pd_matrix():
@@ -529,9 +545,9 @@ def test_spd_rows_raise_on_a_non_pd_matrix():
     X, Y = _stack(m, xs), _stack(m, ys)
     V = TangentVector(X, np.stack([v.coords for v in vs]))
     for call in (
-        lambda: m.exp_rows(X, V),
-        lambda: m.log_rows(X, Y),
-        lambda: m.dist_rows(X, Y),
+        lambda: m.exp(X, V),
+        lambda: m.log(X, Y),
+        lambda: m.dist(X, Y),
         lambda: m.log(xs[3], ys[3]),
     ):
         with pytest.raises(GeometryError, match="positive definite"):
@@ -547,7 +563,7 @@ def test_spd_log_of_a_target_not_positive_definite_raises_one_error(eig):
     x, y = m.base_point(), Point(np.diag([1.0, eig]), m.manifold_id)
     for call in (
         lambda: m.log(x, y),
-        lambda: m.log_rows(_stack(m, [x, x]), _stack(m, [x, y])),
+        lambda: m.log(_stack(m, [x, x]), _stack(m, [x, y])),
         lambda: m.log_many(x, np.stack([x.coords, y.coords])),
     ):
         with pytest.raises(GeometryError, match="log undefined"):
@@ -563,7 +579,7 @@ def test_row_exp_rejects_a_non_finite_tangent(m):
     with pytest.raises(GeometryError, match="non-finite"):
         m.exp(xs[5], TangentVector(xs[5], coords[5]))
     with pytest.raises(GeometryError, match="non-finite"):
-        m.exp_rows(X, TangentVector(X, coords))
+        m.exp(X, TangentVector(X, coords))
 
 
 def test_hyperbolic_rows_raise_off_the_upper_hyperboloid():
@@ -577,7 +593,7 @@ def test_hyperbolic_rows_raise_off_the_upper_hyperboloid():
     with pytest.raises(GeometryError, match="hyperboloid"):
         m.exp(xs[3], vs[3])
     with pytest.raises(GeometryError, match="hyperboloid"):
-        m.exp_rows(X, V)
+        m.exp(X, V)
 
 
 def test_spd_exp_counts_the_scale_of_the_base_point():
@@ -590,7 +606,7 @@ def test_spd_exp_counts_the_scale_of_the_base_point():
         m.exp(x, v)
     X = Point(np.stack([np.eye(2), x.coords]), m.manifold_id)
     with pytest.raises(GeometryError, match="exp overflows"):
-        m.exp_rows(X, TangentVector(X, np.stack([np.zeros((2, 2)), v.coords])))
+        m.exp(X, TangentVector(X, np.stack([np.zeros((2, 2)), v.coords])))
 
 
 # ------------------------------------------------- stacked kernels, stacks
@@ -656,13 +672,13 @@ def test_product_rows_forms_bitwise_equal_single_calls():
     V = TangentVector(X, np.stack([v.coords for v in vs]))
     assert _bits(p.join(p.split(X)).coords) == _bits(X.coords)
     assert [f.coords.shape for f in p.split(X)] == [(4, 2, 2), (4, 3)]
-    assert _bits(p.exp_rows(X, V).coords) == _bits([p.exp(x, v).coords for x, v in zip(xs, vs)])
-    assert _bits(p.log_rows(X, Y).coords) == _bits([p.log(x, y).coords for x, y in zip(xs, ys)])
-    assert _bits(p.inner_rows(X, V, V)) == _bits([p.inner(x, v, v) for x, v in zip(xs, vs)])
+    assert _bits(p.exp(X, V).coords) == _bits([p.exp(x, v).coords for x, v in zip(xs, vs)])
+    assert _bits(p.log(X, Y).coords) == _bits([p.log(x, y).coords for x, y in zip(xs, ys)])
+    assert _bits(p.inner(X, V, V)) == _bits([p.inner(x, v, v) for x, v in zip(xs, vs)])
     # a single base broadcasts over the rows of a tangent stack
     x = xs[0]
     W = TangentVector(x, np.stack([v.coords for v in vs]) * 0.5)
-    assert _bits(p.exp_rows(x, W).coords) == _bits(
+    assert _bits(p.exp(x, W).coords) == _bits(
         [p.exp(x, TangentVector(x, w)).coords for w in W.coords]
     )
 
@@ -685,12 +701,12 @@ def _factorwise(p, X, Y, V, W):
     vs, ws = (p.split_tangent(TangentVector(x, t.coords)) for t in (V, W))
     fs = p.factors
     return {
-        "exp": p.join([f.exp_rows(*a) for f, *a in zip(fs, xs, vs)]).coords,
-        "log": p.join_tangent(x, [f.log_rows(*a) for f, *a in zip(fs, xs, ys)]).coords,
-        "inner": sum(f.inner_rows(*a) for f, *a in zip(fs, xs, vs, ws)),
-        "norm": sum(f.inner_rows(*a) for f, *a in zip(fs, xs, vs, vs)),
+        "exp": p.join([f.exp(*a) for f, *a in zip(fs, xs, vs)]).coords,
+        "log": p.join_tangent(x, [f.log(*a) for f, *a in zip(fs, xs, ys)]).coords,
+        "inner": sum(f.inner(*a) for f, *a in zip(fs, xs, vs, ws)),
+        "norm": sum(f.inner(*a) for f, *a in zip(fs, xs, vs, vs)),
         "transport": p.join_tangent(
-            y, [f.transport_rows(*a) for f, *a in zip(fs, xs, ys, vs)]
+            y, [f.transport(*a) for f, *a in zip(fs, xs, ys, vs)]
         ).coords,
     }
 
@@ -702,11 +718,11 @@ def test_product_row_forms_bitwise_equal_the_factorwise_path_and_single_calls(p)
     X, Y = p.stack(xs), p.stack(ys)
     V, W = (TangentVector(X, np.stack([t.coords for t in ts])) for ts in (vs, ws))
     rows = {
-        "exp": p.exp_rows(X, V).coords,
-        "log": p.log_rows(X, Y).coords,
-        "inner": p.inner_rows(X, V, W),
-        "norm": p.inner_rows(X, V, V),
-        "transport": p.transport_rows(X, Y, V).coords,
+        "exp": p.exp(X, V).coords,
+        "log": p.log(X, Y).coords,
+        "inner": p.inner(X, V, W),
+        "norm": p.inner(X, V, V),
+        "transport": p.transport(X, Y, V).coords,
     }
     reference = _factorwise(p, X, Y, V, W)
     single = {
@@ -719,13 +735,16 @@ def test_product_row_forms_bitwise_equal_the_factorwise_path_and_single_calls(p)
     for form, got in rows.items():
         assert _bits(got) == _bits(reference[form]), form
         assert_agree(got, single[form], form)
-    # single points are one row; a single base broadcasts over stacked rows
+    # a one-row stack agrees with the single call; a single base broadcasts
+    # over stacked rows
     x, y, v = xs[3], ys[3], vs[3]
-    assert_agree(p.transport_rows(x, y, v).coords, single["transport"][3])
-    assert_agree(p.exp_rows(x, v).coords, single["exp"][3])
+    X1 = p.stack([x])
+    V1 = TangentVector(X1, v.coords[None])
+    assert_agree(p.transport(X1, p.stack([y]), V1).coords, [single["transport"][3]])
+    assert_agree(p.exp(X1, V1).coords, [single["exp"][3]])
     U = TangentVector(x, 0.5 * V.coords)
-    assert_agree(p.exp_rows(x, U).coords, [p.exp(x, TangentVector(x, u)).coords for u in U.coords])
-    assert_agree(p.log_rows(x, Y).coords, [p.log(x, y).coords for y in ys])
+    assert_agree(p.exp(x, U).coords, [p.exp(x, TangentVector(x, u)).coords for u in U.coords])
+    assert_agree(p.log(x, Y).coords, [p.log(x, y).coords for y in ys])
 
 
 def _count_eigh(monkeypatch):
@@ -749,14 +768,15 @@ def test_folded_rows_share_square_roots_with_their_single_points(monkeypatch):
     p.exp(a, va)  # factors a's two matrices, one by one
     calls = _count_eigh(monkeypatch)
     X = p.stack([a, b])
-    p.exp_rows(X, TangentVector(X, np.stack([va.coords, vb.coords])))
+    p.exp(X, TangentVector(X, np.stack([va.coords, vb.coords])))
     # b's two square roots in one call (a keeps its own), then one exp call
     # over all four matrices
     assert calls == [2, 4]
     p.exp(b, vb)  # b's factors hold their square roots: only the exps
     assert calls == [2, 4, 1, 1]
-    # a single point's transport folds too: one call over both factors
-    p.transport_rows(a, b, va)
+    # a one-row stack's transport folds too: one call over both factors
+    A = p.stack([a])
+    p.transport(A, p.stack([b]), TangentVector(A, va.coords[None]))
     assert calls == [2, 4, 1, 1, 2]
 
 
@@ -784,7 +804,7 @@ def test_hyperbolic_exp_past_float64_raises_geometry_error():
         X = _stack(m, [x, x])
         V = TangentVector(X, np.stack([np.zeros(3), v.coords]))
         with pytest.raises(GeometryError, match="exp overflows"):
-            m.exp_rows(X, V)
+            m.exp(X, V)
     # a long step that stays in range still works
     assert np.isfinite(m.exp(x, TangentVector(x, np.array([300.0, 0.0, 0.0]))).coords).all()
 
@@ -795,20 +815,23 @@ def test_row_kernels_edge_cases_raise_no_floating_point_error(m):
     X, Y = _stack(m, xs), _stack(m, ys)
     V = TangentVector(X, np.stack([v.coords for v in vs]))
     x, n = xs[3], len(xs)
+    x1 = _stack(m, [x])
     with np.errstate(all="raise"):
-        # a zero step returns the base bitwise, from a stacked or a single base
-        assert _bits(m.exp_rows(X, m.zero_tangent(X)).coords) == _bits(X.coords)
-        assert _bits(m.exp_rows(x, m.zero_tangent(x)).coords) == _bits(x.coords)
+        # a zero step returns the base bitwise, from a stacked, a one-row or
+        # a single base
+        for base in (X, x1, x):
+            assert _bits(m.exp(base, m.zero_tangent(base)).coords) == _bits(base.coords)
         # coincident rows: distance and log exactly 0, transport keeps v
-        assert not m.dist_rows(X, X).any() and not m.log_rows(X, X).coords.any()
-        assert m.dist_rows(x, x) == 0.0 and not m.log_rows(x, x).coords.any()
-        assert _bits(m.transport_rows(X, X, V).coords) == _bits(V.coords)
-        # a single base broadcasts over stacked rows, and single points are one row
-        assert m.dist_rows(x, Y).shape == (n,) and m.log_rows(x, Y).coords.shape == Y.coords.shape
-        assert m.exp_rows(x, TangentVector(x, V.coords)).coords.shape == V.coords.shape
-        assert m.dist_rows(x, ys[3]).shape == ()
-        assert m.log_rows(x, ys[3]).coords.shape == x.coords.shape
-        moved = m.transport_rows(x, ys[3], vs[3])
+        for P in (X, x1, x):
+            assert not np.any(m.dist(P, P)) and not m.log(P, P).coords.any()
+        assert _bits(m.transport(X, X, V).coords) == _bits(V.coords)
+        # a single base broadcasts over stacked rows; single points give a
+        # single result
+        assert m.dist(x, Y).shape == (n,) and m.log(x, Y).coords.shape == Y.coords.shape
+        assert m.exp(x, TangentVector(x, V.coords)).coords.shape == V.coords.shape
+        assert type(m.dist(x, ys[3])) is float
+        assert m.log(x, ys[3]).coords.shape == x.coords.shape
+        moved = m.transport(x, ys[3], vs[3])
         assert moved.base is ys[3] and moved.coords.shape == x.coords.shape
         # log_many: a single base, a stacked base with shared or paired targets
         assert m.log_many(x, Y.coords).shape == Y.coords.shape
@@ -825,7 +848,7 @@ def test_hyperbolic_exp_past_the_cap_raises_only_geometry_error():
     m = Hyperbolic(3)
     xs, _, _, raw = _row_cases(m)
     X = _stack(m, xs)
-    unit = m.to_tangent_rows(X, raw).coords / m.norm_rows(X, m.to_tangent_rows(X, raw))[:, None]
+    unit = m.to_tangent(X, raw).coords / m.norm(X, m.to_tangent(X, raw))[:, None]
     cap = m._exp_cap(X.coords)
     with np.errstate(all="raise"):
         # just past the cap, far past it, and so far that the norm's square
@@ -833,7 +856,19 @@ def test_hyperbolic_exp_past_the_cap_raises_only_geometry_error():
         for lengths in (cap + 1.0, np.full(len(xs), 1e6), np.full(len(xs), 1e200)):
             step = lengths[:, None] * unit
             with pytest.raises(GeometryError, match="exp overflows"):
-                m.exp_rows(X, TangentVector(X, step))
+                m.exp(X, TangentVector(X, step))
             for x, v in zip(xs, step):
                 with pytest.raises(GeometryError, match="exp overflows"):
                     m.exp(x, TangentVector(x, v))
+
+
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_single_operands_give_floats_and_stacks_give_arrays(m):
+    xs, ys, vs, _ = _row_cases(m)
+    X, Y = _stack(m, xs), _stack(m, ys)
+    V = TangentVector(X, np.stack([v.coords for v in vs]))
+    x, y, v = xs[3], ys[3], vs[3]
+    for got in (m.inner(x, v, v), m.dist(x, y), m.norm(x, v)):
+        assert type(got) is float
+    for got in (m.inner(X, V, V), m.dist(X, Y), m.norm(X, V), m.dist(x, Y)):
+        assert isinstance(got, np.ndarray) and got.shape == (len(xs),)

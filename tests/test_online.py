@@ -21,7 +21,6 @@ from riopt import (
     roogd_init,
     roogd_init_rows,
     roogd_step,
-    roogd_step_rows,
 )
 from riopt.geometry import Point, TangentVector, weighted_frechet_mean, zeta_constant
 from riopt.online import OptimisticState, _hedge_weights
@@ -171,9 +170,9 @@ def test_step_size_pool_validation():
 
 
 # ------------------------------------------------------------------ meta round
-def log_grads(h, target):
-    """Gradient of d^2(., target) / 2 at a point, and at each row of a stack."""
-    return (lambda x: -1.0 * h.log(x, target)), (lambda x: -1.0 * h.log_rows(x, target))
+def log_grad(h, target):
+    """Gradient of d^2(., target) / 2 at a point, or at each row of a stack."""
+    return lambda x: -1.0 * h.log(x, target)
 
 
 def test_aoogd_round_single_expert(rng):
@@ -182,8 +181,7 @@ def test_aoogd_round_single_expert(rng):
     experts = roogd_init_rows(h, x0, [0.1])
     weights = MetaWeights.uniform(1)
     target = h.random_point(rng, center=x0, radius=1.0)
-    _, grad_rows = log_grads(h, target)
-    x_play, experts2, weights2, _ = aoogd_round(h, experts, weights, 0.5, grad_rows)
+    x_play, experts2, weights2, _ = aoogd_round(h, experts, weights, 0.5, log_grad(h, target))
     assert h.dist(x_play, x0) < 1e-12
     assert weights2.w[0] == pytest.approx(1.0)
     assert experts2.rounds == 1
@@ -195,9 +193,9 @@ def test_aoogd_round_coincident_experts_and_symmetry(rng):
     experts = roogd_init_rows(h, x0, [0.05, 0.1])
     weights = MetaWeights.uniform(2)
     target = h.random_point(rng, center=x0, radius=1.0)
-    grad_fn, grad_rows = log_grads(h, target)
+    grad_fn = log_grad(h, target)
     x_play, _, weights2, diag = aoogd_round(
-        h, experts, weights, 0.7, grad_rows, prev_grad_fn=grad_fn
+        h, experts, weights, 0.7, grad_fn, prev_grad_fn=grad_fn
     )
     assert h.dist(x_play, x0) < 1e-12  # mean of coincident points
     assert np.allclose(weights2.w, [0.5, 0.5], atol=1e-12)  # hedge symmetry
@@ -212,8 +210,8 @@ def test_meta_weights_normalized_over_rounds(rng):
     prev = None
     for t in range(30):
         target = h.random_point(rng, center=base, radius=1.0)
-        grad_fn, grad_rows = log_grads(h, target)
-        _, experts, weights, _ = aoogd_round(h, experts, weights, 0.3, grad_rows, prev)
+        grad_fn = log_grad(h, target)
+        _, experts, weights, _ = aoogd_round(h, experts, weights, 0.3, grad_fn, prev)
         prev = grad_fn
         assert weights.w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights.w >= 0)
@@ -264,7 +262,7 @@ def test_roogd_step_rows_bitwise_equal_per_expert_steps():
             s = experts[1]
             grads[1] = 0.5 * h.transport(s.x_prev, s.x_cur, s.grad_prev)
         stacked = TangentVector(pool.x_cur, np.stack([g.coords for g in grads]))
-        pool = roogd_step_rows(h, pool, stacked)
+        pool = roogd_step(h, pool, stacked)
         experts = [roogd_step(h, s, g) for s, g in zip(experts, grads)]
         _assert_pool_is(pool, experts)
         same = [np.array_equal(s.x_prev.coords, s.x_cur.coords) for s in experts]
@@ -310,7 +308,7 @@ def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
     prev = None
     for loss in losses:
         prev_grad = None if prev is None else prev.grad
-        x_play, pool, weights, diag = aoogd_round(h, pool, weights, 0.6, loss.grad_rows, prev_grad)
+        x_play, pool, weights, diag = aoogd_round(h, pool, weights, 0.6, loss.grad, prev_grad)
         ref = _aoogd_round_reference(h, experts, ref_weights, 0.6, loss.grad, prev_grad)
         x_ref, experts, ref_weights, (x_bar, optimism, surrogate, g_play) = ref
         assert_agree(x_play.coords, x_ref.coords)
@@ -365,11 +363,11 @@ def test_regret_update_vt_is_max_over_probes(rng):
     ]
     assert grad_variation(m, pairs) == pytest.approx(9.0)
     # the frechet runner's fold: each learner's own pair, its norm from one
-    # norm_rows call, folded onto the shared probes' value as max(shared, v**2)
+    # norm call on the stack, folded onto the shared probes' value as max(shared, v**2)
     for own, shared in ((pairs[:1], pairs[1:]), (pairs[1:], pairs[:1])):
         xs = Point(np.stack([x.coords]), m.manifold_id)
         change = TangentVector(xs, np.stack([own[0][0].coords - own[0][1].coords]))
-        (v,) = m.norm_rows(xs, change).tolist()
+        (v,) = m.norm(xs, change).tolist()
         assert max(grad_variation(m, shared), v**2) == grad_variation(m, pairs)
     led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, grad_variation(m, pairs))
     assert led.grad_variation == pytest.approx(9.0)

@@ -158,11 +158,14 @@ def test_grad_rows_bitwise_equal_grad_at_each_row(dim):
     xs = [h.random_point(rng, center=base, radius=1.5) for _ in range(14)]
     xs[3] = Point(targets[5].copy(), h.manifold_id)  # a probe on a target
     X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
-    rows = loss.grad_rows(X)
+    rows = loss.grad(X)
     assert rows.base is X
     assert _bits([rows.coords]) == _bits([np.stack([loss.grad(x).coords for x in xs])])
-    single = loss.grad_rows(Point(xs[0].coords[None, :], h.manifold_id)).coords
+    single = loss.grad(Point(xs[0].coords[None, :], h.manifold_id)).coords
     assert _bits([single]) == _bits([loss.grad(xs[0]).coords[None, :]])
+    # a single point's value is a float, a stack's an array over its rows
+    assert type(loss.value(xs[0])) is float
+    assert isinstance(loss.value(X), np.ndarray) and loss.value(X).shape == (len(xs),)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
@@ -177,13 +180,13 @@ def test_stacked_losses_give_each_loss_at_its_row(dim):
     xs = [h.random_point(rng, center=c, radius=0.5) for c in stream.centers]
     xs[4] = Point(losses[4].targets[2].copy(), h.manifold_id)  # a row on a target
     X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
-    values = stacked.value_rows(X)
+    values = stacked.value(X)
     assert _bits([values]) == _bits([np.array([f.value(x) for f, x in zip(losses, xs)])])
-    assert _bits([stacked.grad_rows(X).coords]) == _bits(
+    assert _bits([stacked.grad(X).coords]) == _bits(
         [np.stack([f.grad(x).coords for f, x in zip(losses, xs)])]
     )
-    # one loss, many rows: value_rows is value at each row
-    single = losses[0].value_rows(X)
+    # one loss, many rows: value on the stack is value at each row
+    single = losses[0].value(X)
     assert _bits([single]) == _bits([np.array([losses[0].value(x) for x in xs])])
 
 

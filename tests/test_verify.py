@@ -158,11 +158,7 @@ def test_triangle_suite_rejects_no_triangles(n):
 def test_triangle_suite_raises_on_a_non_finite_distance():
     class NanDistance(Euclidean):
         def dist(self, x, y):
-            return math.nan if x.coords[0] > 0.5 else super().dist(x, y)
-
-        def dist_rows(self, x, y):
-            d = super().dist_rows(x, y)
-            return np.where(x.coords[..., 0] > 0.5, math.nan, d)
+            return np.where(x.coords[..., 0] > 0.5, math.nan, super().dist(x, y))
 
     with pytest.raises(GeometryError, match="non-finite"):
         triangle_comparison_suite(NanDistance(3), 50, 2.0, seed=0)
