@@ -46,17 +46,6 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def _reflect(k, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Transport by the kernels of k (Sphere or Hyperbolic): v reflected
-    through the geodesic's direction at both ends; a row of zero distance
-    keeps v."""
-    u = k._log(x, y)
-    d2 = k._inner(u, u)
-    scale = np.divide(k._inner(u, v), d2, out=np.zeros_like(d2), where=d2 > 0)
-    w = k._tangent(y, v - scale[..., None] * (u + k._log(y, x)))
-    return np.where((d2 > 0)[..., None], w, v)
-
-
 class Euclidean(Manifold):
     """Flat R^n; exp/log reduce to vector addition and transport is trivial."""
 
@@ -193,7 +182,14 @@ class Sphere(Manifold):
         # complement of span{x, y} is transported unchanged.
         self._require_base(x, v)
         if not self._single(x, y, v):
-            return TangentVector(y, _reflect(self, x.coords, y.coords, v.coords))
+            # v reflected through the geodesic's direction at both ends; a
+            # row of zero distance keeps v
+            u = self._log(x.coords, y.coords)
+            d2 = np.vecdot(u, u)
+            scale = np.divide(np.vecdot(u, v.coords), d2, out=np.zeros_like(d2), where=d2 > 0)
+            w = v.coords - scale[..., None] * (u + self._log(y.coords, x.coords))
+            w = self._tangent(y.coords, w)
+            return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
         u = self.log(x, y)
         d = np.linalg.norm(u.coords)
         if d == 0.0:
@@ -202,9 +198,7 @@ class Sphere(Manifold):
         w = v.coords - (np.dot(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
         return self.to_tangent(y, w)
 
-    # the kernels on coordinate arrays, which _reflect also takes
-    _inner = staticmethod(np.vecdot)
-
+    # the kernels on coordinate arrays
     @staticmethod
     def _tangent(x: np.ndarray, c: np.ndarray) -> np.ndarray:
         return c - np.vecdot(x, c)[..., None] * x
@@ -265,7 +259,7 @@ class Hyperbolic(Manifold):
         c = np.asarray(coords, dtype=float)
         if x.coords.ndim == c.ndim == 1:
             return TangentVector(x, c + self.minkowski(x.coords, c) * x.coords)
-        return TangentVector(x, self._tangent(x.coords, c))
+        return TangentVector(x, c + self._inner(x.coords, c)[..., None] * x.coords)
 
     def base_point(self):
         e = np.zeros(self.ambient)
@@ -318,17 +312,18 @@ class Hyperbolic(Manifold):
         return TangentVector(x, self._log(x.coords, y.coords))
 
     def transport(self, x, y, v):
+        # The closed form v + <y, v>_M / (1 - <x, y>_M) (x + y) stays exact as
+        # y -> x, where a reflection through the log directions divides
+        # rounding noise by the vanishing distance. Coincident rows keep v.
         self._require_base(x, v)
-        return TangentVector(y, _reflect(self, x.coords, y.coords, v.coords))
+        a, b, c = x.coords, y.coords, v.coords
+        w = c + (self._inner(b, c) / (1.0 - self._inner(a, b)))[..., None] * (a + b)
+        return TangentVector(y, np.where(np.all(a == b, axis=-1)[..., None], c, w))
 
-    # the kernels on coordinate arrays, which _reflect also takes
+    # the kernels on coordinate arrays
     @staticmethod
     def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
-
-    @classmethod
-    def _tangent(cls, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return c + cls._inner(x, c)[..., None] * x
 
     # The dist and log kernels broadcast a against b (x against y) over their
     # leading axes: stacks pair rows, and the *_many forms put a cloud axis
