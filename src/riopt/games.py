@@ -13,10 +13,11 @@ the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 1. Every solver commits its point z_t. One ``field``, ``value`` and
    ``norm`` call on their stack gives the field, payoff and field norm at
    every z_t.
-2. R-OGDA transports its previous field to z_t: one ``transport`` call on
-   the one-row stacks of its points, which on SPD x SPD covers both
-   factors (see ``Product``). One ``exp`` call on the stack takes every
-   solver's first step; RCEG's is its midpoint w.
+2. R-OGDA transports its previous field to z_t: one ``transport`` call
+   at its single points with the field as a one-row stack, which on
+   SPD x SPD covers both factors (see ``Product``) and folds each point
+   once, into its memo. One ``exp`` call on the stack takes every solver's
+   first step; RCEG's is its midpoint w.
 3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
    at w, one ``log`` call and one ``exp`` call on the stack.
 
@@ -237,9 +238,8 @@ def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState)
         if avg.round == 0:
             prev = g
         else:
-            P = space.stack([avg.z_prev])
-            G = TangentVector(P, avg.grad_prev.coords[None])
-            prev = space.transport(P, space.stack([avg.z_cur]), G).coords[0]
+            G = TangentVector(avg.z_prev, avg.grad_prev.coords[None])
+            prev = space.transport(avg.z_prev, avg.z_cur, G).coords[0]
         steps[i] = -2.0 * eta * g + eta * prev
     ahead = space.exp(Z, TangentVector(Z, steps)).coords
     new = {name: Point(c, space.manifold_id) for name, c in zip(names, ahead)}

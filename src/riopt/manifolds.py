@@ -13,8 +13,9 @@ sphere and for hyperbolic ``exp`` and ``inner`` (a one-row numpy kernel
 costs 2-2.5x as much, and bench verify's holonomy probe and R-AOOGD's
 Karcher means make them one at a time), one call per factor on a product.
 Otherwise it runs a numpy kernel over the rows, or on a product one call per
-factor stack or on the folded stack (see ``Product``). Where SPD and
-Euclidean bodies are one broadcasting formula, it serves both.
+factor stack or on the folded stack (see ``Product``). Where one
+broadcasting formula serves both (SPD, the other hyperbolic operations,
+Euclidean exp, log and transport), there is one body.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ class Sphere(Manifold):
             # row of zero distance keeps v
             u = self._log(x.coords, y.coords)
             d2 = np.vecdot(u, u)
-            scale = np.divide(np.vecdot(u, v.coords), d2, out=np.zeros_like(d2), where=d2 > 0)
+            uv = np.vecdot(u, v.coords)
+            scale = np.divide(uv, d2, out=np.zeros_like(uv), where=d2 > 0)
             w = v.coords - scale[..., None] * (u + self._log(y.coords, x.coords))
             w = self._tangent(y.coords, w)
             return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
@@ -627,9 +629,10 @@ class Product(Manifold):
         return self.join_tangent(y, parts)
 
     def _fold(self, p: Point, lead: tuple) -> Point:
-        """The factor points of p's rows, a single p repeated to ``lead`` rows,
-        as one stack of the common factor; kept in p's memo."""
-        if p.coords.shape[:-1] != lead:
+        """The factor points of p's rows as one stack of the common factor,
+        kept in p's memo. A single p is one row, or is repeated to ``lead``
+        rows."""
+        if p.coords.ndim == 1 and lead != (1,):
             p = self.stack([p] * lead[0])
         z = p.memo.get("product_fold")
         if z is None:

@@ -179,8 +179,8 @@ class FrechetMeanLoss:
         self.manifold = manifold
         self.targets = np.asarray(targets, dtype=float)
         # the axis of the A_i, before a point's coordinates
-        self.axis = -1 - manifold.point_ndim
-        self.n = self.targets.shape[self.axis]
+        self._axis = -1 - manifold.point_ndim
+        self.n = self.targets.shape[self._axis]
 
     def value(self, x: Point) -> float:
         d = self.manifold.dist_many(x, self.targets)
@@ -193,7 +193,7 @@ class FrechetMeanLoss:
         base sum along the target axis in the same order, and ``to_tangent``
         agrees bitwise with its single-point body."""
         logs = self.manifold.log_many(x, self.targets)
-        return self.manifold.to_tangent(x, -logs.sum(axis=self.axis) / self.n)
+        return self.manifold.to_tangent(x, -logs.sum(axis=self._axis) / self.n)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The one bound within which two evaluations of the same quantity agree.
 
-A stacked (row-paired) form and the single call at each row, or a numpy
+An operation on stacked operands and the single call at each row, or a numpy
 kernel and a longhand or pointwise reference, may round differently: numpy's
 ufuncs (cosh, arcsinh, arctan2, ...) and Python's math differ in the last
 bits, and so do reassociated sums. The bound is set by the Lorentz model,

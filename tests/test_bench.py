@@ -158,7 +158,7 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     assert matrices["solve"] == 120
     # the calls: slogdet per factor and round for the committed points and
     # for RCEG's midpoint (z0 once in round 1), plus the two residuals. The
-    # row forms fold both factors into one stack, so per round one eigh each
+    # stacked calls fold both factors into one stack, so per round one eigh each
     # for R-OGDA's transport (from round 2), the committed points' square
     # roots and first step, the stage-2 square roots (only the midpoint's in
     # round 1, where the running average is z0), log and exp; one solve for

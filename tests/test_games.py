@@ -324,7 +324,7 @@ def test_robust_pca_gradients_match_finite_differences():
     assert rep.max_violation < 1e-5
 
 
-# ------------------------------------------------------------- row forms
+# ------------------------------------------------------- stacked points
 def _games_and_stacks():
     """Both game families at d = 4, each with 5 joint points stacked by
     ``space.stack``: one point twice and, for robust PCA, one at an anchor."""

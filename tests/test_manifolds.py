@@ -400,7 +400,7 @@ def test_point_checks():
         h.check_point(s.base_point())
 
 
-# ------------------------------------------------------- row-paired forms
+# ----------------------------------------------- stacked operands, by rows
 def _bits(a):
     a = np.asarray(a, dtype=float)
     return a.shape, a.tobytes()
@@ -639,7 +639,7 @@ def test_spd_exp_counts_the_scale_of_the_base_point():
 # ------------------------------------------------- stacked kernels, stacks
 @pytest.mark.parametrize("d", [2, 4, 10])
 def test_numpy_stacked_kernels_give_each_matrix_the_bits_of_a_single_call(d):
-    # Every row-paired form rests on this: numpy runs a stack of matrices
+    # Every stacked SPD call rests on this: numpy runs a stack of matrices
     # through the same LAPACK/BLAS call per matrix as a single matrix.
     rng = np.random.default_rng(d)
     n = 6
@@ -722,7 +722,7 @@ FOLD_IDS = ["spd3x2", "spd2x3", "hyperbolic2x2", "sphere2x2", "euclidean3x2", "s
 
 
 def _factorwise(p, X, Y, V, W):
-    """Each row form of p, run factor by factor on copies that share no memo."""
+    """Each stacked operation of p, run factor by factor on copies that share no memo."""
     x, y = (Point(a.coords.copy(), p.manifold_id) for a in (X, Y))
     xs, ys = p.split(x), p.split(y)
     vs, ws = (p.split_tangent(TangentVector(x, t.coords)) for t in (V, W))
@@ -801,9 +801,8 @@ def test_folded_rows_share_square_roots_with_their_single_points(monkeypatch):
     assert calls == [2, 4]
     p.exp(b, vb)  # b's factors hold their square roots: only the exps
     assert calls == [2, 4, 1, 1]
-    # a one-row stack's transport folds too: one call over both factors
-    A = p.stack([a])
-    p.transport(A, p.stack([b]), TangentVector(A, va.coords[None]))
+    # a one-row tangent at single points folds too: one call over both factors
+    p.transport(a, b, TangentVector(a, va.coords[None]))
     assert calls == [2, 4, 1, 1, 2]
 
 
@@ -856,6 +855,7 @@ def test_row_kernels_edge_cases_raise_no_floating_point_error(m):
         # single result
         assert m.dist(x, Y).shape == (n,) and m.log(x, Y).coords.shape == Y.coords.shape
         assert m.exp(x, TangentVector(x, V.coords)).coords.shape == V.coords.shape
+        assert m.transport(x, ys[3], m.to_tangent(x, V.coords)).coords.shape == V.coords.shape
         assert type(m.dist(x, ys[3])) is float
         assert m.log(x, ys[3]).coords.shape == x.coords.shape
         moved = m.transport(x, ys[3], vs[3])
