@@ -406,8 +406,8 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
     prev_loss, g_t)``, which returns ``(x_t, g_t)`` and advances the learner.
     R-AOOGD's ``play`` (given None) runs ``aoogd_round``: it commits x_t, then
     takes its experts' gradients and the gradient at x_t from one
-    ``loss.grad`` call on their stack. ``prev_loss`` is None in round 1; only R-AOOGD
-    reads it, for its optimism. R-AOOGD ignores ``eta`` and hedges over its
+    ``loss.grad`` call on their stack. ``prev_loss`` is None in round 1; only
+    R-AOOGD reads it, for its optimism. R-AOOGD ignores ``eta`` and hedges over its
     own pool of R-OOGD experts, which advance as one stacked step.
     """
     if name == "raoogd":

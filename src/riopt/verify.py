@@ -104,8 +104,8 @@ def triangle_comparison_suite(
     so all draws come first and the triangles are evaluated on stacks, with
     ``random_point_rows`` and one ``dist``, ``log`` or ``inner`` call per
     quantity on the stacked vertices. The report agrees to rounding with
-    evaluating the triangles one at a time with single points. A non-finite distance or inner product
-    raises GeometryError.
+    evaluating the triangles one at a time with single points. A non-finite
+    distance or inner product raises GeometryError.
     """
     from .geometry import sigma_constant, zeta_constant
 
