@@ -22,7 +22,6 @@ from .games import (
     ZeroSumGame,
     make_spd_dataset,
     ne_diagnostics,  # noqa: F401 - kept importable from riopt.bench
-    play_round,
     play_round_rows,
     quad_logdet_game,
     rceg_step,  # noqa: F401 - kept importable from riopt.bench
@@ -33,6 +32,7 @@ from .games import (
 )
 from .geometry import (
     GeometryError,
+    Manifold,
     Point,
     TangentVector,
     frechet_mean,  # noqa: F401 - kept importable from riopt.bench
@@ -123,7 +123,7 @@ NUMBER_FIELDS = {
     "v_t_bound": (float, ">", 0),
     "c1": (float, ">=", 0),
     "eig_low": (float, ">", 0),
-    **{name: (float, None, None) for name in ("curvature_mag", "c2", "alpha", "eig_high")},
+    **{name: (float, None, None) for name in ("c2", "alpha", "eig_high")},
 }
 
 
@@ -168,7 +168,6 @@ class ExperimentConfig:
     drift: float = 0.1
     ball_radius: float = 1.0
     center_diam: float = 1.0
-    curvature_mag: float = 1.0
     v_t_bound: Optional[float] = None
     # quadratic logdet game
     d: int = 10
@@ -297,18 +296,24 @@ class FrechetConstants:
     zeta0: float
 
 
+def frechet_manifold(cfg: ExperimentConfig) -> Manifold:
+    """The space of the frechet experiment: H^dim."""
+    return Hyperbolic(cfg.dim)
+
+
 def frechet_constants(cfg: ExperimentConfig) -> FrechetConstants:
     """Conservative region-scale constants for the fixed-step safety caps.
 
     D0 is the a-priori diameter of the region containing clouds, comparators
     and iterates; the loss Hessian within it is bounded by the distortion at
-    that scale, so L = zeta(kappa, D0).
+    that scale, so L = zeta(kappa, D0). kappa <= K are the curvature bounds
+    of ``frechet_manifold``.
     """
-    kappa = -abs(cfg.curvature_mag)
+    curv = frechet_manifold(cfg).curvature
     D0 = cfg.center_diam + 2.0 * cfg.ball_radius
-    zeta0 = zeta_constant(kappa, D0)
+    zeta0 = zeta_constant(curv.kappa, D0)
     return FrechetConstants(
-        D0=D0, G=D0, L=zeta0, sigma0=sigma_constant(kappa, D0), zeta0=zeta0
+        D0=D0, G=D0, L=zeta0, sigma0=sigma_constant(curv.K, D0), zeta0=zeta0
     )
 
 
@@ -321,15 +326,15 @@ def frechet_meta_constants(cfg: ExperimentConfig) -> FrechetConstants:
     steps; the hedge then adapts within it. The top of the grid still sits
     near the corresponding theoretical cap by construction.
     """
-    kappa = -abs(cfg.curvature_mag)
+    curv = frechet_manifold(cfg).curvature
     D = cfg.center_diam
     G = cfg.center_diam / 2.0 + cfg.ball_radius
     return FrechetConstants(
         D0=D,
         G=G,
-        L=zeta_constant(kappa, D),
-        sigma0=sigma_constant(kappa, D),
-        zeta0=zeta_constant(kappa, D),
+        L=zeta_constant(curv.kappa, D),
+        sigma0=sigma_constant(curv.K, D),
+        zeta0=zeta_constant(curv.kappa, D),
     )
 
 
@@ -452,7 +457,7 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
     return point, play
 
 
-def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, ...]:
+def _comparator_track(manifold: Manifold, losses: list) -> tuple[np.ndarray, ...]:
     """u_t = argmin f_t of every round, its value f_t(u_t) and, from round 2
     on, the gradients of f_t and f_{t-1} at u_t.
 
@@ -462,9 +467,9 @@ def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, .
     Every row agrees with the per-round call to rounding, and the first
     failing round raises its own error.
     """
-    T, ambient = len(losses), manifold.ambient
-    comps, vals = np.empty((T, ambient)), np.empty(T)
-    now, before = np.empty((T - 1, ambient)), np.empty((T - 1, ambient))
+    T, shape = len(losses), losses[0].targets.shape[1:]
+    comps, vals = np.empty((T,) + shape), np.empty(T)
+    now, before = np.empty((T - 1,) + shape), np.empty((T - 1,) + shape)
     for i in range(0, T, COMPARATOR_BLOCK):
         # the block's clouds, after the first block with round i - 1 ahead
         lo, j = max(i - 1, 0), min(i + COMPARATOR_BLOCK, T)
@@ -481,7 +486,7 @@ def _comparator_track(manifold: Hyperbolic, losses: list) -> tuple[np.ndarray, .
 
 
 def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
-    manifold = Hyperbolic(cfg.dim)
+    manifold = frechet_manifold(cfg)
     stream = gen_frechet_stream(
         manifold,
         T=cfg.T,
@@ -626,9 +631,9 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     those it gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
     If a stacked stage fails (GeometryError, a numpy linear-algebra error,
     or a floating-point overflow, invalid value or division by zero), the
-    round is replayed solver by solver through ``rogda_step``, ``rgda_step``
-    and ``rceg_step`` (``games.play_round``), so the error raised is the
-    one that sequential loop meets first.
+    round is replayed solver by solver, ``play_round_rows`` on each alone in
+    the configured order, so the error raised is the one the first failing
+    solver meets alone.
     """
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
@@ -642,10 +647,15 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     for t in range(1, cfg.T + 1):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                round_out = play_round_rows(game, etas, points, avg)
+                points, avg, vals, norms = play_round_rows(game, etas, points, avg)
         except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
-            round_out = play_round(game, etas, points, avg)
-        points, avg, vals, norms = round_out
+            new, vals, norms = {}, [], []
+            for name, eta in etas.items():
+                out, avg, val, norm = play_round_rows(game, {name: eta}, points, avg)
+                new.update(out)
+                vals += val
+                norms += norm
+            points = new
         for name, inst, gn in zip(etas, vals, norms):
             cum[name] += inst
             rows.append(

@@ -24,9 +24,9 @@ the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 Row i of each stacked call agrees with the single call at row i: bitwise on
 SPD, whose stacks run its single-point formula, and to rounding on the
 sphere factor of robust PCA, whose stacks run numpy kernels. When a stage
-fails, the runner replays the round with ``play_round``, solver by solver
-through the step functions in the configured order, so the error raised
-is the one that sequential loop meets first.
+fails, the runner replays the round through ``play_round_rows`` once per
+solver, in the configured order, so the error raised is the one the first
+failing solver meets alone.
 """
 
 from __future__ import annotations
@@ -200,29 +200,13 @@ def rceg_step(
     return m.exp(w, -eta * game.field(w) + m.log(w, z))
 
 
-def play_round(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
-    """One round of the solvers ``etas`` (name -> step size), one by one in
-    that order, through the step functions. ``points`` maps each to its z_t
-    and ``avg`` is R-OGDA's state. Returns the new points and R-OGDA state,
-    and per solver the payoff and the field's norm at its z_t."""
-    points, vals, norms = dict(points), [], []
-    for name, eta in etas.items():
-        z_t = points[name]
-        F = game.field(z_t)
-        if name == "rogda":
-            avg = rogda_step(game, avg, eta, F)
-            points[name] = avg.z_cur
-        else:
-            points[name] = (rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F)
-        vals.append(game.value(z_t))
-        norms.append(game.space.norm(z_t, F))
-    return points, avg, vals, norms
-
-
 def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
-    """``play_round`` with each stage one call on the stack of the solvers
-    that take part in it (see the module docstring); the results agree with
-    ``play_round``, bitwise on SPD."""
+    """One round of the solvers ``etas`` (name -> step size), each stage one
+    call on the stack of the solvers that take part in it (see the module
+    docstring). ``points`` maps each solver to its z_t and ``avg`` is
+    R-OGDA's state. Returns the new points and R-OGDA state, and per solver
+    the payoff and the field's norm at its z_t. The results agree with the
+    step functions run solver by solver, bitwise on SPD."""
     space, names = game.space, list(etas)
     commits = [points[name] for name in names]
     Z = space.stack(commits)
@@ -382,8 +366,8 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
 
     The anchors are stacked once, so each payoff or gradient evaluation gets
     all n anchor distances (and, for the gradient, all n logs) from one
-    batched evaluation: SPD.dist_many / SPD.log_many, each base of a stacked
-    point over all anchors. The distances are kept in the point's memo, so
+    ``SPD.dist`` / ``SPD.log`` call with the anchors as the cloud of every
+    base of a stacked point. The distances are kept in the point's memo, so
     the payoff and the gradient at a point share them. Sums run in anchor
     order, as n single calls would.
     """
@@ -400,14 +384,15 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     eps = np.finfo(float).eps
     anchor_tols = np.array([_ANCHOR_TOL_FACTOR * d * (w[-1] / w[0]) * eps for w in eigs])
 
-    def over_anchors(a: Point) -> np.ndarray:
-        return np.broadcast_to(anchors, a.coords.shape[:-2] + anchors.shape)
+    def over_anchors(a: Point) -> Point:
+        """The anchors as the cloud of a, broadcast over its rows."""
+        return Point(np.broadcast_to(anchors, a.coords.shape[:-2] + anchors.shape), a.manifold_id)
 
     # the memo key of the anchor distances: this game's own object
     dists_key = object()
 
     def anchor_dists(a: Point) -> np.ndarray:
-        return memo_entry(a, dists_key, lambda p: (spd.dist_many(p, over_anchors(p)),))[0]
+        return memo_entry(a, dists_key, lambda p: (spd.dist(p, over_anchors(p)),))[0]
 
     def payoff(a: Point, x: Point):
         xc = x.coords
@@ -423,7 +408,7 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         g = A @ xx @ A
         dists = anchor_dists(a)
         far = dists > anchor_tols
-        logs = spd.log_many(a, over_anchors(a))
+        logs = spd.log(a, over_anchors(a)).coords
         terms = np.zeros_like(logs)
         terms[far] = (alpha / n) * logs[far] / dists[far, None, None]
         # in anchor order; an anchor at a contributes 0, and g - 0 is g

@@ -201,6 +201,13 @@ class Manifold(ABC):
     single, the single-point body, and ``inner``, ``dist`` and ``norm``
     return a Python float; otherwise a kernel over the rows, which returns
     an array. The two bodies agree to rounding, not bitwise.
+
+    ``dist(x, Y)`` and ``log(x, Y)`` also take a cloud: a ``Y`` with exactly
+    one more leading axis than x holds one cloud per base, (n, ...) for a
+    single x and (m, n, ...) for a stacked x, row i's cloud at base i. They
+    return (n,) or (m, n) distances and logs of Y's shape. The cloud axis
+    broadcasts like numpy's leading axes: a cloud shared by a stack of bases
+    is passed as (1, n, ...) or broadcast to (m, n, ...) by the caller.
     """
 
     manifold_id: str
@@ -231,6 +238,14 @@ class Manifold(ABC):
                 return False
         return True
 
+    def _cloud(self, x: Point, y: Point, a: np.ndarray) -> np.ndarray:
+        """``a``, an array over x's rows (its coords, or what its memo derives
+        from them), with an axis for the cloud inserted before a point's axes
+        when y has more leading axes than x."""
+        if y.coords.ndim > x.coords.ndim:
+            return a[(..., None) + (slice(None),) * self.point_ndim]
+        return a
+
     # -- metric ----------------------------------------------------------
     @abstractmethod
     def inner(self, x: Point, u: TangentVector, v: TangentVector) -> float:
@@ -238,7 +253,7 @@ class Manifold(ABC):
 
     def norm(self, x: Point, v: TangentVector) -> float:
         s = self.inner(x, v, v)
-        if self._single(x, v):
+        if isinstance(s, float):  # single operands: inner has picked the body
             return math.sqrt(max(s, 0.0))
         return np.sqrt(np.maximum(s, 0.0))
 
@@ -258,10 +273,6 @@ class Manifold(ABC):
     @abstractmethod
     def transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
         """Parallel transport of v along the minimizing geodesic x -> y."""
-
-    def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x of every target stacked along axis 0; default loops over ``log``."""
-        return np.stack([self.log(x, Point(y, self.manifold_id)).coords for y in targets])
 
     def stack(self, points: Sequence[Point]) -> Point:
         """The (n, ...) stack of single points, which keeps them as its rows:
@@ -312,17 +323,6 @@ class Manifold(ABC):
         return self.exp(center, TangentVector(center, step))
 
     # -- validation ----------------------------------------------------------
-    @abstractmethod
-    def point_defect(self, coords: np.ndarray) -> float:
-        """Residual of the manifold membership equation (0 when on-manifold)."""
-
-    def check_point(self, x: Point, tol: float = 1e-9) -> None:
-        if x.manifold_id != self.manifold_id:
-            raise GeometryError(f"point belongs to {x.manifold_id}, not {self.manifold_id}")
-        defect = self.point_defect(x.coords)
-        if not np.isfinite(defect) or defect > tol:
-            raise GeometryError(f"point violates membership equation by {defect:.3g}")
-
     def _require_finite(self, v: TangentVector) -> None:
         if not np.isfinite(v.coords).all():
             raise GeometryError("tangent vector has non-finite coordinates")
@@ -347,17 +347,18 @@ def _karcher(
 
     x is a single point with its (n, ...) cloud ``targets``, or a stack of m
     starting points with their (m, n, ...) clouds; ``w`` weights the n points
-    of a cloud. Each iteration takes the logs from one ``log_many`` call,
-    sums them in point order and steps with one ``norm`` and one ``exp``
-    call, on the single point or the stack. A cloud whose residual is <= tol
-    stops moving and is never touched again. After max_iter iterations,
-    FrechetMeanError for the lowest cloud still moving.
+    of a cloud. Each iteration takes the logs from one ``log`` call on the
+    cloud, sums them in point order and steps with one ``norm`` and one
+    ``exp`` call, on the single point or the stack. A cloud whose residual is
+    <= tol stops moving and is never touched again. After max_iter
+    iterations, FrechetMeanError for the lowest cloud still moving.
     """
     single = manifold._single(x)
     w = w.reshape((-1,) + (1,) * manifold.point_ndim)
     out, active, residual = x.coords.copy(), np.arange(len(targets)), math.inf
+    cloud = Point(targets, x.manifold_id)
     for _ in range(max_iter):
-        direction = TangentVector(x, (w * manifold.log_many(x, targets)).sum(axis=-w.ndim))
+        direction = TangentVector(x, (w * manifold.log(x, cloud).coords).sum(axis=-w.ndim))
         residual = manifold.norm(x, direction)
         done = residual <= tol
         if np.any(done):
@@ -367,7 +368,8 @@ def _karcher(
             keep = ~done
             if not keep.any():
                 return Point(out, manifold.manifold_id)
-            active, targets, residual = active[keep], targets[keep], residual[keep]
+            active, residual = active[keep], residual[keep]
+            cloud = Point(cloud.coords[keep], manifold.manifold_id)
             x = Point(x.coords[keep], manifold.manifold_id)
             direction = TangentVector(x, direction.coords[keep])
         x = manifold.exp(x, direction)
@@ -423,9 +425,8 @@ def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
 
     Row i of the result is the mean of cloud i, from its point 0, by the
     equal-weight iteration of ``weighted_frechet_mean`` on the stacked
-    iterates: ``log_many`` with row-paired targets, and ``norm`` and ``exp``
-    on the stack (Hyperbolic takes all three). It agrees with
-    ``frechet_mean`` of the cloud to rounding.
+    iterates: ``log`` with a cloud per row, and ``norm`` and ``exp`` on the
+    stack. It agrees with ``frechet_mean`` of the cloud to rounding.
 
     A failure is the one ``frechet_mean`` raises for the lowest-index cloud
     that fails. After KARCHER_MAX_ITER iterations that is FrechetMeanError
@@ -434,7 +435,7 @@ def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
     order, and the first to fail raises its own error.
     """
     clouds = np.asarray(clouds, dtype=float)
-    if clouds.ndim < 3 or 0 in clouds.shape[:2]:
+    if clouds.ndim != manifold.point_ndim + 2 or 0 in clouds.shape[:2]:
         raise GeometryError("clouds must be a nonempty (m, n, ...) stack")
     n = clouds.shape[1]
     x = Point(clouds[:, 0], manifold.manifold_id)

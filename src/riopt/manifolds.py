@@ -15,7 +15,8 @@ Karcher means make them one at a time), one call per factor on a product.
 Otherwise it runs a numpy kernel over the rows, or on a product one call per
 factor stack or on the folded stack (see ``Product``). Where one
 broadcasting formula serves both (SPD, the other hyperbolic operations,
-Euclidean exp, log and transport), there is one body.
+Euclidean exp, log and transport), there is one body. ``dist`` and ``log``
+also take a cloud per base (see ``Manifold``).
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class Euclidean(Manifold):
     def base_point(self):
         return Point(np.zeros(self.n), self.manifold_id)
 
-    def point_defect(self, coords):
-        return 0.0
-
     def inner(self, x, u, v):
         if self._single(x, u, v):
             return float(np.dot(u.coords, v.coords))
@@ -77,7 +75,7 @@ class Euclidean(Manifold):
     def dist(self, x, y):
         if self._single(x, y):
             return float(np.linalg.norm(y.coords - x.coords))
-        return _row_norm(y.coords - x.coords)
+        return _row_norm(y.coords - self._cloud(x, y, x.coords))
 
     def exp(self, x, v):
         self._require_base(x, v)
@@ -85,7 +83,7 @@ class Euclidean(Manifold):
         return Point(x.coords + v.coords, self.manifold_id)
 
     def log(self, x, y):
-        return TangentVector(x, y.coords - x.coords)
+        return TangentVector(x, y.coords - self._cloud(x, y, x.coords))
 
     def transport(self, x, y, v):
         self._require_base(x, v)
@@ -131,22 +129,16 @@ class Sphere(Manifold):
         e[0] = 1.0
         return Point(e, self.manifold_id)
 
-    def point_defect(self, coords):
-        return abs(np.linalg.norm(coords) - 1.0)
-
     # The single-point bodies stay scalar (a one-row kernel costs 2-2.5x as
     # much): bench verify's rectangles and holonomy probe make them one at a
-    # time. The kernels follow them.
+    # time. Inside them, dist and log run on coordinates (_dist1, _log1),
+    # with no second shape dispatch. The kernels follow them.
     inner = Euclidean.inner  # hot: the norms of random_tangent and the holonomy probe
 
-    def dist(self, x, y):  # hot: each log, and the holonomy probe's side lengths
+    def dist(self, x, y):  # hot: the holonomy probe's side lengths
         if not self._single(x, y):
-            return self._dist(x.coords, y.coords)
-        # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
-        # and, unlike arccos, loses no precision near 0 or pi
-        chord = np.linalg.norm(x.coords - y.coords)
-        cochord = np.linalg.norm(x.coords + y.coords)
-        return 2.0 * math.atan2(chord, cochord)
+            return self._dist(self._cloud(x, y, x.coords), y.coords)
+        return self._dist1(x.coords, y.coords)
 
     def exp(self, x, v):  # hot: the rectangles' corners
         self._require_base(x, v)
@@ -165,18 +157,10 @@ class Sphere(Manifold):
         # a zero step returns the base as it is
         return Point(np.where(t > 0, c / nrm, x.coords), self.manifold_id)
 
-    def log(self, x, y):  # hot: two per transport
+    def log(self, x, y):
         if not self._single(x, y):
-            return TangentVector(x, self._log(x.coords, y.coords))
-        cosang = float(np.dot(x.coords, y.coords))
-        if cosang <= -1.0 + _ANTIPODAL_TOL:
-            raise GeometryError("log undefined at antipodal points")
-        theta = self.dist(x, y)
-        u = y.coords - cosang * x.coords
-        nu = np.linalg.norm(u)
-        if nu == 0.0 or theta == 0.0:
-            return self.zero_tangent(x)
-        return TangentVector(x, (theta / nu) * u)
+            return TangentVector(x, self._log(self._cloud(x, y, x.coords), y.coords))
+        return TangentVector(x, self._log1(x.coords, y.coords))
 
     def transport(self, x, y, v):  # hot: four per holonomy probe
         # Rotate the geodesic direction into its image at y; the orthogonal
@@ -192,13 +176,31 @@ class Sphere(Manifold):
             w = v.coords - scale[..., None] * (u + self._log(y.coords, x.coords))
             w = self._tangent(y.coords, w)
             return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
-        u = self.log(x, y)
-        d = np.linalg.norm(u.coords)
+        u = self._log1(x.coords, y.coords)
+        d = np.linalg.norm(u)
         if d == 0.0:
             return TangentVector(y, v.coords.copy())
-        u_back = self.log(y, x)
-        w = v.coords - (np.dot(u.coords, v.coords) / d**2) * (u.coords + u_back.coords)
+        w = v.coords - (np.dot(u, v.coords) / d**2) * (u + self._log1(y.coords, x.coords))
         return self.to_tangent(y, w)
+
+    # the single-point bodies of dist and log on coordinates
+    @staticmethod
+    def _dist1(x: np.ndarray, y: np.ndarray) -> float:
+        # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
+        # and, unlike arccos, loses no precision near 0 or pi
+        return 2.0 * math.atan2(np.linalg.norm(x - y), np.linalg.norm(x + y))
+
+    @classmethod
+    def _log1(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        cosang = float(np.dot(x, y))
+        if cosang <= -1.0 + _ANTIPODAL_TOL:
+            raise GeometryError("log undefined at antipodal points")
+        theta = cls._dist1(x, y)
+        u = y - cosang * x
+        nu = np.linalg.norm(u)
+        if nu == 0.0 or theta == 0.0:
+            return np.zeros_like(x)
+        return (theta / nu) * u
 
     # the kernels on coordinate arrays
     @staticmethod
@@ -268,19 +270,15 @@ class Hyperbolic(Manifold):
         e[-1] = 1.0
         return Point(e, self.manifold_id)
 
-    def point_defect(self, coords):
-        if coords[-1] <= 0:
-            return math.inf
-        return abs(self.minkowski(coords, coords) + 1.0)
-
     def inner(self, x, u, v):  # hot, scalar: every norm of the frechet learners and Karcher means
         if self._single(x, u, v):
             return self.minkowski(u.coords, v.coords)
         return self._inner(u.coords, v.coords)
 
     def dist(self, x, y):
-        d = self._dist(x.coords, y.coords)
-        return float(d) if self._single(x, y) else d
+        if self._single(x, y):
+            return float(self._dist(x.coords, y.coords))
+        return self._dist(self._cloud(x, y, x.coords), y.coords)
 
     def _exp_cap(self, x: np.ndarray):
         """The longest step exp takes from x: the result's coordinates grow
@@ -311,7 +309,7 @@ class Hyperbolic(Manifold):
         return Point(np.where(nv > 0, c / np.sqrt(q), x.coords), self.manifold_id)
 
     def log(self, x, y):
-        return TangentVector(x, self._log(x.coords, y.coords))
+        return TangentVector(x, self._log(self._cloud(x, y, x.coords), y.coords))
 
     def transport(self, x, y, v):
         # The closed form v + <y, v>_M / (1 - <x, y>_M) (x + y) stays exact as
@@ -328,8 +326,7 @@ class Hyperbolic(Manifold):
         return np.vecdot(a[..., :-1], b[..., :-1]) - a[..., -1] * b[..., -1]
 
     # The dist and log kernels broadcast a against b (x against y) over their
-    # leading axes: stacks pair rows, and the *_many forms put a cloud axis
-    # on the base.
+    # leading axes: stacks pair rows, and a cloud has its axis on the base.
     @classmethod
     def _dist(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Minkowski chord: <a-b, a-b>_M = 2(cosh d - 1), so
@@ -355,17 +352,6 @@ class Hyperbolic(Manifold):
         r = radius * rng.uniform()
         return self.exp(center, r * direction)
 
-    # x is a single point or a stack of m bases (coords (m, ambient)). With a
-    # stacked base, targets are (n, ambient), shared by every base, or
-    # (m, n, ambient), row i paired with base i.
-    def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x of every target row; (n, ambient) or, stacked, (m, n, ambient)."""
-        return self._log(x.coords[..., None, :], targets)
-
-    def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """dist(x, row) for every row of `targets`; (n,) or, stacked, (m, n)."""
-        return self._dist(x.coords[..., None, :], targets)
-
 
 # Acts on a single (d, d) matrix or on a stack (n, d, d) of them.
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -381,12 +367,13 @@ class SPD(Manifold):
     the comparison-inequality suite rather than taken on trust.
 
     Each point stores (X^(1/2), X^(-1/2)), from one eigendecomposition, in its
-    memo on first use; exp, log, transport, dist_many and log_many at that
-    base point reuse it. A point that is not positive definite stores nothing
-    and raises on every call. A stacked point (coords of shape (n, d, d))
-    stores the pairs of all its matrices in one memo entry. Every operation
-    is one formula over single matrices and stacks alike: numpy's stacked
-    kernels give each matrix the bits of a single call.
+    memo on first use; exp, dist, log and transport at that base point reuse
+    it, a cloud's dist and log included. A point that is not positive
+    definite stores nothing and raises on every call. A stacked point (coords
+    of shape (n, d, d)) stores the pairs of all its matrices in one memo
+    entry. Every operation is one formula over single matrices, stacks and
+    clouds alike: numpy's stacked kernels give each matrix the bits of a
+    single call.
     """
 
     point_ndim = 2
@@ -408,11 +395,6 @@ class SPD(Manifold):
 
     def base_point(self):
         return Point(np.eye(self.d), self.manifold_id)
-
-    def point_defect(self, coords):
-        asym = float(np.max(np.abs(coords - coords.T), initial=0.0))
-        eigmin = float(np.linalg.eigvalsh(_sym(coords)).min())
-        return asym if eigmin > 0 else math.inf
 
     def inner(self, x, u, v):
         a = np.linalg.solve(x.coords, u.coords)
@@ -437,7 +419,10 @@ class SPD(Manifold):
         return memo_entry(x, "spd_sqrt", factor)
 
     def dist(self, x, y):
-        d = self.dist_many(x, y.coords)
+        Si = self._cloud(x, y, self._sqrt_pair(x)[1])
+        lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ y.coords @ Si)), 1e-300))
+        # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
+        d = np.sqrt(np.vecdot(lw, lw))
         return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
@@ -450,7 +435,11 @@ class SPD(Manifold):
         return Point(_sym(S @ ((V * np.exp(w)[..., None, :]) @ V.mT) @ S), self.manifold_id)
 
     def log(self, x, y):
-        return TangentVector(x, self.log_many(x, y.coords))
+        S, Si = (self._cloud(x, y, a) for a in self._sqrt_pair(x)[:2])
+        w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
+        if (w[..., 0] <= 0).any():
+            raise GeometryError("log undefined: a target is not positive definite")
+        return TangentVector(x, _sym(S @ ((V * np.log(w)[..., None, :]) @ V.mT) @ S))
 
     def transport(self, x, y, v):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
@@ -459,32 +448,6 @@ class SPD(Manifold):
         w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
         E = S @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.mT))
-
-    # Batched forms over stacked (n, d, d) targets: one eigendecomposition of
-    # x and one stacked eigvalsh/eigh give the same bits as n single calls.
-    # dist and log pass their y, so the formula lives here only. A stacked x
-    # (m, d, d) pairs its rows with (m, d, d) targets (dist, log), or each
-    # row with its n of (m, n, d, d) targets.
-    def _pair_over(self, x: Point, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        S, Si, _ = self._sqrt_pair(x)
-        if targets.ndim > x.coords.ndim > 2:
-            return S[..., None, :, :], Si[..., None, :, :]
-        return S, Si
-
-    def dist_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """dist(x, Y_i) for every matrix of `targets`; returns shape (n,)."""
-        _, Si = self._pair_over(x, targets)
-        lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ targets @ Si)), 1e-300))
-        # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
-        return np.sqrt(np.vecdot(lw, lw))
-
-    def log_many(self, x: Point, targets: np.ndarray) -> np.ndarray:
-        """log_x(Y_i) coordinates for every matrix of `targets`; shape (n, d, d)."""
-        S, Si = self._pair_over(x, targets)
-        w, V = np.linalg.eigh(_sym(Si @ targets @ Si))
-        if (w[..., 0] <= 0).any():
-            raise GeometryError("log undefined: a target is not positive definite")
-        return _sym(S @ ((V * np.log(w)[..., None, :]) @ V.mT) @ S)
 
     def random_point(self, rng, center=None, radius=None):
         rng = as_rng(rng)
@@ -512,7 +475,9 @@ class Product(Manifold):
     ``log``, ``inner`` and ``transport`` fold instead: the (n, k * size)
     rows are, as a reshape, one (n k, ...) stack of that factor, which it
     takes in a single call. The fold's rows are the rows' factor points, so
-    each is factored once whichever stack it joins.
+    each is factored once whichever stack it joins. The fold takes one
+    leading axis, so a cloud at a stacked base goes through the per-factor
+    calls.
     """
 
     def __init__(self, factors: Sequence[Manifold]):
@@ -585,12 +550,6 @@ class Product(Manifold):
     def base_point(self):
         return self.join([f.base_point() for f in self.factors])
 
-    def point_defect(self, coords):
-        return max(
-            f.point_defect(coords[sl].reshape(shape))
-            for f, sl, shape in zip(self.factors, self._slices, self._shapes)
-        )
-
     def inner(self, x, u, v):
         if not self._single(x, u, v):
             return self._on_factors("inner", x, u, v)
@@ -650,13 +609,13 @@ class Product(Manifold):
         once on the folded stacks, or once per factor; an argument passed
         twice is folded or split once."""
         chain = (x, *args)
-        if self._common is None:
+        lead = max((a.coords.shape[:-1] for a in chain), key=len)
+        if self._common is None or len(lead) > 1:
             parts = {id(a): self.split(a) if isinstance(a, Point) else self.split_tangent(a)
                      for a in chain}
             outs = [getattr(f, op)(*p)
                     for f, *p in zip(self.factors, *(parts[id(a)] for a in chain))]
             return self._join([o.coords for o in outs]) if hasattr(outs[0], "coords") else sum(outs)
-        lead = max((a.coords.shape[:-1] for a in chain), key=len)
         X = self._fold(x, lead)
         folded = {id(x): X}
         for a in args:

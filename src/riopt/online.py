@@ -238,8 +238,8 @@ def _linear_scores(
     manifold: Manifold, x: Point, g: TangentVector, targets: np.ndarray
 ) -> np.ndarray:
     """<g, log_x(p_i)>_x for every stacked point p_i: the logs from one
-    ``log_many`` call, the products from one ``inner`` call."""
-    return manifold.inner(x, g, TangentVector(x, manifold.log_many(x, targets)))
+    ``log`` call on the cloud, the products from one ``inner`` call."""
+    return manifold.inner(x, g, manifold.log(x, Point(targets, x.manifold_id)))
 
 
 def aoogd_round(
@@ -264,10 +264,10 @@ def aoogd_round(
     each row (``FrechetMeanLoss.grad``): one call gives the experts'
     gradients and the played point's, the last row. ``prev_grad_fn`` takes
     the single point x_bar. The optimism and surrogate scores each come from
-    one ``log_many`` and one ``inner`` call, and the experts advance as one
-    ``roogd_step`` on their stacked state. ``experts`` is a state of
-    ``roogd_init_rows``; ``diag.g_play`` is the gradient at the played
-    point.
+    one ``log`` call on the experts' cloud and one ``inner`` call, and the
+    experts advance as one ``roogd_step`` on their stacked state.
+    ``experts`` is a state of ``roogd_init_rows``; ``diag.g_play`` is the
+    gradient at the played point.
     """
     stacked = experts.x_cur.coords
     n = len(stacked)

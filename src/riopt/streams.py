@@ -1,11 +1,11 @@
 """Synthetic loss streams for the online experiments.
 
-The hyperbolic Frechet-mean stream samples a point cloud around a moving
-center each round; the center either stays fixed within a window and jumps
-when the window ends (abrupt mode) or drifts a fixed distance every round
-(drift mode). All randomness flows through named child streams of the root
-seed, one per (purpose, round, sample index), so a config and seed fully
-determine the stream.
+The Frechet-mean stream samples a point cloud around a moving center each
+round, on any manifold; the center either stays fixed within a window and
+jumps when the window ends (abrupt mode) or drifts a fixed distance every
+round (drift mode). All randomness flows through named child streams of the
+root seed, one per (purpose, round, sample index), so a config and seed
+fully determine the stream.
 
 A child stream is ``child_rng(seed, *path)``, numpy's ``SeedSequence`` of
 the path feeding a ``PCG64``. Where a stream needs many children at once
@@ -25,7 +25,6 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .geometry import Manifold, Point, TangentVector
-from .manifolds import Hyperbolic
 
 # Stream-splitting tags: child_rng(seed, TAG, ...) keys every random draw.
 TAG_CENTER = 1
@@ -162,12 +161,11 @@ class FrechetMeanLoss:
     """f(x) = 1/(2N) sum_i d^2(x, A_i); gradient -1/N sum_i log_x(A_i).
 
     ``targets`` stacks the A_i along the axis before a point's coordinates;
-    value and gradient each make one ``dist_many`` / ``log_many`` call
-    (Hyperbolic and SPD have ``dist_many``). Both take a single point or,
-    on a manifold whose ``*_many`` take a stacked base (Hyperbolic), a
-    stacked point: then they give the value (an array) or gradient at each
-    row. Hyperbolic targets of shape (m, N, ambient) stack m losses, loss i
-    paired with row i of a stacked point.
+    value and gradient each make one ``dist`` / ``log`` call with the A_i as
+    a cloud (see ``Manifold``). Both take a single point or a stacked point:
+    then they give the value (an array) or gradient at each row. Targets of
+    shape (m, N, ...) stack m losses, loss i paired with row i of a stacked
+    point.
 
     In a frechet round the learners commit their points before the loss is
     touched; each stack of points then takes its gradients from one
@@ -182,17 +180,23 @@ class FrechetMeanLoss:
         self._axis = -1 - manifold.point_ndim
         self.n = self.targets.shape[self._axis]
 
+    def _cloud(self, x: Point) -> Point:
+        """The A_i as the cloud of x: one cloud, which a stacked x's rows
+        share through a leading axis of length 1, or one per row."""
+        t = self.targets
+        return Point(t[None] if x.coords.ndim >= t.ndim else t, x.manifold_id)
+
     def value(self, x: Point) -> float:
-        d = self.manifold.dist_many(x, self.targets)
+        d = self.manifold.dist(x, self._cloud(x))
         v = np.sum(d * d, axis=-1) / (2.0 * self.n)
         return v if v.ndim else float(v)
 
     def grad(self, x: Point) -> TangentVector:
-        """Row i of a stacked point's gradient is bitwise ``grad`` at row i
-        (of loss i, if the targets are stacked too): the logs of a stacked
-        base sum along the target axis in the same order, and ``to_tangent``
-        agrees bitwise with its single-point body."""
-        logs = self.manifold.log_many(x, self.targets)
+        """On Hyperbolic, row i of a stacked point's gradient is bitwise
+        ``grad`` at row i (of loss i, if the targets are stacked too): the
+        logs of a stacked base sum along the target axis in the same order,
+        and ``to_tangent`` agrees bitwise with its single-point body."""
+        logs = self.manifold.log(x, self._cloud(x)).coords
         return self.manifold.to_tangent(x, -logs.sum(axis=self._axis) / self.n)
 
 
@@ -200,14 +204,14 @@ class FrechetMeanLoss:
 class FrechetStream:
     """One realized stream: per-round losses and the centers they came from."""
 
-    manifold: Hyperbolic
+    manifold: Manifold
     losses: list
     centers: list
     anchor: Point
 
 
 def gen_frechet_stream(
-    manifold: Hyperbolic,
+    manifold: Manifold,
     T: int,
     n_points: int,
     mode: str = "abrupt",

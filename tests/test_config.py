@@ -101,6 +101,9 @@ def test_from_dict_ends_in_a_config_or_a_config_error(experiment, values):
         ("frechet", {"experiment": "frechet", "dim": 10**19}, "dim"),
         ("quadgame", {"experiment": "quadgame", "d": 2**63}, "d"),
         ("verify", {"experiment": "verify", "n_triangles": 2**63}, "n_triangles"),
+        # the frechet constants read the curvature of the space it runs on
+        ("frechet", {"experiment": "frechet", "curvature_mag": 4.0},
+         "unknown config keys: ['curvature_mag']"),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config, field):

@@ -19,7 +19,7 @@ from riopt import (
     rogda_init,
     rogda_step,
 )
-from riopt.games import play_round, play_round_rows
+from riopt.games import play_round_rows
 from riopt.geometry import GeometryError, Point, TangentVector
 from riopt.streams import child_rng
 from riopt.verify import fd_gradient_check
@@ -352,15 +352,33 @@ def test_field_rows_and_value_rows_are_bitwise_the_single_calls(k):
         assert type(game.value(fresh)) is float
 
 
+def _round_by_step_functions(game, etas, points, avg):
+    """The round of ``play_round_rows``, solver by solver through
+    ``rogda_step``, ``rgda_step`` and ``rceg_step``."""
+    new, vals, norms = {}, [], []
+    for name, eta in etas.items():
+        z_t = points[name]
+        F = game.field(z_t)
+        if name == "rogda":
+            avg = rogda_step(game, avg, eta, F)
+            new[name] = avg.z_cur
+        else:
+            new[name] = (rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F)
+        vals.append(game.value(z_t))
+        norms.append(game.space.norm(z_t, F))
+    return new, avg, vals, norms
+
+
 @pytest.mark.parametrize("c1", [0.0, 0.5])
 def test_play_round_rows_is_bitwise_play_round(c1):
+    # against the step functions, run solver by solver
     game = quad_logdet_game(10, c1, 1.0)
     spd = game.space.factors[0]
     z0 = game.join(spd.random_point(child_rng(7, 1)), spd.random_point(child_rng(7, 2)))
     etas = {"rogda": 0.01, "rgda": 0.02, "rceg": 0.01}
     # each side starts from its own copy of z0, so no memo is shared
     sides = []
-    for play in (play_round_rows, play_round):
+    for play in (play_round_rows, _round_by_step_functions):
         z = z0.copy()
         sides.append([play, dict.fromkeys(etas, z), rogda_init(game, z)])
     for _ in range(12):

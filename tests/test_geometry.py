@@ -224,7 +224,7 @@ def _weighted_cloud(m, seed, n=6):
     ids=lambda m: m.manifold_id,
 )
 def test_frechet_mean_bitwise_equal_to_pointwise_loop(m):
-    # log_many gives the bits of log here, and the weighted rows are summed
+    # the cloud's log gives the bits of log here, and the weighted rows are summed
     # in point order, so the batched iteration retraces the pointwise one
     for seed in range(4):
         points, weights = _weighted_cloud(m, seed)
@@ -234,7 +234,7 @@ def test_frechet_mean_bitwise_equal_to_pointwise_loop(m):
 
 
 def test_frechet_mean_hyperbolic_matches_pointwise_loop_and_is_stationary():
-    # Hyperbolic.log_many rounds differently from log: close, not bitwise
+    # Hyperbolic's log of a cloud rounds differently from log: close, not bitwise
     m = Hyperbolic(4)
     for seed in range(4):
         points, weights = _weighted_cloud(m, seed)

@@ -12,7 +12,7 @@ from riopt import (
     Sphere,
     make_spd_dataset,
 )
-from riopt.geometry import Manifold, Point, TangentVector
+from riopt.geometry import Point, TangentVector
 
 from agreement import assert_agree
 
@@ -122,9 +122,10 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
     m = SPD(10)
     anchors = np.stack(make_spd_dataset(10, 40, (0.2, 4.5), seed=3))
     at_anchor = Point(anchors[7].copy(), m.manifold_id)
+    cloud = Point(anchors, m.manifold_id)
     for x in (m.random_point(11), at_anchor):
-        dists = m.dist_many(x, anchors)
-        logs = m.log_many(x, anchors)
+        dists = m.dist(x, cloud)
+        logs = m.log(x, cloud).coords
         for i, A in enumerate(anchors):
             y = Point(A, m.manifold_id)
             ref_dist, ref_log = _spd_dist_log_reference(x.coords, A)
@@ -132,7 +133,7 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
             assert np.array_equal(logs[i], m.log(x, y).coords)
             assert np.array_equal(logs[i], ref_log)
     # the distance of an anchor to itself is rounding noise, not exactly 0
-    assert m.dist_many(at_anchor, anchors)[7] < 1e-12
+    assert m.dist(at_anchor, cloud)[7] < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -141,17 +142,18 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
     ids=lambda m: m.manifold_id,
 )
 def test_default_log_many_equals_stacked_single_calls(m):
-    assert type(m).log_many is Manifold.log_many
+    # the log of a cloud at a single base: on the sphere a numpy kernel,
+    # which agrees with the single calls to rounding, not bitwise
     x = m.random_point(1)
     pts = [m.random_point(np.random.default_rng(i), center=x, radius=1.0) for i in range(5)]
     targets = np.stack([p.coords for p in pts])
-    logs = m.log_many(x, targets)
+    logs = m.log(x, Point(targets, m.manifold_id)).coords
     assert logs.shape == targets.shape
-    assert np.array_equal(logs, np.stack([m.log(x, p).coords for p in pts]))
+    assert_agree(logs, np.stack([m.log(x, p).coords for p in pts]))
 
 
-def _hyperbolic_log_dist_many_longhand(xc, targets):
-    """Single-base log_many and dist_many, written out: one gemv per base."""
+def _hyperbolic_cloud_log_dist_longhand(xc, targets):
+    """log and dist of a cloud at a single base, written out: one gemv per base."""
     mdot = targets[:, :-1] @ xc[:-1] - targets[:, -1] * xc[-1]
     diff = targets - xc[None, :]
     q = np.maximum(np.sum(diff[:, :-1] ** 2, axis=1) - diff[:, -1] ** 2, 0.0)
@@ -171,19 +173,22 @@ def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
     targets = np.stack(pts)
     xs = [h.random_point(rng, center=base, radius=1.5) for _ in range(14)]
     xs[2] = Point(targets[6].copy(), h.manifold_id)  # a base on a target
+    cloud = Point(targets, h.manifold_id)
     for bases in (xs, xs[:1]):  # m = 14 and m = 1
         X = Point(np.stack([x.coords for x in bases]), h.manifold_id)
-        logs, dists = h.log_many(X, targets), h.dist_many(X, targets)
+        # the shared cloud, broadcast over the bases
+        Y = Point(np.broadcast_to(targets, (len(bases),) + targets.shape), h.manifold_id)
+        logs, dists = h.log(X, Y).coords, h.dist(X, Y)
         assert logs.shape == (len(bases),) + targets.shape
         assert dists.shape == (len(bases), len(targets))
-        want = [_hyperbolic_log_dist_many_longhand(x.coords, targets) for x in bases]
+        want = [_hyperbolic_cloud_log_dist_longhand(x.coords, targets) for x in bases]
         assert_agree(logs, np.stack([w[0] for w in want]))
         assert_agree(dists, np.stack([w[1] for w in want]))
         for x, (log_x, dist_x) in zip(bases, want):
-            assert_agree(h.log_many(x, targets), log_x)
-            assert_agree(h.dist_many(x, targets), dist_x)
-    assert h.dist_many(xs[2], targets)[6] == 0.0
-    assert not h.log_many(xs[2], targets)[[6, 7]].any()
+            assert_agree(h.log(x, cloud).coords, log_x)
+            assert_agree(h.dist(x, cloud), dist_x)
+    assert h.dist(xs[2], cloud)[6] == 0.0
+    assert not h.log(xs[2], cloud).coords[[6, 7]].any()
 
 
 @pytest.mark.parametrize("dim, n", [(2, 3), (2, 5), (10, 20)])
@@ -198,12 +203,13 @@ def test_hyperbolic_row_paired_targets_log_many_bitwise_equal_per_row_calls(dim,
         [[h.random_point(rng, center=x, radius=1.0).coords for _ in range(n)] for x in xs]
     )
     clouds[3, 1] = xs[3].coords  # a target on its base
-    X = Point(np.stack([x.coords for x in xs]), h.manifold_id)
-    logs, dists = h.log_many(X, clouds), h.dist_many(X, clouds)
+    X, Y = Point(np.stack([x.coords for x in xs]), h.manifold_id), Point(clouds, h.manifold_id)
+    logs, dists = h.log(X, Y).coords, h.dist(X, Y)
     assert logs.shape == clouds.shape and dists.shape == clouds.shape[:2]
-    assert_agree(logs, np.stack([h.log_many(x, c) for x, c in zip(xs, clouds)]))
-    assert_agree(dists, np.stack([h.dist_many(x, c) for x, c in zip(xs, clouds)]))
-    want = [_hyperbolic_log_dist_many_longhand(x.coords, c) for x, c in zip(xs, clouds)]
+    per_row = [Point(c, h.manifold_id) for c in clouds]
+    assert_agree(logs, np.stack([h.log(x, c).coords for x, c in zip(xs, per_row)]))
+    assert_agree(dists, np.stack([h.dist(x, c) for x, c in zip(xs, per_row)]))
+    want = [_hyperbolic_cloud_log_dist_longhand(x.coords, c) for x, c in zip(xs, clouds)]
     assert_agree(logs, np.stack([w[0] for w in want]))
     assert dists[3, 1] == 0.0 and not logs[3, 1].any()
 
@@ -211,15 +217,15 @@ def test_hyperbolic_row_paired_targets_log_many_bitwise_equal_per_row_calls(dim,
 def test_spd_batched_shapes_and_non_pd_base():
     m = SPD(3)
     for n in (1, 5):
-        targets = np.stack(make_spd_dataset(3, n, (0.5, 2.0), seed=0))
+        targets = Point(np.stack(make_spd_dataset(3, n, (0.5, 2.0), seed=0)), m.manifold_id)
         x = m.random_point(1)
-        assert m.dist_many(x, targets).shape == (n,)
-        assert m.log_many(x, targets).shape == (n, 3, 3)
+        assert m.dist(x, targets).shape == (n,)
+        assert m.log(x, targets).coords.shape == (n, 3, 3)
     bad = Point(np.diag([1.0, -1.0, 2.0]), m.manifold_id)
     with pytest.raises(GeometryError):
-        m.dist_many(bad, targets)
+        m.dist(bad, targets)
     with pytest.raises(GeometryError):
-        m.log_many(bad, targets)
+        m.log(bad, targets)
 
 
 def _spd_calls_at(m, x, y, v, anchors):
@@ -228,8 +234,8 @@ def _spd_calls_at(m, x, y, v, anchors):
         m.exp(x, TangentVector(x, v)).coords,
         m.log(x, y).coords,
         m.transport(x, y, TangentVector(x, v)).coords,
-        m.dist_many(x, anchors),
-        m.log_many(x, anchors),
+        m.dist(x, Point(anchors, m.manifold_id)),
+        m.log(x, Point(anchors, m.manifold_id)).coords,
     ]
 
 
@@ -388,18 +394,6 @@ def test_sphere_tangent_orthogonality(rng):
     assert abs(np.dot(x.coords, v.coords)) < 1e-12
 
 
-def test_point_checks():
-    s = Sphere(2)
-    p = s.base_point()
-    s.check_point(p)
-    bad = type(p)(np.array([1.0, 1.0, 0.0]), p.manifold_id)
-    with pytest.raises(GeometryError):
-        s.check_point(bad)
-    h = Hyperbolic(2)
-    with pytest.raises(GeometryError):
-        h.check_point(s.base_point())
-
-
 # ----------------------------------------------- stacked operands, by rows
 def _bits(a):
     a = np.asarray(a, dtype=float)
@@ -467,6 +461,27 @@ def test_row_forms_bitwise_equal_single_calls(m):
         assert np.array_equal(m.exp(X, V).coords[1], xs[1].coords)
         assert m.dist(X, Y)[2] == 0.0
         assert not m.log(X, Y).coords[2].any()
+
+
+@pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
+def test_cloud_dist_and_log_agree_with_single_calls(m):
+    # a y with one more leading axis than x: an (n, ...) cloud at a single
+    # base, an (m, n, ...) cloud per row of a stacked base
+    xs = _row_cases(m)[0]
+    rng = np.random.default_rng(5)
+    clouds = [[m.random_point(rng, center=x, radius=0.8) for _ in range(3)] for x in xs]
+    clouds[2][1] = Point(xs[2].coords.copy(), m.manifold_id)  # a cloud point on its base
+    want_d = [[m.dist(x, p) for p in c] for x, c in zip(xs, clouds)]
+    want_log = [[m.log(x, p).coords for p in c] for x, c in zip(xs, clouds)]
+    for x, c, d, log in zip(xs, clouds, want_d, want_log):
+        cloud = _stack(m, c)
+        assert_agree(m.dist(x, cloud), d)
+        assert_agree(m.log(x, cloud).coords, log)
+    X, Y = _stack(m, xs), Point(np.stack([_stack(m, c).coords for c in clouds]), m.manifold_id)
+    assert_agree(m.dist(X, Y), want_d)
+    assert_agree(m.log(X, Y).coords, want_log)
+    if not _has_spd(m):
+        assert m.dist(X, Y)[2, 1] == 0.0 and not m.log(X, Y).coords[2, 1].any()
 
 
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
@@ -591,7 +606,7 @@ def test_spd_log_of_a_target_not_positive_definite_raises_one_error(eig):
     for call in (
         lambda: m.log(x, y),
         lambda: m.log(_stack(m, [x, x]), _stack(m, [x, y])),
-        lambda: m.log_many(x, np.stack([x.coords, y.coords])),
+        lambda: m.log(x, Point(np.stack([x.coords, y.coords]), m.manifold_id)),
     ):
         with pytest.raises(GeometryError, match="log undefined"):
             call()
@@ -860,15 +875,11 @@ def test_row_kernels_edge_cases_raise_no_floating_point_error(m):
         assert m.log(x, ys[3]).coords.shape == x.coords.shape
         moved = m.transport(x, ys[3], vs[3])
         assert moved.base is ys[3] and moved.coords.shape == x.coords.shape
-        # log_many: a single base, a stacked base with shared or paired targets
-        assert m.log_many(x, Y.coords).shape == Y.coords.shape
-        if isinstance(m, Hyperbolic):
-            clouds = np.stack([Y.coords] * n)
-            assert m.dist_many(x, Y.coords).shape == (n,)
-            for targets in (Y.coords, clouds):
-                assert m.log_many(X, targets).shape == clouds.shape
-                assert m.dist_many(X, targets).shape == clouds.shape[:2]
-                assert not np.diagonal(m.dist_many(X, np.stack([X.coords] * n))).any()
+        # a cloud at a single base, and one per row of a stacked base
+        clouds = _stack(m, [Y] * n)
+        assert m.dist(X, clouds).shape == clouds.coords.shape[:2]
+        assert m.log(X, clouds).coords.shape == clouds.coords.shape
+        assert not np.diagonal(m.dist(X, _stack(m, [X] * n))).any()
 
 
 def test_hyperbolic_exp_past_the_cap_raises_only_geometry_error():

@@ -277,12 +277,12 @@ def test_roogd_step_rows_bitwise_equal_per_expert_steps():
 def _aoogd_round_reference(manifold, experts, weights, beta, grad_fn, prev_grad_fn):
     """One meta-expert round as a loop over the experts: single gradient
     calls and steps, and a single inner product per expert (the scores take
-    their logs from one log_many call)."""
+    their logs from one log call on the experts' cloud)."""
     xs = [s.x_cur for s in experts]
     stacked = np.stack([x.coords for x in xs])
 
     def scores(x, g):
-        logs = manifold.log_many(x, stacked)
+        logs = manifold.log(x, Point(stacked, x.manifold_id)).coords
         return np.array([manifold.inner(x, g, TangentVector(x, v)) for v in logs])
 
     x_bar = weighted_frechet_mean(manifold, xs, weights.w)

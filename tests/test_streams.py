@@ -1,12 +1,12 @@
 """The stacked stream sampler agrees with the per-sample calls it replaces,
 within the agreement bound; the stacked gradients keep the bits of the
-per-point calls."""
+per-point calls. The stream and its losses run on every manifold."""
 
 import numpy as np
 import pytest
 
-from riopt import SPD, Hyperbolic, streams
-from riopt.geometry import Point
+from riopt import SPD, Euclidean, Hyperbolic, Sphere, frechet_mean_rows, streams
+from riopt.geometry import KARCHER_TOL, Point
 from riopt.streams import (
     TAG_CENTER,
     TAG_DRIFT,
@@ -188,6 +188,26 @@ def test_stacked_losses_give_each_loss_at_its_row(dim):
     # one loss, many rows: value on the stack is value at each row
     single = losses[0].value(X)
     assert _bits([single]) == _bits([np.array([losses[0].value(x) for x in xs])])
+
+
+@pytest.mark.parametrize("m", [Sphere(3), SPD(3), Euclidean(3)], ids=lambda m: m.manifold_id)
+def test_frechet_stream_loss_and_means_run_off_hyperbolic(m):
+    stream = gen_frechet_stream(m, T=6, n_points=5, S=2, ball_radius=0.5, center_diam=0.5, seed=3)
+    shape = m.base_point().coords.shape
+    assert [loss.targets.shape for loss in stream.losses] == [(5,) + shape] * 6
+    # one loss at a stacked point: the targets broadcast over its rows
+    loss = stream.losses[0]
+    xs = stream.centers[:3]
+    X = Point(np.stack([x.coords for x in xs]), m.manifold_id)
+    assert type(loss.value(xs[0])) is float
+    assert_agree(loss.value(X), [loss.value(x) for x in xs])
+    assert_agree(loss.grad(X).coords, [loss.grad(x).coords for x in xs])
+    # every round's Karcher mean as one stack, where its loss is stationary
+    clouds = np.stack([loss.targets for loss in stream.losses])
+    means = frechet_mean_rows(m, clouds)
+    assert means.coords.shape == (6,) + shape
+    grads = FrechetMeanLoss(m, clouds).grad(means)
+    assert np.all(m.norm(means, grads) <= KARCHER_TOL)
 
 
 def test_spd_loss_counts_its_matrices():
