@@ -176,9 +176,11 @@ def test_hyperbolic_stacked_base_log_many_bitwise_equal_per_base_calls(dim):
     cloud = Point(targets, h.manifold_id)
     for bases in (xs, xs[:1]):  # m = 14 and m = 1
         X = Point(np.stack([x.coords for x in bases]), h.manifold_id)
-        # the shared cloud, broadcast over the bases
+        # the shared cloud, broadcast over the bases or on a length-1 axis
         Y = Point(np.broadcast_to(targets, (len(bases),) + targets.shape), h.manifold_id)
         logs, dists = h.log(X, Y).coords, h.dist(X, Y)
+        Y1 = Point(targets[None], h.manifold_id)
+        assert _bits(h.log(X, Y1).coords) == _bits(logs) and _bits(h.dist(X, Y1)) == _bits(dists)
         assert logs.shape == (len(bases),) + targets.shape
         assert dists.shape == (len(bases), len(targets))
         want = [_hyperbolic_cloud_log_dist_longhand(x.coords, targets) for x in bases]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riopt import SPD, Euclidean, Hyperbolic, Sphere, frechet_mean_rows, streams
-from riopt.geometry import KARCHER_TOL, Point
+from riopt.geometry import KARCHER_TOL, GeometryError, Point
 from riopt.streams import (
     TAG_CENTER,
     TAG_DRIFT,
@@ -208,6 +208,9 @@ def test_frechet_stream_loss_and_means_run_off_hyperbolic(m):
     assert means.coords.shape == (6,) + shape
     grads = FrechetMeanLoss(m, clouds).grad(means)
     assert np.all(m.norm(means, grads) <= KARCHER_TOL)
+    # one cloud is not a stack of them, whatever a point's ndim
+    with pytest.raises(GeometryError, match="clouds must be"):
+        frechet_mean_rows(m, clouds[0])
 
 
 def test_spd_loss_counts_its_matrices():
