@@ -48,6 +48,11 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
+# libm's atan2, which math.atan2 calls, on each element: numpy's arctan2 may
+# take a SIMD path that rounds 1 ulp away from it
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 class Euclidean(Manifold):
     """Flat R^n; exp/log reduce to vector addition and transport is trivial."""
 
@@ -132,7 +137,9 @@ class Sphere(Manifold):
     # The single-point bodies stay scalar (a one-row kernel costs 2-2.5x as
     # much): bench verify's rectangles and holonomy probe make them one at a
     # time. Inside them, dist and log run on coordinates (_dist1, _log1),
-    # with no second shape dispatch. The kernels follow them.
+    # with no second shape dispatch. The kernels _dist and _log make the same
+    # calls row by row (vecdot, _row_norm, libm's atan2), so each row of a
+    # cloud gets the bits of the single dist and log.
     inner = Euclidean.inner  # hot: the norms of random_tangent and the holonomy probe
 
     def dist(self, x, y):  # hot: the holonomy probe's side lengths
@@ -188,16 +195,16 @@ class Sphere(Manifold):
     def _dist1(x: np.ndarray, y: np.ndarray) -> float:
         # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
         # and, unlike arccos, loses no precision near 0 or pi
-        return 2.0 * math.atan2(np.linalg.norm(x - y), np.linalg.norm(x + y))
+        return 2.0 * math.atan2(_row_norm(x - y), _row_norm(x + y))
 
     @classmethod
     def _log1(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cosang = float(np.dot(x, y))
+        cosang = float(np.vecdot(x, y))
         if cosang <= -1.0 + _ANTIPODAL_TOL:
             raise GeometryError("log undefined at antipodal points")
         theta = cls._dist1(x, y)
         u = y - cosang * x
-        nu = np.linalg.norm(u)
+        nu = _row_norm(u)
         if nu == 0.0 or theta == 0.0:
             return np.zeros_like(x)
         return (theta / nu) * u
@@ -209,7 +216,7 @@ class Sphere(Manifold):
 
     @staticmethod
     def _dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 2.0 * np.arctan2(_row_norm(x - y), _row_norm(x + y))
+        return 2.0 * np.asarray(_atan2(_row_norm(x - y), _row_norm(x + y)), dtype=float)
 
     @classmethod
     def _log(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -179,15 +179,13 @@ class FrechetMeanLoss:
         # the axis of the A_i, before a point's coordinates
         self._axis = -1 - manifold.point_ndim
         self.n = self.targets.shape[self._axis]
-
-    def _cloud(self, x: Point) -> Point:
-        """The A_i as the cloud of x: one cloud, which a stacked x's rows
-        share through a leading axis of length 1, or one per row."""
+        # the A_i as the cloud of x (by x.coords.ndim >= targets.ndim): one per
+        # row, or one a stacked x's rows share on a leading axis of length 1
         t = self.targets
-        return Point(t[None] if x.coords.ndim >= t.ndim else t, x.manifold_id)
+        self._clouds = (Point(t, manifold.manifold_id), Point(t[None], manifold.manifold_id))
 
     def value(self, x: Point) -> float:
-        d = self.manifold.dist(x, self._cloud(x))
+        d = self.manifold.dist(x, self._clouds[x.coords.ndim >= self.targets.ndim])
         v = np.sum(d * d, axis=-1) / (2.0 * self.n)
         return v if v.ndim else float(v)
 
@@ -196,7 +194,7 @@ class FrechetMeanLoss:
         ``grad`` at row i (of loss i, if the targets are stacked too): the
         logs of a stacked base sum along the target axis in the same order,
         and ``to_tangent`` agrees bitwise with its single-point body."""
-        logs = self.manifold.log(x, self._cloud(x)).coords
+        logs = self.manifold.log(x, self._clouds[x.coords.ndim >= self.targets.ndim]).coords
         return self.manifold.to_tangent(x, -logs.sum(axis=self._axis) / self.n)
 
 

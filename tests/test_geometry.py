@@ -224,8 +224,10 @@ def _weighted_cloud(m, seed, n=6):
     ids=lambda m: m.manifold_id,
 )
 def test_frechet_mean_bitwise_equal_to_pointwise_loop(m):
-    # the cloud's log gives the bits of log here, and the weighted rows are summed
-    # in point order, so the batched iteration retraces the pointwise one
+    # the cloud's log gives the bits of log here (the sphere's kernel makes its
+    # single body's calls row by row; SPD and Euclidean share one body), and the
+    # weighted rows are summed in point order, so the batched iteration
+    # retraces the pointwise one
     for seed in range(4):
         points, weights = _weighted_cloud(m, seed)
         got = weighted_frechet_mean(m, points, weights)
