@@ -43,7 +43,7 @@ from .manifolds import SPD, Product, Sphere, _sym
 PayoffFn = Callable[[Point, Point], float]
 PartialGradFn = Callable[[Point, Point], TangentVector]
 
-# SPD.dist(A, A) is rounding noise, not 0, and the noise grows like
+# The computed dist(A, A) is rounding noise, not 0, and the noise grows like
 # d * cond(A) * eps: measured at most 0.5 * d * cond * eps for d <= 30 and
 # cond <= 1e6. A fixed cutoff such as 1e-10 is already beaten at cond 1e6, so
 # each anchor's own bound, times this safety factor, decides "at the anchor".
@@ -353,6 +353,14 @@ def quad_duality_gap(game: ZeroSumGame, x_bar: Point, y_bar: Point) -> float:
     return game.duality_gap_fn(x_bar, y_bar)
 
 
+def _anchor_tols(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Each anchor's "at the anchor" tolerance and the largest eigenvalue of
+    all anchors, from one stacked eigvalsh (each matrix gets a single call's bits)."""
+    w = np.linalg.eigvalsh(np.stack(mats))
+    tols = _ANCHOR_TOL_FACTOR * mats[0].shape[0] * (w[:, -1] / w[:, 0]) * np.finfo(float).eps
+    return tols, float(w[:, -1].max())
+
+
 def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     """Robust geometry-aware PCA as a min-max game on SPD x sphere.
 
@@ -364,12 +372,11 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     geodesically concave in X, so this family is a stress benchmark rather
     than a guaranteed-convergence target.
 
-    The anchors are stacked once, so each payoff or gradient evaluation gets
-    all n anchor distances (and, for the gradient, all n logs) from one
-    ``SPD.dist`` / ``SPD.log`` call with the anchors as the cloud of every
-    base of a stacked point. The distances are kept in the point's memo, so
-    the payoff and the gradient at a point share them. Sums run in anchor
-    order, as n single calls would.
+    The anchors are stacked once, so all n anchor logs and distances of a
+    point come from one ``SPD._log_dist`` call (one stacked ``eigh``) with
+    the anchors as the cloud of every base of a stacked point. Both are kept
+    in one entry of the point's memo, which the payoff and the gradient at
+    that point share. Sums run in anchor order, as n single calls would.
     """
     if len(data) == 0:
         raise ValueError("data must be nonempty")
@@ -380,24 +387,22 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     space = Product([spd, sphere])
     n = len(mats)
     anchors = np.stack([spd.project(A).coords for A in mats])
-    eigs = [np.linalg.eigvalsh(A) for A in mats]
-    eps = np.finfo(float).eps
-    anchor_tols = np.array([_ANCHOR_TOL_FACTOR * d * (w[-1] / w[0]) * eps for w in eigs])
+    anchor_tols, lam_max = _anchor_tols(mats)
 
     def over_anchors(a: Point) -> Point:
         """The anchors as the cloud of a, broadcast over its rows."""
         return Point(np.broadcast_to(anchors, a.coords.shape[:-2] + anchors.shape), a.manifold_id)
 
-    # the memo key of the anchor distances: this game's own object
-    dists_key = object()
+    # the memo key of the anchor logs and distances: this game's own object
+    anchors_key = object()
 
-    def anchor_dists(a: Point) -> np.ndarray:
-        return memo_entry(a, dists_key, lambda p: (spd.dist(p, over_anchors(p)),))[0]
+    def anchor_log_dists(a: Point) -> tuple[np.ndarray, np.ndarray]:
+        return memo_entry(a, anchors_key, lambda p: spd._log_dist(p, over_anchors(p)))
 
     def payoff(a: Point, x: Point):
         xc = x.coords
         quad = (xc[..., None, :] @ a.coords @ xc[..., :, None])[..., 0, 0]
-        dists = anchor_dists(a)
+        dists = anchor_log_dists(a)[1]
         spread = np.reshape([sum(row) for row in dists.reshape(-1, n).tolist()], quad.shape)
         val = quad + alpha / n * spread
         return val if val.ndim else float(val)
@@ -406,9 +411,8 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         A = a.coords
         xx = x.coords[..., :, None] * x.coords[..., None, :]
         g = A @ xx @ A
-        dists = anchor_dists(a)
+        logs, dists = anchor_log_dists(a)
         far = dists > anchor_tols
-        logs = spd.log(a, over_anchors(a)).coords
         terms = np.zeros_like(logs)
         terms[far] = (alpha / n) * logs[far] / dists[far, None, None]
         # in anchor order; an anchor at a contributes 0, and g - 0 is g
@@ -420,7 +424,6 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         c = (2.0 * a.coords @ x.coords[..., None])[..., 0]
         return sphere.to_tangent(x, c)
 
-    lam_max = max(float(w[-1]) for w in eigs)
     return ZeroSumGame(
         space=space,
         payoff=payoff,

@@ -368,19 +368,16 @@ def _sym(M: np.ndarray) -> np.ndarray:
 class SPD(Manifold):
     """Symmetric positive definite d x d matrices, affine-invariant metric.
 
-    <U, V>_X = tr(X^-1 U X^-1 V). Geodesics, log and transport are the
+    <U, V>_X = tr(X^-1 U X^-1 V); geodesics, log and transport are the
     standard closed forms through symmetric eigendecompositions. Sectional
-    curvature lies in [-1/2, 0]; the bounds below are verified empirically by
-    the comparison-inequality suite rather than taken on trust.
+    curvature lies in [-1/2, 0], checked empirically by the comparison suite.
 
     Each point stores (X^(1/2), X^(-1/2)), from one eigendecomposition, in its
-    memo on first use; exp, dist, log and transport at that base point reuse
-    it, a cloud's dist and log included. A point that is not positive
-    definite stores nothing and raises on every call. A stacked point (coords
-    of shape (n, d, d)) stores the pairs of all its matrices in one memo
-    entry. Every operation is one formula over single matrices, stacks and
-    clouds alike: numpy's stacked kernels give each matrix the bits of a
-    single call.
+    memo on first use, for every operation at that base (a stack stores all
+    its pairs in one entry; a matrix that is not positive definite stores
+    nothing and raises on every call). ``_log_dist`` gives log and dist from
+    log's one eigh; ``dist`` alone takes eigvalsh. Each operation is one
+    formula over matrices, stacks and clouds, each matrix with a single call's bits.
     """
 
     point_ndim = 2
@@ -427,9 +424,7 @@ class SPD(Manifold):
 
     def dist(self, x, y):
         Si = self._cloud(x, y, self._sqrt_pair(x)[1])
-        lw = np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ y.coords @ Si)), 1e-300))
-        # vecdot, unlike norm(axis=-1), gives each row the bits of a single call
-        d = np.sqrt(np.vecdot(lw, lw))
+        d = _row_norm(np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ y.coords @ Si)), 1e-300)))
         return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
@@ -441,12 +436,17 @@ class SPD(Manifold):
             raise GeometryError("exp overflows: the step is too long for float64")
         return Point(_sym(S @ ((V * np.exp(w)[..., None, :]) @ V.mT) @ S), self.manifold_id)
 
-    def log(self, x, y):
+    def _log_dist(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """log_x(y)'s coords and dist(x, y), from one eigh of X^(-1/2) Y X^(-1/2)."""
         S, Si = (self._cloud(x, y, a) for a in self._sqrt_pair(x)[:2])
         w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
         if (w[..., 0] <= 0).any():
             raise GeometryError("log undefined: a target is not positive definite")
-        return TangentVector(x, _sym(S @ ((V * np.log(w)[..., None, :]) @ V.mT) @ S))
+        lw = np.log(w)
+        return _sym(S @ ((V * lw[..., None, :]) @ V.mT) @ S), _row_norm(lw)
+
+    def log(self, x, y):
+        return TangentVector(x, self._log_dist(x, y)[0])
 
     def transport(self, x, y, v):
         # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)

@@ -19,7 +19,7 @@ from riopt import (
     rogda_init,
     rogda_step,
 )
-from riopt.games import play_round_rows
+from riopt.games import _ANCHOR_TOL_FACTOR, _anchor_tols, play_round_rows
 from riopt.geometry import GeometryError, Point, TangentVector
 from riopt.streams import child_rng
 from riopt.verify import fd_gradient_check
@@ -393,23 +393,41 @@ def test_play_round_rows_is_bitwise_play_round(c1):
         assert outs[0] == outs[1]
 
 
-def test_robust_pca_payoff_and_field_share_each_anchor_distance(monkeypatch):
+def test_robust_pca_payoff_and_field_share_each_anchor_distance(eig_calls):
+    # the anchor distances and logs of a point come from one eigh, which the
+    # payoff and the field share; the only eigvalsh is the game's, over its
+    # 6 anchors at once
     game, pts = list(_games_and_stacks())[1]
-    calls = []
-    original = np.linalg.eigvalsh
-
-    def counting(M, *args, **kwargs):
-        calls.append(np.shape(M)[:-2])
-        return original(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert eig_calls == [("eigvalsh", (6,))]
     z = pts[0]
     game.value(z), game.field(z), game.value(z)
-    assert calls == [(6,)]  # one point, its 6 anchor distances, once
+    # the point's own factorization, then its 6 anchors, once
+    assert eig_calls[1:] == [("eigh", ()), ("eigh", (6,))]
     Z = game.space.stack(pts[1:])
     game.field(Z), game.value(Z)
-    # the 3 distinct points of the stack (one is there twice), in one call
-    assert calls == [(6,), (3, 6)]
+    # the 3 distinct points of the stack (one is there twice), in one call each
+    assert eig_calls[3:] == [("eigh", (3,)), ("eigh", (3, 6))]
+
+
+def test_robust_pca_anchor_tolerances_bitwise_equal_to_the_per_anchor_loop():
+    data = make_spd_dataset(10, 40, (0.2, 4.5), seed=3)
+    tols, lam_max = _anchor_tols(data)
+    eps = np.finfo(float).eps
+    eigs = [np.linalg.eigvalsh(A) for A in data]
+    loop = np.array([_ANCHOR_TOL_FACTOR * 10 * (w[-1] / w[0]) * eps for w in eigs])
+    assert tols.tobytes() == loop.tobytes()
+    assert lam_max == max(float(w[-1]) for w in eigs)
+
+
+def test_robust_pca_field_raises_at_an_indefinite_anchor():
+    data = make_spd_dataset(3, 4, (0.5, 2.0), seed=1)
+    data[2] = np.diag([1.0, 0.5, -0.25])
+    game = robust_pca_game(data, alpha=1.0)
+    spd, sphere = game.space.factors
+    z = game.join(spd.random_point(5), sphere.random_point(6))
+    with pytest.raises(GeometryError) as err:
+        game.field(z)
+    assert str(err.value) == "log undefined: a target is not positive definite"
 
 
 # ------------------------------------------------------------- diagnostics

@@ -136,6 +136,21 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
     assert m.dist(at_anchor, cloud)[7] < 1e-12
 
 
+def test_spd_log_dist_takes_log_and_dist_from_one_eigh(eig_calls):
+    m = SPD(10)
+    anchors = np.stack(make_spd_dataset(10, 40, (0.2, 4.5), seed=3))
+    cloud = Point(anchors, m.manifold_id)
+    for x in (m.random_point(11), Point(anchors[7].copy(), m.manifold_id)):
+        logs, dists = m._log_dist(x, cloud)
+        assert eig_calls[-2:] == [("eigh", ()), ("eigh", (40,))]
+        # log is _log_dist's first half; dist takes eigvalsh, whose eigenvalues
+        # round differently from eigh's
+        assert np.array_equal(logs, m.log(x, cloud).coords)
+        assert_agree(dists, m.dist(x, cloud))
+    # at the anchor: rounding noise, far below the anchor tolerance
+    assert dists[7] < 1e-12
+
+
 @pytest.mark.parametrize(
     "m",
     [Sphere(3), Euclidean(4), Product([SPD(2), Sphere(2), Hyperbolic(2)])],
