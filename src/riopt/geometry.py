@@ -196,11 +196,12 @@ class Manifold(ABC):
     Each operation has one name, which takes single points and tangents,
     stacks of them (coords with leading axes before a point's
     ``point_ndim`` axes; row i of each stacked operand goes with row i of
-    the others) or a single point broadcast against stacked operands. It
-    picks its body from the shapes of its operands: when every operand is
-    single, the single-point body, and ``inner``, ``dist`` and ``norm``
-    return a Python float; otherwise a kernel over the rows, which returns
-    an array. The two bodies agree to rounding, not bitwise.
+    the others) or a single point broadcast against stacked operands. When
+    every operand is single, ``inner``, ``dist`` and ``norm`` return a
+    Python float, else an array over the rows. Each operation is one body
+    over all these shapes, so a row gets the single call's bits, except
+    Hyperbolic ``exp`` and ``inner``, whose scalar single-point body agrees
+    with their kernel to rounding, not bitwise.
 
     ``dist(x, Y)`` and ``log(x, Y)`` also take a cloud: a ``Y`` with exactly
     one more leading axis than x holds one cloud per base, (n, ...) for a
@@ -283,6 +284,9 @@ class Manifold(ABC):
 
     # -- sampling ----------------------------------------------------------
     @abstractmethod
+    def _draw(self, rng: np.random.Generator) -> Point:
+        """The random point of ``random_point`` when no center is given."""
+
     def random_point(
         self,
         rng: RngLike,
@@ -290,6 +294,14 @@ class Manifold(ABC):
         radius: Optional[float] = None,
     ) -> Point:
         """Seed-deterministic random point; within dist(., center) <= radius if given."""
+        rng = as_rng(rng)
+        if center is None:
+            return self._draw(rng)
+        if radius is None:
+            radius = 1.0
+        direction = self.random_tangent(center, rng, norm=1.0)
+        r = radius * rng.uniform()
+        return self.exp(center, r * direction)
 
     def random_tangent(self, x: Point, rng: RngLike, norm: float = 1.0) -> TangentVector:
         """Random tangent vector at x with the exact requested norm."""

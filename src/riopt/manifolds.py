@@ -7,16 +7,14 @@ matrices with the affine-invariant metric, and products of the above.
 One rule holds for every operation (``to_tangent``, ``inner``, ``norm``,
 ``dist``, ``exp``, ``log``, ``transport``): one name takes single points,
 stacks whose rows pair up, or a single point broadcast against stacked
-operands, and picks its body from the shapes of its operands. When every
-operand is single it runs the single-point body: scalar ``math`` code on the
-sphere and for hyperbolic ``exp`` and ``inner`` (a one-row numpy kernel
-costs 2-2.5x as much, and bench verify's holonomy probe and R-AOOGD's
-Karcher means make them one at a time), one call per factor on a product.
-Otherwise it runs a numpy kernel over the rows, or on a product one call per
-factor stack or on the folded stack (see ``Product``). Where one
-broadcasting formula serves both (SPD, the other hyperbolic operations,
-Euclidean exp, log and transport), there is one body. ``dist`` and ``log``
-also take a cloud per base (see ``Manifold``).
+operands. On Euclidean, the sphere and SPD, and for the other hyperbolic
+operations, it is one numpy formula, which broadcasts over the leading axes
+and over none; a single call returns a float where an array would have no
+axis. Hyperbolic ``exp`` and ``inner`` alone keep a scalar ``math`` body for
+single operands: R-AOOGD's Karcher means and the single learners make them
+one at a time, where a one-row numpy kernel costs 2-2.5x as much. A product
+makes one call per factor, or one on the folded stack (see ``Product``).
+``dist`` and ``log`` also take a cloud per base (see ``Manifold``).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .geometry import (
     Manifold,
     Point,
     TangentVector,
-    as_rng,
     memo_entry,
 )
 
@@ -46,11 +43,6 @@ _EXP_MAX_ARG = math.log(np.finfo(float).max)
 # of them along leading axes, which broadcast against each other.
 def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
-
-
-# libm's atan2, which math.atan2 calls, on each element: numpy's arctan2 may
-# take a SIMD path that rounds 1 ulp away from it
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 class Euclidean(Manifold):
@@ -73,14 +65,12 @@ class Euclidean(Manifold):
         return Point(np.zeros(self.n), self.manifold_id)
 
     def inner(self, x, u, v):
-        if self._single(x, u, v):
-            return float(np.dot(u.coords, v.coords))
-        return np.vecdot(u.coords, v.coords)
+        s = np.vecdot(u.coords, v.coords)
+        return float(s) if self._single(x, u, v) else s
 
     def dist(self, x, y):
-        if self._single(x, y):
-            return float(np.linalg.norm(y.coords - x.coords))
-        return _row_norm(y.coords - self._cloud(x, y, x.coords))
+        d = _row_norm(y.coords - self._cloud(x, y, x.coords))
+        return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
         self._require_base(x, v)
@@ -94,15 +84,8 @@ class Euclidean(Manifold):
         self._require_base(x, v)
         return TangentVector(y, v.coords.copy())
 
-    def random_point(self, rng, center=None, radius=None):
-        rng = as_rng(rng)
-        if center is None:
-            return Point(rng.standard_normal(self.n), self.manifold_id)
-        if radius is None:
-            radius = 1.0
-        direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
-        return self.exp(center, r * direction)
+    def _draw(self, rng):
+        return Point(rng.standard_normal(self.n), self.manifold_id)
 
 
 class Sphere(Manifold):
@@ -124,38 +107,26 @@ class Sphere(Manifold):
         return Point(c / nrm, self.manifold_id)
 
     def to_tangent(self, x, coords):
-        c = np.asarray(coords, dtype=float)
-        if x.coords.ndim == c.ndim == 1:
-            return TangentVector(x, c - np.dot(x.coords, c) * x.coords)
-        return TangentVector(x, self._tangent(x.coords, c))
+        return TangentVector(x, self._tangent(x.coords, np.asarray(coords, dtype=float)))
 
     def base_point(self):
         e = np.zeros(self.ambient)
         e[0] = 1.0
         return Point(e, self.manifold_id)
 
-    # The single-point bodies stay scalar (a one-row kernel costs 2-2.5x as
-    # much): bench verify's rectangles and holonomy probe make them one at a
-    # time. Inside them, dist and log run on coordinates (_dist1, _log1),
-    # with no second shape dispatch. The kernels _dist and _log make the same
-    # calls row by row (vecdot, _row_norm, libm's atan2), so each row of a
-    # cloud gets the bits of the single dist and log.
-    inner = Euclidean.inner  # hot: the norms of random_tangent and the holonomy probe
+    # Each operation is one kernel on coordinates (_tangent, _dist, _log and
+    # the formulas of exp and transport), which broadcasts over the leading
+    # axes and over none: a single point, a stack and a cloud run the same
+    # calls row by row, so each row gets the bits of the single call.
+    inner = Euclidean.inner
 
-    def dist(self, x, y):  # hot: the holonomy probe's side lengths
-        if not self._single(x, y):
-            return self._dist(self._cloud(x, y, x.coords), y.coords)
-        return self._dist1(x.coords, y.coords)
+    def dist(self, x, y):
+        d = self._dist(self._cloud(x, y, x.coords), y.coords)
+        return float(d) if self._single(x, y) else d
 
-    def exp(self, x, v):  # hot: the rectangles' corners
+    def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        if self._single(x, v):
-            theta = np.linalg.norm(v.coords)
-            if theta == 0.0:
-                return x.copy()
-            c = math.cos(theta) * x.coords + math.sin(theta) * v.coords / theta
-            return self.project(c)
         t = _row_norm(v.coords)[..., None]
         c = np.cos(t) * x.coords + np.sin(t) * v.coords / np.where(t > 0, t, 1.0)
         nrm = _row_norm(c)[..., None]
@@ -165,49 +136,21 @@ class Sphere(Manifold):
         return Point(np.where(t > 0, c / nrm, x.coords), self.manifold_id)
 
     def log(self, x, y):
-        if not self._single(x, y):
-            return TangentVector(x, self._log(self._cloud(x, y, x.coords), y.coords))
-        return TangentVector(x, self._log1(x.coords, y.coords))
+        return TangentVector(x, self._log(self._cloud(x, y, x.coords), y.coords))
 
-    def transport(self, x, y, v):  # hot: four per holonomy probe
+    def transport(self, x, y, v):
         # Rotate the geodesic direction into its image at y; the orthogonal
-        # complement of span{x, y} is transported unchanged.
+        # complement of span{x, y} is transported unchanged: v reflected
+        # through the geodesic's direction at both ends. A row of zero
+        # distance keeps v.
         self._require_base(x, v)
-        if not self._single(x, y, v):
-            # v reflected through the geodesic's direction at both ends; a
-            # row of zero distance keeps v
-            u = self._log(x.coords, y.coords)
-            d2 = np.vecdot(u, u)
-            uv = np.vecdot(u, v.coords)
-            scale = np.divide(uv, d2, out=np.zeros_like(uv), where=d2 > 0)
-            w = v.coords - scale[..., None] * (u + self._log(y.coords, x.coords))
-            w = self._tangent(y.coords, w)
-            return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
-        u = self._log1(x.coords, y.coords)
-        d = np.linalg.norm(u)
-        if d == 0.0:
-            return TangentVector(y, v.coords.copy())
-        w = v.coords - (np.dot(u, v.coords) / d**2) * (u + self._log1(y.coords, x.coords))
-        return self.to_tangent(y, w)
-
-    # the single-point bodies of dist and log on coordinates
-    @staticmethod
-    def _dist1(x: np.ndarray, y: np.ndarray) -> float:
-        # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
-        # and, unlike arccos, loses no precision near 0 or pi
-        return 2.0 * math.atan2(_row_norm(x - y), _row_norm(x + y))
-
-    @classmethod
-    def _log1(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cosang = float(np.vecdot(x, y))
-        if cosang <= -1.0 + _ANTIPODAL_TOL:
-            raise GeometryError("log undefined at antipodal points")
-        theta = cls._dist1(x, y)
-        u = y - cosang * x
-        nu = _row_norm(u)
-        if nu == 0.0 or theta == 0.0:
-            return np.zeros_like(x)
-        return (theta / nu) * u
+        u = self._log(x.coords, y.coords)
+        d2 = np.vecdot(u, u)
+        uv = np.vecdot(u, v.coords)
+        scale = np.divide(uv, d2, out=np.zeros_like(uv), where=d2 > 0)
+        w = v.coords - scale[..., None] * (u + self._log(y.coords, x.coords))
+        w = self._tangent(y.coords, w)
+        return TangentVector(y, np.where((d2 > 0)[..., None], w, v.coords))
 
     # the kernels on coordinate arrays
     @staticmethod
@@ -216,7 +159,9 @@ class Sphere(Manifold):
 
     @staticmethod
     def _dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(_atan2(_row_norm(x - y), _row_norm(x + y)), dtype=float)
+        # chord formula tan(d/2) = |x-y| / |x+y| is exact for unit vectors
+        # and, unlike arccos, loses no precision near 0 or pi
+        return 2.0 * np.arctan2(_row_norm(x - y), _row_norm(x + y))
 
     @classmethod
     def _log(cls, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -229,15 +174,8 @@ class Sphere(Manifold):
         scale = np.divide(theta, nu, out=np.zeros_like(theta), where=nu > 0)
         return scale[..., None] * u
 
-    def random_point(self, rng, center=None, radius=None):
-        rng = as_rng(rng)
-        if center is None:
-            return self.project(rng.standard_normal(self.ambient))
-        if radius is None:
-            radius = 1.0
-        direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
-        return self.exp(center, r * direction)
+    def _draw(self, rng):
+        return self.project(rng.standard_normal(self.ambient))
 
 
 class Hyperbolic(Manifold):
@@ -268,8 +206,6 @@ class Hyperbolic(Manifold):
 
     def to_tangent(self, x, coords):
         c = np.asarray(coords, dtype=float)
-        if x.coords.ndim == c.ndim == 1:
-            return TangentVector(x, c + self.minkowski(x.coords, c) * x.coords)
         return TangentVector(x, c + self._inner(x.coords, c)[..., None] * x.coords)
 
     def base_point(self):
@@ -277,15 +213,17 @@ class Hyperbolic(Manifold):
         e[-1] = 1.0
         return Point(e, self.manifold_id)
 
-    def inner(self, x, u, v):  # hot, scalar: every norm of the frechet learners and Karcher means
+    # exp and inner keep a scalar body for single operands (a one-row kernel
+    # costs 2-2.5x as much): R-AOOGD's Karcher means and the single learners
+    # call them one at a time
+    def inner(self, x, u, v):
         if self._single(x, u, v):
             return self.minkowski(u.coords, v.coords)
         return self._inner(u.coords, v.coords)
 
     def dist(self, x, y):
-        if self._single(x, y):
-            return float(self._dist(x.coords, y.coords))
-        return self._dist(self._cloud(x, y, x.coords), y.coords)
+        d = self._dist(self._cloud(x, y, x.coords), y.coords)
+        return float(d) if self._single(x, y) else d
 
     def _exp_cap(self, x: np.ndarray):
         """The longest step exp takes from x: the result's coordinates grow
@@ -293,7 +231,7 @@ class Hyperbolic(Manifold):
         top = np.log(np.maximum(x[..., -1], 1.0))
         return 0.5 * (_EXP_MAX_ARG - math.log(4 * self.ambient)) - top
 
-    def exp(self, x, v):  # hot, scalar: R-AOOGD's Karcher means and the single learners
+    def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge step's norm is inf or nan
@@ -349,15 +287,8 @@ class Hyperbolic(Manifold):
         nu = np.sqrt(np.maximum(cls._inner(u, u), 0.0))
         return np.divide(d, nu, out=np.zeros_like(d), where=nu > 0)[..., None] * u
 
-    def random_point(self, rng, center=None, radius=None):
-        rng = as_rng(rng)
-        if center is None:
-            center = self.base_point()
-        if radius is None:
-            radius = 1.0
-        direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
-        return self.exp(center, r * direction)
+    def _draw(self, rng):
+        return self.random_point(rng, self.base_point())
 
 
 # Acts on a single (d, d) matrix or on a stack (n, d, d) of them.
@@ -456,18 +387,11 @@ class SPD(Manifold):
         E = S @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Si
         return TangentVector(y, _sym(E @ v.coords @ E.mT))
 
-    def random_point(self, rng, center=None, radius=None):
-        rng = as_rng(rng)
-        if center is None:
-            lo, hi = self.eig_range
-            w = rng.uniform(lo, hi, size=self.d)
-            Q, _ = np.linalg.qr(rng.standard_normal((self.d, self.d)))
-            return self.project((Q * w) @ Q.T)
-        if radius is None:
-            radius = 1.0
-        direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
-        return self.exp(center, r * direction)
+    def _draw(self, rng):
+        lo, hi = self.eig_range
+        w = rng.uniform(lo, hi, size=self.d)
+        Q, _ = np.linalg.qr(rng.standard_normal((self.d, self.d)))
+        return self.project((Q * w) @ Q.T)
 
 
 class Product(Manifold):
@@ -476,14 +400,14 @@ class Product(Manifold):
     Points are stored as the flat concatenation of each factor's raveled
     ambient coordinates. Squared distances add over factors and the curvature
     bounds are the envelope of the factors' bounds. ``split``/``join`` also
-    take (n, ambient) stacks. With single operands every operation makes one
-    call per factor. With stacked operands each factor gets its rows in one
-    call; when the k factors are one manifold (one ``manifold_id``), ``exp``,
-    ``log``, ``inner`` and ``transport`` fold instead: the (n, k * size)
-    rows are, as a reshape, one (n k, ...) stack of that factor, which it
-    takes in a single call. The fold's rows are the rows' factor points, so
-    each is factored once whichever stack it joins. The fold takes one
-    leading axis, so a cloud at a stacked base goes through the per-factor
+    take (n, ambient) stacks. Every operation makes one call per factor,
+    which takes single operands or the factor's rows. When the k factors are
+    one manifold (one ``manifold_id``) and the operands have one leading
+    axis, ``exp``, ``log``, ``inner`` and ``transport`` fold instead: the
+    (n, k * size) rows are, as a reshape, one (n k, ...) stack of that
+    factor, which it takes in a single call. The fold's rows are the rows'
+    factor points, so each is factored once whichever stack it joins.
+    Single operands and a cloud at a stacked base go through the per-factor
     calls.
     """
 
@@ -558,12 +482,7 @@ class Product(Manifold):
         return self.join([f.base_point() for f in self.factors])
 
     def inner(self, x, u, v):
-        if not self._single(x, u, v):
-            return self._on_factors("inner", x, u, v)
-        xs = self.split(x)
-        us = self.split_tangent(u)
-        vs = us if v is u else self.split_tangent(v)
-        return float(sum(f.inner(xi, ui, vi) for f, xi, ui, vi in zip(self.factors, xs, us, vs)))
+        return self._on_factors("inner", x, u, v)
 
     def dist(self, x, y):
         xs, ys = self.split(x), self.split(y)
@@ -572,27 +491,14 @@ class Product(Manifold):
 
     def exp(self, x, v):
         self._require_base(x, v)
-        if not self._single(x, v):
-            return Point(self._on_factors("exp", x, v), self.manifold_id)
-        xs = self.split(x)
-        vs = self.split_tangent(v)
-        return self.join([f.exp(xi, vi) for f, xi, vi in zip(self.factors, xs, vs)])
+        return Point(self._on_factors("exp", x, v), self.manifold_id)
 
     def log(self, x, y):
-        if not self._single(x, y):
-            return TangentVector(x, self._on_factors("log", x, y))
-        xs, ys = self.split(x), self.split(y)
-        parts = [f.log(xi, yi) for f, xi, yi in zip(self.factors, xs, ys)]
-        return self.join_tangent(x, parts)
+        return TangentVector(x, self._on_factors("log", x, y))
 
     def transport(self, x, y, v):
         self._require_base(x, v)
-        if not self._single(x, y, v):
-            return TangentVector(y, self._on_factors("transport", x, y, v))
-        xs, ys = self.split(x), self.split(y)
-        vs = self.split_tangent(v)
-        parts = [f.transport(xi, yi, vi) for f, xi, yi, vi in zip(self.factors, xs, ys, vs)]
-        return self.join_tangent(y, parts)
+        return TangentVector(y, self._on_factors("transport", x, y, v))
 
     def _fold(self, p: Point, lead: tuple) -> Point:
         """The factor points of p's rows as one stack of the common factor,
@@ -610,14 +516,14 @@ class Product(Manifold):
         return z
 
     def _on_factors(self, op: str, x: Point, *args):
-        """The factors' operation ``op`` at the rows of x and ``args`` (points,
-        or tangents at x), some of them stacked: the product coords of its
-        points or tangents, or the sum over factors of its numbers. It runs
-        once on the folded stacks, or once per factor; an argument passed
-        twice is folded or split once."""
+        """The factors' operation ``op`` at x and ``args`` (points, or
+        tangents at x), single or stacked: the product coords of its points or
+        tangents, or the sum over factors of its numbers. It runs once on the
+        folded stacks when there is one leading axis, else once per factor;
+        an argument passed twice is folded or split once."""
         chain = (x, *args)
         lead = max((a.coords.shape[:-1] for a in chain), key=len)
-        if self._common is None or len(lead) > 1:
+        if self._common is None or len(lead) != 1:
             parts = {id(a): self.split(a) if isinstance(a, Point) else self.split_tangent(a)
                      for a in chain}
             outs = [getattr(f, op)(*p)
@@ -635,13 +541,6 @@ class Product(Manifold):
         rows = out.reshape(lead + (len(self.factors),))
         return sum(rows[..., j] for j in range(len(self.factors)))
 
-    def random_point(self, rng, center=None, radius=None):
-        rng = as_rng(rng)
-        if center is None:
-            return self.join([f.random_point(rng) for f in self.factors])
-        if radius is None:
-            radius = 1.0
-        direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
-        return self.exp(center, r * direction)
+    def _draw(self, rng):
+        return self.join([f.random_point(rng) for f in self.factors])
 

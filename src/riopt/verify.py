@@ -199,6 +199,11 @@ def holonomy_probe(
     vector minus the original and bound = 12 K_m ||z|| (area estimate). The
     area estimate is the product of the mean opposite-side lengths, an upper
     surrogate for the patch integral at small scales.
+
+    The corners and z are single points and a tangent at c0, giving two
+    floats, or stacks of n rectangles (corner k of each in the stack
+    ``rect_corners[k]``, z based at that stack ``c0``), giving (n,) arrays:
+    each operation is one call on the stacks.
     """
     if len(rect_corners) != 4:
         raise ValueError("need exactly 4 corners")

@@ -16,9 +16,10 @@ from riopt import (
     random_small_rectangle,
     triangle_comparison_suite,
 )
+from riopt.bench import ExperimentConfig, run_verification
 from riopt.geometry import GeometryError, TangentVector, sigma_constant, zeta_constant
 from riopt.verify import ProbeReport
-from riopt.streams import FrechetMeanLoss
+from riopt.streams import TAG_INIT, FrechetMeanLoss, child_rng
 
 from agreement import assert_agree
 
@@ -207,6 +208,34 @@ def test_holonomy_degenerate_rectangle():
     z = s.random_tangent(p, np.random.default_rng(5), norm=1.0)
     defect, _ = holonomy_probe(s, [p, q, q, p], z)
     assert defect < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_holonomy_probe_bitwise_equal_per_rectangle_loop(seed):
+    # the rectangles of run_verification, drawn as it draws them
+    s = Sphere(2)
+    rng = child_rng(seed, TAG_INIT, 7)
+    rects = [random_small_rectangle(s, rng, scale=0.01) for _ in range(200)]
+    # the reference: one probe per rectangle, on single points
+    loop = [holonomy_probe(s, corners, z) for corners, z in rects]
+    assert all(type(d) is float and type(b) is float for d, b in loop)
+    passed, worst = True, 0.0
+    for d, b in loop:
+        passed &= d <= b
+        if b > 0:
+            worst = max(worst, d / b)
+
+    corners = [s.stack([c[k] for c, _ in rects]) for k in range(4)]
+    z = TangentVector(corners[0], np.stack([z.coords for _, z in rects]))
+    defect, bound = holonomy_probe(s, corners, z)
+    assert defect.shape == bound.shape == (200,)
+    assert defect.tobytes() == np.array([d for d, _ in loop]).tobytes()
+    assert bound.tobytes() == np.array([b for _, b in loop]).tobytes()
+
+    cfg = ExperimentConfig(experiment="verify", seed=seed, n_triangles=10)
+    entry = run_verification(cfg)["checks"]["holonomy_sphere"]
+    assert entry == {"passed": passed, "worst_defect_to_bound": worst}
+    assert type(entry["worst_defect_to_bound"]) is float
 
 
 def test_holonomy_requires_four_corners():
