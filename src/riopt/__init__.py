@@ -54,7 +54,8 @@ from .verify import (
     correction_blowup_trace,
     fd_gradient_check,
     holonomy_probe,
-    random_small_rectangle,
+    holonomy_suite,
+    random_small_rectangles,
     triangle_comparison_suite,
 )
 from .streams import FrechetMeanLoss, child_rng, fixed_probe_points, gen_frechet_stream

@@ -65,8 +65,7 @@ from .streams import (
 from .verify import (
     correction_blowup_trace,
     fd_gradient_check,
-    holonomy_probe,
-    random_small_rectangle,
+    holonomy_suite,
     triangle_comparison_suite,
 )
 
@@ -711,19 +710,8 @@ def run_verification(cfg: ExperimentConfig) -> dict:
             "passed": bool(report.max_violation <= 1e-8),
         }
 
-    sphere = Sphere(2)
     rng = child_rng(cfg.seed, TAG_INIT, 7)
-    # drawn one at a time (a rectangle's redraws depend on its geometry),
-    # probed as one stack
-    rects = [random_small_rectangle(sphere, rng, scale=0.01) for _ in range(200)]
-    corners = [sphere.stack(c) for c in zip(*(c for c, _ in rects))]
-    z = TangentVector(corners[0], np.stack([w.coords for _, w in rects]))
-    defect, bound = holonomy_probe(sphere, corners, z)
-    ratio = defect[bound > 0] / bound[bound > 0]
-    checks["holonomy_sphere"] = {
-        "passed": bool(np.all(defect <= bound)),
-        "worst_defect_to_bound": float(ratio.max(initial=0.0)),
-    }
+    checks["holonomy_sphere"] = holonomy_suite(Sphere(2), 200, 0.01, rng)
 
     trace = correction_blowup_trace(0.1, 1.0, 50)
     increasing = bool(np.all(np.diff(trace.values) > 0))

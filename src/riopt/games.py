@@ -270,18 +270,30 @@ def ne_diagnostics(
     return NEDiagnostics(grad_norm=gn, best_grad_norm=best, ne_residual=game.residual(state.z_cur))
 
 
-def _logdet(x: Point):
-    """log det of an SPD point (an array over the rows of a stack), computed
-    once and kept in its memo."""
+def _slogdet(p: Point) -> tuple:
+    sign, val = np.linalg.slogdet(p.coords)
+    if (sign <= 0).any():
+        raise GeometryError("matrix must be positive definite")
+    return (val,)
 
-    def slogdet(p):
-        sign, val = np.linalg.slogdet(p.coords)
-        if (sign <= 0).any():
-            raise GeometryError("matrix must be positive definite")
-        return (val,)
 
-    (val,) = memo_entry(x, "logdet", slogdet)
-    return val if val.ndim else float(val)
+def _logdets(x: Point, y: Point) -> tuple:
+    """log det of the SPD points x and y, two single points (floats) or two
+    stacks of one length (arrays over the rows), each computed once and
+    kept in its point's memo. What neither memo holds yet comes from one
+    ``slogdet`` call on their concatenated rows, which gives each matrix a
+    single call's bits."""
+    if "logdet" not in x.memo and "logdet" not in y.memo:
+        xs, ys = (p.coords.reshape((-1,) + p.coords.shape[-2:]) for p in (x, y))
+        xy = Point(np.concatenate((xs, ys)), x.manifold_id)
+        rows = [p.memo.get("rows", [p] if p.coords.ndim == 2 else None) for p in (x, y)]
+        if None not in rows:
+            xy.memo["rows"] = rows[0] + rows[1]
+        (val,) = memo_entry(xy, "logdet", _slogdet)
+        for p, v in ((x, val[: len(xs)]), (y, val[len(xs) :])):
+            p.memo["logdet"] = (v.reshape(p.coords.shape[:-2]),)
+    vals = (memo_entry(p, "logdet", _slogdet)[0] for p in (x, y))
+    return tuple(v if v.ndim else float(v) for v in vals)
 
 
 def _scaled(c, m: np.ndarray) -> np.ndarray:
@@ -305,25 +317,25 @@ def quad_logdet_game(d: int, c1: float, c2: float) -> ZeroSumGame:
     space = Product([SPD(d), SPD(d)])
 
     def payoff(x: Point, y: Point) -> float:
-        u, v = _logdet(x), _logdet(y)
+        u, v = _logdets(x, y)
         return c1 * u * u + c2 * u * v - c1 * v * v
 
     def grad_x(x: Point, y: Point) -> TangentVector:
-        u, v = _logdet(x), _logdet(y)
+        u, v = _logdets(x, y)
         return TangentVector(x, _scaled(2.0 * c1 * u + c2 * v, x.coords))
 
     def grad_y(x: Point, y: Point) -> TangentVector:
-        u, v = _logdet(x), _logdet(y)
+        u, v = _logdets(x, y)
         return TangentVector(y, _scaled(c2 * u - 2.0 * c1 * v, y.coords))
 
     def residual(z: Point) -> np.ndarray:
         x, y = space.split(z)
-        return np.array([_logdet(x), _logdet(y)])
+        return np.array(_logdets(x, y))
 
     def duality_gap(x_bar: Point, y_bar: Point) -> float:
         if c1 <= 0:
             raise ValueError("gap unsupported for c1 = 0: best responses are unbounded")
-        u, v = _logdet(x_bar), _logdet(y_bar)
+        u, v = _logdets(x_bar, y_bar)
         return (4.0 * c1 * c1 + c2 * c2) / (4.0 * c1) * (u * u + v * v)
 
     # mu is bookkeeping for step-size configuration only: strong convexity in

@@ -300,7 +300,7 @@ class Manifold(ABC):
         if radius is None:
             radius = 1.0
         direction = self.random_tangent(center, rng, norm=1.0)
-        r = radius * rng.uniform()
+        r = radius * rng.random()  # uniform()'s bits (see ``ball_draws``)
         return self.exp(center, r * direction)
 
     def random_tangent(self, x: Point, rng: RngLike, norm: float = 1.0) -> TangentVector:
@@ -321,18 +321,26 @@ class Manifold(ABC):
 
         Row i is the point ``random_point`` returns when its generator yields
         ``normals[i]`` from ``standard_normal`` and then ``uniforms[i]`` from
-        ``uniform()``: ``random_tangent(center, norm=1.0)``, the step
-        ``(radius * u) * direction`` and ``exp``, each one call on the
-        stacked draws, so it agrees with that point to rounding. ``center``
-        is a single point or a stack paired with the rows.
+        ``random()`` (see ``ball_draws``): ``random_tangent(center,
+        norm=1.0)``, the step ``(radius * u) * direction`` and ``exp``, each
+        one call on the stacked draws, so it agrees with that point to
+        rounding. ``center`` is a single point or a stack paired with the rows.
         """
-        v = self.to_tangent(center, normals)
-        n = self.norm(center, v)
+        unit = self._unit_tangents(center, normals).coords
         column = (-1,) + (1,) * (normals.ndim - 1)
-        inv = (1.0 / np.where(n == 0.0, 1.0, n)).reshape(column)
-        unit = np.where(n.reshape(column) == 0.0, 0.0, inv * v.coords)
         step = (radius * uniforms).reshape(column) * unit
         return self.exp(center, TangentVector(center, step))
+
+    def _unit_tangents(self, x: Point, normals: np.ndarray) -> TangentVector:
+        """``random_tangent(x, rng, norm=1.0)`` for each row of ``normals``,
+        the ``standard_normal`` draws, at x (single, or a stack paired with
+        the rows): one ``to_tangent`` and one ``norm`` call on the stack. A
+        row of zero norm is the zero tangent."""
+        v = self.to_tangent(x, normals)
+        n = self.norm(x, v)
+        column = (-1,) + (1,) * (normals.ndim - 1)
+        inv = (1.0 / np.where(n == 0.0, 1.0, n)).reshape(column)
+        return TangentVector(x, np.where(n.reshape(column) == 0.0, 0.0, inv * v.coords))
 
     # -- validation ----------------------------------------------------------
     def _require_finite(self, v: TangentVector) -> None:
@@ -344,6 +352,28 @@ class Manifold(ABC):
             v.base.manifold_id != x.manifold_id or not np.array_equal(v.base.coords, x.coords)
         ):
             raise GeometryError("tangent vector is not based at the given point")
+
+
+def ball_draws(
+    rngs: Sequence[np.random.Generator], shape: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``random_point(rng, center, radius)`` for each generator
+    of ``rngs`` in turn, as ``random_point_rows`` takes them: row i of the
+    normals is its ``standard_normal(shape)``, then entry i of the uniforms
+    its ``uniform()``. A generator may recur in ``rngs``; it then draws for
+    its rows in list order.
+
+    Each draw costs only itself: ``standard_normal(out=row)`` fills the row
+    with ``standard_normal(shape)``'s bits, and ``random()`` returns
+    ``uniform()``'s (which is 0.0 + 1.0 times the same double), both without
+    the size and bounds handling of their other forms.
+    """
+    normals = np.empty((len(rngs),) + shape)
+    uniforms = []
+    for rng, row in zip(rngs, normals):
+        rng.standard_normal(out=row)
+        uniforms.append(rng.random())
+    return normals, np.array(uniforms)
 
 
 # Defaults of the Karcher iteration: the gradient-norm tolerance and the

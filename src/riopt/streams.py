@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .geometry import Manifold, Point, TangentVector
+from .geometry import Manifold, Point, TangentVector, ball_draws
 
 # Stream-splitting tags: child_rng(seed, TAG, ...) keys every random draw.
 TAG_CENTER = 1
@@ -229,11 +229,12 @@ def gen_frechet_stream(
 
     Draw order: sample i of round t draws from its own generator, the one
     ``child_rng(seed, TAG_SAMPLE, t, i)`` makes, ``standard_normal(shape)``
-    then ``uniform()``, as ``random_point(rng, center, ball_radius)`` does.
-    A drift step of round t draws from ``child_rng(seed, TAG_DRIFT, t)``. The
-    generators of a block of rounds (about ``_SEED_BLOCK`` samples) come
-    from one ``seed_states`` pass. The round's samples are then evaluated
-    on one stack (``random_point_rows``), which agrees with the per-sample
+    then ``uniform()``, as ``random_point(rng, center, ball_radius)`` does;
+    ``ball_draws`` makes them in place, with the same bits. A drift step of
+    round t draws from ``child_rng(seed, TAG_DRIFT, t)``. The generators of
+    a block of rounds (about ``_SEED_BLOCK`` samples) come from one
+    ``seed_states`` pass. The round's samples are then evaluated on one
+    stack (``random_point_rows``), which agrees with the per-sample
     ``random_point`` calls to rounding.
     """
     if mode not in ("abrupt", "drift"):
@@ -281,13 +282,8 @@ def fixed_probe_points(
 def _ball_rows(manifold: Manifold, center: Point, radius: float, rngs: list) -> np.ndarray:
     """Coordinates of ``random_point(rng, center, radius)`` for each generator.
 
-    Each generator makes its two draws in ``random_point``'s order; the
-    geometry then runs once on the stack.
+    Each generator makes its two draws in ``random_point``'s order
+    (``ball_draws``); the geometry then runs once on the stack.
     """
-    shape = center.coords.shape
-    normals = np.empty((len(rngs),) + shape)
-    uniforms = np.empty(len(rngs))
-    for i, rng in enumerate(rngs):
-        normals[i] = rng.standard_normal(shape)
-        uniforms[i] = rng.uniform()
+    normals, uniforms = ball_draws(rngs, center.coords.shape)
     return manifold.random_point_rows(center, normals, uniforms, radius).coords

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Manifold, Point, TangentVector, as_rng
+from .geometry import GeometryError, Manifold, Point, TangentVector, as_rng, ball_draws
 
 # Central differences at h = 1e-4 balance truncation against rounding for
 # doubles; probes compare at a matching relative tolerance of 1e-4.
@@ -101,7 +101,8 @@ def triangle_comparison_suite(
     B and C within max_diam / 2 of A, each as ``random_point(rng, center,
     radius)`` does: ``standard_normal(shape)`` for the direction, then
     ``uniform()`` for the radius. The geometry fixes only the shape of a draw,
-    so all draws come first and the triangles are evaluated on stacks, with
+    so all draws come first, made in place by ``ball_draws`` with the same
+    bits, and the triangles are evaluated on stacks, with
     ``random_point_rows`` and one ``dist``, ``log`` or ``inner`` call per
     quantity on the stacked vertices. The report agrees to rounding with
     evaluating the triangles one at a time with single points. A non-finite
@@ -111,16 +112,11 @@ def triangle_comparison_suite(
 
     if n_triangles < 1:
         raise ValueError("n_triangles must be >= 1")
-    rng = as_rng(seed)
     base = manifold.base_point()
     shape = base.coords.shape
-    normals = np.empty((n_triangles, 3) + shape)
-    uniforms = np.empty((n_triangles, 3))
-    for k in range(n_triangles):
-        for j in range(3):
-            normals[k, j] = rng.standard_normal(shape)
-            uniforms[k, j] = rng.uniform()
-
+    normals, uniforms = ball_draws([as_rng(seed)] * (3 * n_triangles), shape)
+    normals = normals.reshape((n_triangles, 3) + shape)
+    uniforms = uniforms.reshape(n_triangles, 3)
     A = manifold.random_point_rows(base, normals[:, 0], uniforms[:, 0], max_diam)
     B = manifold.random_point_rows(A, normals[:, 1], uniforms[:, 1], max_diam / 2.0)
     C = manifold.random_point_rows(A, normals[:, 2], uniforms[:, 2], max_diam / 2.0)
@@ -157,35 +153,74 @@ def triangle_comparison_suite(
     )
 
 
-def random_small_rectangle(
-    manifold: Manifold, rng, scale: float = 0.01
+def random_small_rectangles(
+    manifold: Manifold, rng, n: int, scale: float = 0.01
 ) -> tuple[list[Point], TangentVector]:
-    """A near-square geodesic rectangle with sides ~scale plus a unit probe vector.
+    """n near-square geodesic rectangles with sides ~scale, and a unit probe
+    vector at each one's first corner.
 
-    Corners: p, exp_p(a e1), the far corner reached by transporting e2 along
-    the first edge, and exp_p(b e2), with e1 perpendicular to e2.
+    A rectangle's corners are p, exp_p(a e1), the far corner reached by
+    transporting e2 along the first edge, and exp_p(b e2), with unit e1
+    perpendicular to unit e2. Returns the corners as ``holonomy_probe``
+    takes them, four stacks of n points (corner k of rectangle i is row i
+    of ``corners[k]``), and the (n,) stack of unit z at ``corners[0]``.
+
+    Draw order: rectangle i makes all its draws before rectangle i + 1:
+    p = ``random_point(rng)``, e1 = ``random_tangent(p, rng)``, then
+    raw = ``random_tangent(p, rng)``, redrawn while its part perpendicular
+    to e1 has norm <= 1e-3 (at most 32 draws), a and b from ``uniform()``,
+    and z's ``standard_normal``. Only the redraw test needs a rectangle's
+    geometry, so it runs in the loop on single points; the corners and z
+    then take one call per quantity on the stacks, with each row bitwise
+    the single call's where the manifold's operations are one body.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = as_rng(rng)
-    p = manifold.random_point(rng)
-    e1 = manifold.random_tangent(p, rng, norm=1.0)
-    e2 = None
-    for _ in range(32):
-        raw = manifold.random_tangent(p, rng, norm=1.0)
-        cand = raw - manifold.inner(p, raw, e1) * e1
-        n = manifold.norm(p, cand)
-        if n > 1e-3:
-            e2 = (1.0 / n) * cand
-            break
-    if e2 is None:
-        raise GeometryError("could not draw two independent tangent directions")
-    a = scale * (0.5 + rng.uniform())
-    b = scale * (0.5 + rng.uniform())
-    c0 = p
-    c1 = manifold.exp(p, a * e1)
-    c3 = manifold.exp(p, b * e2)
-    c2 = manifold.exp(c1, b * manifold.transport(p, c1, e2))
-    z = manifold.random_tangent(c0, rng, norm=1.0)
-    return [c0, c1, c2, c3], z
+    P, E1, E2 = [], [], []
+    ab = np.empty((n, 2))
+    z_normals = np.empty((n,) + manifold.base_point().coords.shape)
+    for i in range(n):
+        p = manifold.random_point(rng)
+        e1 = manifold.random_tangent(p, rng, norm=1.0)
+        for _ in range(32):
+            raw = manifold.random_tangent(p, rng, norm=1.0)
+            cand = raw - manifold.inner(p, raw, e1) * e1
+            norm = manifold.norm(p, cand)
+            if norm > 1e-3:
+                break
+        else:
+            raise GeometryError("could not draw two independent tangent directions")
+        ab[i] = rng.random(), rng.random()  # uniform()'s bits (see ball_draws)
+        rng.standard_normal(out=z_normals[i])
+        P.append(p)
+        E1.append(e1.coords)
+        E2.append((1.0 / norm) * cand.coords)
+    p = manifold.stack(P)
+    e1, e2 = TangentVector(p, np.stack(E1)), TangentVector(p, np.stack(E2))
+    a, b = (scale * (0.5 + ab.T)).reshape((2, n) + (1,) * (p.coords.ndim - 1))
+    # a TangentVector scales by an array from the right only
+    c1 = manifold.exp(p, e1 * a)
+    c3 = manifold.exp(p, e2 * b)
+    c2 = manifold.exp(c1, manifold.transport(p, c1, e2) * b)
+    return [p, c1, c2, c3], manifold._unit_tangents(p, z_normals)
+
+
+def holonomy_suite(manifold: Manifold, n_rectangles: int, scale: float, seed) -> dict:
+    """``holonomy_probe`` on ``random_small_rectangles(manifold, seed,
+    n_rectangles, scale)``, in one call on the stacks.
+
+    ``passed``: every defect is within its bound. ``worst_defect_to_bound``:
+    the largest defect / bound over the rectangles with a positive bound, 0
+    if there are none.
+    """
+    corners, z = random_small_rectangles(manifold, seed, n_rectangles, scale)
+    defect, bound = holonomy_probe(manifold, corners, z)
+    ratio = defect[bound > 0] / bound[bound > 0]
+    return {
+        "passed": bool(np.all(defect <= bound)),
+        "worst_defect_to_bound": float(ratio.max(initial=0.0)),
+    }
 
 
 def holonomy_probe(

@@ -156,14 +156,14 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     # Factoring a point twice anywhere raises these totals.
     assert matrices["eigh"] == 512
     assert matrices["solve"] == 120
-    # the calls: slogdet per factor and round for the committed points and
-    # for RCEG's midpoint (z0 once in round 1), plus the two residuals. The
-    # stacked calls fold both factors into one stack, so per round one eigh each
-    # for R-OGDA's transport (from round 2), the committed points' square
+    # the calls: one slogdet on both factors per round for the committed
+    # points and for RCEG's midpoint (z0 once in round 1), plus one for each
+    # of the two residuals. The stacked calls fold both factors into one
+    # stack, so per round one eigh each for R-OGDA's transport (from round 2), the committed points' square
     # roots and first step, the stage-2 square roots (only the midpoint's in
     # round 1, where the running average is z0), log and exp; one solve for
     # the norms
-    assert calls["slogdet"] == 4 * cfg.T + 4
+    assert calls["slogdet"] == 2 * cfg.T + 2
     assert calls["eigh"] == 6 * cfg.T - 1
     assert calls["solve"] == cfg.T
 

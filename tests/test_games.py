@@ -220,8 +220,10 @@ def test_quad_logdet_field_value_and_residual_share_each_logdet(monkeypatch):
         assert np.array_equal(game.field(z).coords, fresh[0])
         assert game.value(z) == fresh[1]
         assert np.array_equal(game.residual(z), fresh[2])
-    # one logdet per factor point, shared through the factors Product.split keeps
-    assert len(calls) == 2
+    # one logdet per factor point, shared through the factors Product.split
+    # keeps, and both factors' from one call
+    assert len(calls) == 1
+    assert calls[0].shape == (2, 4, 4)
 
 
 def test_quad_logdet_non_pd_factor_raises_on_every_call():

@@ -21,7 +21,7 @@ from riopt import (
     weighted_frechet_mean,
     zeta_constant,
 )
-from riopt.geometry import KARCHER_MAX_ITER, Point, TangentVector
+from riopt.geometry import KARCHER_MAX_ITER, Point, TangentVector, ball_draws
 
 from agreement import assert_agree
 
@@ -87,6 +87,35 @@ def test_curvature_bounds_validation():
 
 
 # ------------------------------------------------------------ tangent algebra
+def test_in_place_draws_have_the_bits_of_the_shaped_calls():
+    # ball_draws, the triangle suite and the rectangle sampler rely on these
+    # identities of numpy's Generator, interleaved on one generator
+    ref, got = np.random.default_rng(11), np.random.default_rng(11)
+    rows = {(3,): np.empty((4, 3)), (2, 2): np.empty((4, 2, 2))}
+    for i in range(4):
+        for shape, out in rows.items():
+            want = ref.standard_normal(shape)
+            got.standard_normal(out=out[i])
+            assert out[i].tobytes() == want.tobytes()
+            u = ref.uniform()
+            assert type(u) is float
+            assert np.float64(got.random()).tobytes() == np.float64(u).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2)])
+def test_ball_draws_equal_random_points_draws(shape):
+    # two generators, one recurring: each draws its rows in list order
+    a, b = np.random.default_rng(1), np.random.default_rng(2)
+    refs = {id(a): np.random.default_rng(1), id(b): np.random.default_rng(2)}
+    rngs = [a, b, a, a, b]
+    normals, uniforms = ball_draws(rngs, shape)
+    assert normals.shape == (5,) + shape and uniforms.shape == (5,)
+    for i, rng in enumerate(rngs):
+        ref = refs[id(rng)]
+        assert normals[i].tobytes() == ref.standard_normal(shape).tobytes()
+        assert uniforms[i].tobytes() == np.float64(ref.uniform()).tobytes()
+
+
 def test_tangent_vector_algebra():
     m = Euclidean(2)
     x = m.project([1.0, 2.0])

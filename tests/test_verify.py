@@ -13,11 +13,11 @@ from riopt import (
     correction_blowup_trace,
     fd_gradient_check,
     holonomy_probe,
-    random_small_rectangle,
+    random_small_rectangles,
     triangle_comparison_suite,
 )
 from riopt.bench import ExperimentConfig, run_verification
-from riopt.geometry import GeometryError, TangentVector, sigma_constant, zeta_constant
+from riopt.geometry import GeometryError, TangentVector, as_rng, sigma_constant, zeta_constant
 from riopt.verify import ProbeReport
 from riopt.streams import TAG_INIT, FrechetMeanLoss, child_rng
 
@@ -174,10 +174,11 @@ def test_triangle_suite_deterministic():
 # ---------------------------------------------------------------- holonomy
 def test_holonomy_flat_vanishes(rng):
     m = Euclidean(3)
-    corners, z = random_small_rectangle(m, rng, scale=0.4)
+    corners, z = random_small_rectangles(m, rng, 20, scale=0.4)
     defect, bound = holonomy_probe(m, corners, z)
-    assert defect < 1e-12
-    assert bound == 0.0
+    assert defect.shape == bound.shape == (20,)
+    assert np.all(defect < 1e-12)
+    assert np.all(bound == 0.0)
 
 
 def _equator_square(s, eps):
@@ -210,12 +211,66 @@ def test_holonomy_degenerate_rectangle():
     assert defect < 1e-10
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_stacked_holonomy_probe_bitwise_equal_per_rectangle_loop(seed):
-    # the rectangles of run_verification, drawn as it draws them
+def _rectangle_longhand(manifold, rng, scale, raw_draws=None):
+    """One rectangle from single calls, each draw made as ``random_point`` and
+    ``random_tangent`` make it: the stacked sampler's reference. Appends the
+    number of raw draws to ``raw_draws`` if given."""
+    rng = as_rng(rng)
+    p = manifold.random_point(rng)
+    e1 = manifold.random_tangent(p, rng, norm=1.0)
+    e2 = None
+    for k in range(32):
+        raw = manifold.random_tangent(p, rng, norm=1.0)
+        cand = raw - manifold.inner(p, raw, e1) * e1
+        n = manifold.norm(p, cand)
+        if n > 1e-3:
+            e2 = (1.0 / n) * cand
+            break
+    if e2 is None:
+        raise GeometryError("could not draw two independent tangent directions")
+    if raw_draws is not None:
+        raw_draws.append(k + 1)
+    a = scale * (0.5 + rng.uniform())
+    b = scale * (0.5 + rng.uniform())
+    c0 = p
+    c1 = manifold.exp(p, a * e1)
+    c3 = manifold.exp(p, b * e2)
+    c2 = manifold.exp(c1, b * manifold.transport(p, c1, e2))
+    z = manifold.random_tangent(c0, rng, norm=1.0)
+    return [c0, c1, c2, c3], z
+
+
+# seed -> e2 redraws among run_verification's 200 rectangles
+@pytest.mark.parametrize("seed,redraws", [(0, 0), (3, 0), (7, 1), (39, 2)])
+def test_stacked_rectangles_bitwise_equal_the_per_rectangle_longhand(seed, redraws):
     s = Sphere(2)
     rng = child_rng(seed, TAG_INIT, 7)
-    rects = [random_small_rectangle(s, rng, scale=0.01) for _ in range(200)]
+    raw_draws = []
+    rects = [_rectangle_longhand(s, rng, 0.01, raw_draws) for _ in range(200)]
+    assert sum(raw_draws) - len(raw_draws) == redraws
+
+    corners, z = random_small_rectangles(s, child_rng(seed, TAG_INIT, 7), 200, 0.01)
+    assert len(corners) == 4
+    for k, corner in enumerate(corners):
+        assert corner.coords.tobytes() == np.stack([c[k].coords for c, _ in rects]).tobytes()
+    assert z.base is corners[0]
+    assert z.coords.tobytes() == np.stack([w.coords for _, w in rects]).tobytes()
+
+
+def test_rectangles_need_two_independent_directions():
+    # on a line every raw direction is parallel to e1
+    with pytest.raises(GeometryError, match="independent"):
+        random_small_rectangles(Euclidean(1), 0, 3)
+    with pytest.raises(ValueError, match="n must be"):
+        random_small_rectangles(Sphere(2), 0, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_holonomy_probe_bitwise_equal_per_rectangle_loop(seed):
+    # the rectangles of run_verification, drawn one at a time with single calls
+    s = Sphere(2)
+    rng = child_rng(seed, TAG_INIT, 7)
+    rects = [_rectangle_longhand(s, rng, 0.01) for _ in range(200)]
     # the reference: one probe per rectangle, on single points
     loop = [holonomy_probe(s, corners, z) for corners, z in rects]
     assert all(type(d) is float and type(b) is float for d, b in loop)
