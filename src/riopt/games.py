@@ -12,7 +12,8 @@ the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 
 1. Every solver commits its point z_t. One ``field``, ``value`` and
    ``norm`` call on their stack gives the field, payoff and field norm at
-   every z_t.
+   every z_t. On SPD the norm whitens by each z_t's Cholesky factor, which
+   its memo then keeps for the round's first step.
 2. R-OGDA transports its previous field to z_t: one ``transport`` call
    at its single points with the field as a one-row stack, which on
    SPD x SPD covers both factors (see ``Product``) and folds each point
@@ -44,9 +45,11 @@ PayoffFn = Callable[[Point, Point], float]
 PartialGradFn = Callable[[Point, Point], TangentVector]
 
 # The computed dist(A, A) is rounding noise, not 0, and the noise grows like
-# d * cond(A) * eps: measured at most 0.5 * d * cond * eps for d <= 30 and
-# cond <= 1e6. A fixed cutoff such as 1e-10 is already beaten at cond 1e6, so
-# each anchor's own bound, times this safety factor, decides "at the anchor".
+# d * cond(A) * eps: through A's Cholesky whitening (SPD) measured at most
+# 0.6 * d * cond * eps for d <= 30 and cond <= 1e6 (0.87 through the
+# symmetric square root, on the same sample). A fixed cutoff such as 1e-10
+# is already beaten at cond 1e6, so each anchor's own bound, times this
+# safety factor, decides "at the anchor".
 # For d = 10 and eigenvalues in [0.2, 4.5] the cutoff is at most 3.2e-12, far
 # below any solver step.
 _ANCHOR_TOL_FACTOR = 64.0

@@ -152,34 +152,47 @@ class CurvatureBounds:
         return max(abs(self.kappa), abs(self.K))
 
 
-def sigma_constant(K: float, D: float) -> float:
+def sigma_constant(K: float, D):
     """Minimum distortion rate sigma(K, D) = sqrt(K) D / tan(sqrt(K) D).
 
     Equals 1 for K <= 0. Continuous in K at 0; for K > 0 requires
-    sqrt(K) D < pi/2 (conjugate-point limit).
+    sqrt(K) D < pi/2 (conjugate-point limit). D may be an array, as the
+    triangle suite's diameters are: the rates then come as an array over it,
+    from numpy's tan, and agree with the float form to rounding.
     """
-    if D < 0:
+    Da = np.asarray(D, dtype=float)
+    if (Da < 0).any():
         raise GeometryError("D must be non-negative")
     if K <= 0:
-        return 1.0
-    x = math.sqrt(K) * D
-    if x >= math.pi / 2.0:
-        raise GeometryError(f"sigma undefined: sqrt(K)*D = {x:.6g} >= pi/2")
+        return np.ones_like(Da) if Da.ndim else 1.0
+    x = math.sqrt(K) * Da
+    if (x >= math.pi / 2.0).any():
+        raise GeometryError(f"sigma undefined: sqrt(K)*D = {x.max():.6g} >= pi/2")
+    if Da.ndim:
+        small = x < _SERIES_CUTOFF
+        return np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
+    x = float(x)
     if x < _SERIES_CUTOFF:
         return 1.0 - x * x / 3.0
     return x / math.tan(x)
 
 
-def zeta_constant(kappa: float, D: float) -> float:
+def zeta_constant(kappa: float, D):
     """Maximum distortion rate zeta(kappa, D) = sqrt(-kappa) D / tanh(sqrt(-kappa) D).
 
-    Equals 1 for kappa >= 0, tends to 1 as D -> 0.
+    Equals 1 for kappa >= 0, tends to 1 as D -> 0. D may be an array, as
+    ``sigma_constant``'s.
     """
-    if D < 0:
+    Da = np.asarray(D, dtype=float)
+    if (Da < 0).any():
         raise GeometryError("D must be non-negative")
     if kappa >= 0:
-        return 1.0
-    x = math.sqrt(-kappa) * D
+        return np.ones_like(Da) if Da.ndim else 1.0
+    x = math.sqrt(-kappa) * Da
+    if Da.ndim:
+        small = x < _SERIES_CUTOFF
+        return np.where(small, 1.0 + x * x / 3.0, x / np.tanh(np.where(small, 1.0, x)))
+    x = float(x)
     if x < _SERIES_CUTOFF:
         return 1.0 + x * x / 3.0
     return x / math.tanh(x)

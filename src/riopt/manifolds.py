@@ -296,19 +296,34 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.mT)
 
 
+def _congruence(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The symmetric part of A M A^T, over the leading axes of both."""
+    return _sym(A @ M @ A.mT)
+
+
 class SPD(Manifold):
     """Symmetric positive definite d x d matrices, affine-invariant metric.
 
     <U, V>_X = tr(X^-1 U X^-1 V); geodesics, log and transport are the
-    standard closed forms through symmetric eigendecompositions. Sectional
-    curvature lies in [-1/2, 0], checked empirically by the comparison suite.
+    standard closed forms. Sectional curvature lies in [-1/2, 0], checked
+    empirically by the comparison suite.
 
-    Each point stores (X^(1/2), X^(-1/2)), from one eigendecomposition, in its
-    memo on first use, for every operation at that base (a stack stores all
-    its pairs in one entry; a matrix that is not positive definite stores
-    nothing and raises on every call). ``_log_dist`` gives log and dist from
-    log's one eigh; ``dist`` alone takes eigvalsh. Each operation is one
-    formula over matrices, stacks and clouds, each matrix with a single call's bits.
+    Every operation whitens by a factor X = L L^T: the closed forms are
+    invariant under congruence, so the Cholesky factor L serves where the
+    textbook forms write X^(1/2) (Pennec, Fillard and Ayache, IJCV 2006).
+    Each point stores (L, L^-1), from one ``cholesky`` and one ``inv``, in
+    its memo on first use, for every operation at that base (a stack stores
+    all its pairs in one entry). One ``eigh`` of the whitened L^-1 Y L^-T or
+    L^-1 V L^-T is then each exp, log and transport; ``_log_dist`` gives log
+    and dist from log's one eigh, ``dist`` alone takes eigvalsh, and
+    ``inner`` is the Frobenius product of the two whitened tangents. Each
+    operation is one formula over matrices, stacks and clouds, each matrix
+    with a single call's bits.
+
+    A base that is not positive definite (indefinite, singular, zero, or
+    with a NaN or infinite entry), single or a row of a stack, stores
+    nothing and raises GeometryError "matrix is not positive definite" on
+    every call; no operation returns NaN for it.
     """
 
     point_ndim = 2
@@ -332,60 +347,68 @@ class SPD(Manifold):
         return Point(np.eye(self.d), self.manifold_id)
 
     def inner(self, x, u, v):
-        a = np.linalg.solve(x.coords, u.coords)
-        b = a if v is u else np.linalg.solve(x.coords, v.coords)
-        t = np.trace(a @ b, axis1=-2, axis2=-1)
+        Li = self._factor(x)[1]
+        a = _congruence(Li, u.coords)
+        b = a if v is u else _congruence(Li, v.coords)
+        t = np.vecdot(a.reshape(a.shape[:-2] + (-1,)), b.reshape(b.shape[:-2] + (-1,)))
         return float(t) if self._single(x, u, v) else t
 
-    def _sqrt_pair(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """X^(1/2), X^(-1/2) and the cap on a step's whitened eigenvalues."""
+    def _factor(self, x: Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L and L^-1 with X = L L^T, and the cap on a step's whitened eigenvalues."""
 
         def factor(p):
-            w, V = np.linalg.eigh(_sym(p.coords))
-            if w.min() <= 0:
+            X = _sym(p.coords)
+            try:
+                L = np.linalg.cholesky(X)
+            except np.linalg.LinAlgError:
+                L = None
+            # cholesky passes NaN through, and an infinite diagonal
+            if L is None or not np.isfinite(L).all():
                 raise GeometryError("matrix is not positive definite")
-            s = np.sqrt(w)[..., None, :]
-            # exp's e^W, its product X^(1/2) e^W X^(1/2) and the partial sums
-            # stay below max(lambda_max(X), 1) e^max(W); the factor max(d, 2)
+            # exp's e^W and the partial sums of L e^W L^T stay below
+            # max_k X_kk e^max(W): entry (i, j) is at most
+            # |L_i| |L_j| e^max(W), and |L_i|^2 = X_ii. The factor max(d, 2)
             # leaves room for rounding in the d-term sums and for _sym's sum
-            cap = _EXP_MAX_ARG - np.log(max(self.d, 2) * np.maximum(w[..., -1], 1.0))
-            return (V * s) @ V.mT, (V / s) @ V.mT, cap
+            top = np.diagonal(X, axis1=-2, axis2=-1).max(axis=-1)
+            cap = _EXP_MAX_ARG - np.log(max(self.d, 2) * np.maximum(top, 1.0))
+            return L, np.linalg.inv(L), cap
 
-        return memo_entry(x, "spd_sqrt", factor)
+        return memo_entry(x, "spd_chol", factor)
 
     def dist(self, x, y):
-        Si = self._cloud(x, y, self._sqrt_pair(x)[1])
-        d = _row_norm(np.log(np.maximum(np.linalg.eigvalsh(_sym(Si @ y.coords @ Si)), 1e-300)))
+        Li = self._cloud(x, y, self._factor(x)[1])
+        w = np.linalg.eigvalsh(_congruence(Li, y.coords))
+        d = _row_norm(np.log(np.maximum(w, 1e-300)))
         return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
         self._require_base(x, v)
         self._require_finite(v)
-        S, Si, cap = self._sqrt_pair(x)
-        w, V = np.linalg.eigh(_sym(Si @ v.coords @ Si))
+        L, Li, cap = self._factor(x)
+        w, V = np.linalg.eigh(_congruence(Li, v.coords))
         if (w[..., -1] > cap).any():
             raise GeometryError("exp overflows: the step is too long for float64")
-        return Point(_sym(S @ ((V * np.exp(w)[..., None, :]) @ V.mT) @ S), self.manifold_id)
+        return Point(_congruence(L, (V * np.exp(w)[..., None, :]) @ V.mT), self.manifold_id)
 
     def _log_dist(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """log_x(y)'s coords and dist(x, y), from one eigh of X^(-1/2) Y X^(-1/2)."""
-        S, Si = (self._cloud(x, y, a) for a in self._sqrt_pair(x)[:2])
-        w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
+        """log_x(y)'s coords and dist(x, y), from one eigh of L^-1 Y L^-T."""
+        L, Li = (self._cloud(x, y, a) for a in self._factor(x)[:2])
+        w, V = np.linalg.eigh(_congruence(Li, y.coords))
         if (w[..., 0] <= 0).any():
             raise GeometryError("log undefined: a target is not positive definite")
         lw = np.log(w)
-        return _sym(S @ ((V * lw[..., None, :]) @ V.mT) @ S), _row_norm(lw)
+        return _congruence(L, (V * lw[..., None, :]) @ V.mT), _row_norm(lw)
 
     def log(self, x, y):
         return TangentVector(x, self._log_dist(x, y)[0])
 
     def transport(self, x, y, v):
-        # E = (Y X^-1)^(1/2) computed as X^(1/2) (X^(-1/2) Y X^(-1/2))^(1/2) X^(-1/2)
+        # E = (Y X^-1)^(1/2) computed as L (L^-1 Y L^-T)^(1/2) L^-1
         self._require_base(x, v)
-        S, Si, _ = self._sqrt_pair(x)
-        w, V = np.linalg.eigh(_sym(Si @ y.coords @ Si))
-        E = S @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Si
-        return TangentVector(y, _sym(E @ v.coords @ E.mT))
+        L, Li, _ = self._factor(x)
+        w, V = np.linalg.eigh(_congruence(Li, y.coords))
+        E = L @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Li
+        return TangentVector(y, _congruence(E, v.coords))
 
     def _draw(self, rng):
         lo, hi = self.eig_range
@@ -406,7 +429,8 @@ class Product(Manifold):
     axis, ``exp``, ``log``, ``inner`` and ``transport`` fold instead: the
     (n, k * size) rows are, as a reshape, one (n k, ...) stack of that
     factor, which it takes in a single call. The fold's rows are the rows'
-    factor points, so each is factored once whichever stack it joins.
+    factor points, so each is factored once (an SPD factor's Cholesky
+    factor, say) whichever stack it joins.
     Single operands and a cloud at a stacked base go through the per-factor
     calls.
     """

@@ -9,13 +9,21 @@ is deterministic for a fixed seed and serializes to JSON for the CLI.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Manifold, Point, TangentVector, as_rng, ball_draws
+from .geometry import (
+    GeometryError,
+    Manifold,
+    Point,
+    TangentVector,
+    as_rng,
+    ball_draws,
+    sigma_constant,
+    zeta_constant,
+)
 
 # Central differences at h = 1e-4 balance truncation against rounding for
 # doubles; probes compare at a matching relative tolerance of 1e-4.
@@ -104,12 +112,11 @@ def triangle_comparison_suite(
     so all draws come first, made in place by ``ball_draws`` with the same
     bits, and the triangles are evaluated on stacks, with
     ``random_point_rows`` and one ``dist``, ``log`` or ``inner`` call per
-    quantity on the stacked vertices. The report agrees to rounding with
-    evaluating the triangles one at a time with single points. A non-finite
-    distance or inner product raises GeometryError.
+    quantity on the stacked vertices; the bounds take the array forms of
+    ``zeta_constant`` and ``sigma_constant``. The report agrees to rounding
+    with evaluating the triangles one at a time with single points. A
+    non-finite distance or inner product raises GeometryError.
     """
-    from .geometry import sigma_constant, zeta_constant
-
     if n_triangles < 1:
         raise ValueError("n_triangles must be >= 1")
     base = manifold.base_point()
@@ -126,28 +133,17 @@ def triangle_comparison_suite(
     if not np.isfinite(table).all():
         raise GeometryError("a triangle has a non-finite distance or inner product")
 
-    kappa, K = manifold.curvature.kappa, manifold.curvature.K
-    worst = -math.inf
-    worst_case: dict = {}
-    for k, (dAB, dAC, dBC, lhs) in enumerate(table.tolist()):
-        diam = max(dAB, dAC, dBC)
-        upper = dAB**2 + zeta_constant(kappa, dAB) * dAC**2 - dBC**2
-        lower = dAB**2 + sigma_constant(K, diam) * dAC**2 - dBC**2
-        violation = max(lhs - upper, lower - lhs)
-        if violation > worst:
-            worst = violation
-            worst_case = {
-                "triangle_index": k,
-                "d_AB": dAB,
-                "d_AC": dAC,
-                "d_BC": dBC,
-                "lhs": lhs,
-                "upper": upper,
-                "lower": lower,
-            }
+    dAB, dAC, dBC, lhs = table.T
+    diam = table[:, :3].max(axis=1)
+    upper = dAB**2 + zeta_constant(manifold.curvature.kappa, dAB) * dAC**2 - dBC**2
+    lower = dAB**2 + sigma_constant(manifold.curvature.K, diam) * dAC**2 - dBC**2
+    violation = np.maximum(lhs - upper, lower - lhs)
+    k = int(np.argmax(violation))  # the first worst triangle
+    columns = {"d_AB": dAB, "d_AC": dAC, "d_BC": dBC, "lhs": lhs, "upper": upper, "lower": lower}
+    worst_case = {"triangle_index": k, **{key: float(c[k]) for key, c in columns.items()}}
     return ProbeReport(
         name=f"triangle_comparison[{manifold.manifold_id}]",
-        max_violation=worst,
+        max_violation=float(violation[k]),
         samples=n_triangles,
         worst_case=worst_case,
     )

@@ -13,10 +13,11 @@ def rng():
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
-    """The (name, batch shape) of every numpy eigh and eigvalsh call, in order."""
+def linalg_calls(monkeypatch):
+    """The (name, batch shape) of every numpy cholesky, eigh and eigvalsh
+    call, in order."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("cholesky", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counting(M, *args, _name=name, _original=original, **kwargs):

@@ -134,7 +134,7 @@ def test_game_runner_evaluates_the_field_once_per_point(monkeypatch):
 
 
 def test_game_runner_factors_each_point_once(monkeypatch):
-    calls = {name: 0 for name in ("slogdet", "eigh", "solve")}
+    calls = {name: 0 for name in ("slogdet", "cholesky", "inv", "eigh", "solve")}
     matrices = dict(calls)
     for name in calls:
         original = getattr(np.linalg, name)
@@ -151,45 +151,52 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     # per round; the 4 the solvers share at z0 equal the 4 of R-OGDA's two
     # summary residuals
     assert matrices["slogdet"] == 8 * cfg.T
-    # eigh: one square root per factor of each new base point, plus the one
-    # inside every exp/log/transport; solve: one per factor of each grad_norm.
+    # cholesky and inv: one Cholesky factor and its inverse per factor of
+    # each new base point; eigh: one inside every exp/log/transport, on a
+    # whitened matrix; no solve, the norms read the whitened tangents.
     # Factoring a point twice anywhere raises these totals.
-    assert matrices["eigh"] == 512
-    assert matrices["solve"] == 120
+    assert matrices["cholesky"] == matrices["inv"] == 194
+    assert matrices["eigh"] == 318
+    assert matrices["solve"] == 0
     # the calls: one slogdet on both factors per round for the committed
     # points and for RCEG's midpoint (z0 once in round 1), plus one for each
     # of the two residuals. The stacked calls fold both factors into one
-    # stack, so per round one eigh each for R-OGDA's transport (from round 2), the committed points' square
-    # roots and first step, the stage-2 square roots (only the midpoint's in
-    # round 1, where the running average is z0), log and exp; one solve for
-    # the norms
+    # stack, so per round one cholesky each for the committed points and
+    # the stage-2 bases (only the midpoint in round 1, where the running
+    # average is z0), and one eigh each for R-OGDA's transport (from round
+    # 2), the first step, log and exp
     assert calls["slogdet"] == 2 * cfg.T + 2
-    assert calls["eigh"] == 6 * cfg.T - 1
-    assert calls["solve"] == cfg.T
+    assert calls["cholesky"] == calls["inv"] == 2 * cfg.T
+    assert calls["eigh"] == 4 * cfg.T - 1
+    assert calls["solve"] == 0
 
 
 def test_triangle_suite_factors_each_spd_point_once(monkeypatch):
-    def count_eigh(n):
-        counts = {"calls": 0, "matrices": 0}
-        original = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            counts["calls"] += 1
-            counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
-            return original(a, *args, **kwargs)
-
+    def count(n):
+        counts = {name: {"calls": 0, "matrices": 0} for name in ("cholesky", "eigh")}
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", counting)
+            for name, c in counts.items():
+                original = getattr(np.linalg, name)
+
+                def counting(a, *args, _c=c, _original=original, **kwargs):
+                    _c["calls"] += 1
+                    _c["matrices"] += int(np.prod(np.shape(a)[:-2]))
+                    return _original(a, *args, **kwargs)
+
+                m.setattr(np.linalg, name, counting)
             triangle_comparison_suite(SPD(2), n, 1.5, seed=0)
         return counts
 
-    small, large = count_eigh(10), count_eigh(50)
+    small, large = count(10), count(50)
     # one stacked call per step, whatever the number of triangles
-    assert small["calls"] == large["calls"]
-    # the base point once; per triangle three exps, the square roots of A
-    # and B, and two logs: a point factored twice raises the count
+    for name in ("cholesky", "eigh"):
+        assert small[name]["calls"] == large[name]["calls"]
+    # the Cholesky factors of the base point once and of A and B per
+    # triangle; an eigh per triangle in each of three exps and two logs: a
+    # point factored twice raises the counts
     for n, counts in ((10, small), (50, large)):
-        assert counts["matrices"] <= 7 * n + 1
+        assert counts["cholesky"]["matrices"] == 2 * n + 1
+        assert counts["eigh"]["matrices"] == 5 * n
 
 
 def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):

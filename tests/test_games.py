@@ -277,6 +277,68 @@ def test_quad_duality_gap_rejects_c1_zero():
         quad_duality_gap(game, spd.base_point(), spd.base_point())
 
 
+def _logdet_recursion(d, c1, c2, eta, w0, T):
+    """The quad_logdet solvers in w = (logdet X, logdet Y): exp_X(s X) adds
+    d s to logdet X, and the transport between two multiples of one point
+    scales the field with the point. With g = (2 c1 u + c2 v, -(c2 u - 2 c1 v)):
+    R-OGDA is w+ = w - d eta (2 g(w) - g(w_prev)) with g(w_-1) = g(w_0),
+    RGDA is gradient descent-ascent w+ = w - d eta g(w), and RCEG is
+    extragradient w+ = w - d eta g(w - d eta g(w)). Returns each solver's
+    iterates w_1 .. w_T as a (T, 2) array."""
+
+    def g(w):
+        u, v = w
+        return np.array([2.0 * c1 * u + c2 * v, -(c2 * u - 2.0 * c1 * v)])
+
+    a = d * eta
+    w = dict.fromkeys(("rogda", "rgda", "rceg"), np.asarray(w0, dtype=float))
+    g_prev = g(w0)
+    out = {name: [] for name in w}
+    for _ in range(T):
+        g_cur = g(w["rogda"])
+        w = {
+            "rogda": w["rogda"] - a * (2.0 * g_cur - g_prev),
+            "rgda": w["rgda"] - a * g(w["rgda"]),
+            "rceg": w["rceg"] - a * g(w["rceg"] - a * g(w["rceg"])),
+        }
+        g_prev = g_cur
+        for name, wi in w.items():
+            out[name].append(wi)
+    return {name: np.array(ws) for name, ws in out.items()}
+
+
+@pytest.mark.parametrize("c1", [0.0, 0.5])
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_quad_logdet_iterates_follow_the_scalar_logdet_recursion(d, c1):
+    # Every iterate of the three solvers stays on the flat ray of its start,
+    # so its logdets follow a recursion in two scalars. eta = 0.2 / d^2 is
+    # the c1 >= 0.25 default; the c1 = 0 default 0.5 / d^2 makes RGDA
+    # diverge at d = 2 (spectral radius 1.031) before round 300.
+    # Measured: at most 2.0e-14 of max |w_0| (8.7e-14 through symmetric
+    # square roots, before Cholesky whitening).
+    c2, eta, T = 1.0, 0.2 / d**2, 300
+    game = quad_logdet_game(d, c1, c2)
+    spd = game.space.factors[0]
+    z0 = game.join(spd.random_point(child_rng(0, 1, 0)), spd.random_point(child_rng(0, 1, 1)))
+
+    def logdets(z):
+        return [np.linalg.slogdet(p.coords)[1] for p in game.space.split(z)]
+
+    w0 = np.array(logdets(z0))
+    want = _logdet_recursion(d, c1, c2, eta, w0, T)
+    etas = dict.fromkeys(want, eta)
+    points, avg = dict.fromkeys(etas, z0), rogda_init(game, z0)
+    got = {name: [] for name in etas}
+    for _ in range(T):
+        points, avg, _, _ = play_round_rows(game, etas, points, avg)
+        for name in etas:
+            got[name].append(logdets(points[name]))
+    scale = np.abs(w0).max()
+    for name in etas:
+        err = np.abs(np.array(got[name]) - want[name]).max()
+        assert err <= 1e-12 * scale, (name, err / scale)
+
+
 # --------------------------------------------------------------- robust pca
 def test_robust_pca_eigenvector_stationarity():
     data = make_spd_dataset(4, 3, (0.2, 4.5), seed=5)
@@ -395,20 +457,20 @@ def test_play_round_rows_is_bitwise_play_round(c1):
         assert outs[0] == outs[1]
 
 
-def test_robust_pca_payoff_and_field_share_each_anchor_distance(eig_calls):
+def test_robust_pca_payoff_and_field_share_each_anchor_distance(linalg_calls):
     # the anchor distances and logs of a point come from one eigh, which the
     # payoff and the field share; the only eigvalsh is the game's, over its
     # 6 anchors at once
     game, pts = list(_games_and_stacks())[1]
-    assert eig_calls == [("eigvalsh", (6,))]
+    assert linalg_calls == [("eigvalsh", (6,))]
     z = pts[0]
     game.value(z), game.field(z), game.value(z)
-    # the point's own factorization, then its 6 anchors, once
-    assert eig_calls[1:] == [("eigh", ()), ("eigh", (6,))]
+    # the point's own Cholesky factor, then its 6 anchors, once
+    assert linalg_calls[1:] == [("cholesky", ()), ("eigh", (6,))]
     Z = game.space.stack(pts[1:])
     game.field(Z), game.value(Z)
     # the 3 distinct points of the stack (one is there twice), in one call each
-    assert eig_calls[3:] == [("eigh", (3,)), ("eigh", (3, 6))]
+    assert linalg_calls[3:] == [("cholesky", (3,)), ("eigh", (3, 6))]
 
 
 def test_robust_pca_anchor_tolerances_bitwise_equal_to_the_per_anchor_loop():
@@ -419,6 +481,25 @@ def test_robust_pca_anchor_tolerances_bitwise_equal_to_the_per_anchor_loop():
     loop = np.array([_ANCHOR_TOL_FACTOR * 10 * (w[-1] / w[0]) * eps for w in eigs])
     assert tols.tobytes() == loop.tobytes()
     assert lam_max == max(float(w[-1]) for w in eigs)
+
+
+@pytest.mark.parametrize(
+    "d, n, eig_range, seeds",
+    [(10, 40, (0.2, 4.5), range(64)), (5, 8, (0.2, 4.5), [0]), (30, 20, (1e-3, 1e3), [0, 1])],
+    ids=["benchmark", "golden", "cond_1e6"],
+)
+def test_every_anchor_self_distance_stays_under_its_tolerance(d, n, eig_range, seeds):
+    # the benchmark's robust_pca datasets (config seeds 0-63), the golden
+    # one, and a wider spread up to d = 30 and cond 1e6: dist(A_i, A_i) as
+    # the game computes it, through A_i's own Cholesky whitening, is
+    # rounding noise below d * cond * eps, 1/64 of the anchor's tolerance
+    spd = SPD(d)
+    for seed in seeds:
+        data = make_spd_dataset(d, n, eig_range, seed=seed)
+        tols, _ = _anchor_tols(data)
+        A = Point(np.stack(data), spd.manifold_id)
+        self_dists = spd._log_dist(A, Point(A.coords.copy(), spd.manifold_id))[1]
+        assert (self_dists < tols / _ANCHOR_TOL_FACTOR).all(), seed
 
 
 def test_robust_pca_field_raises_at_an_indefinite_anchor():

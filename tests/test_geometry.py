@@ -66,6 +66,31 @@ def test_zeta_limit_small_distance():
     assert zeta_constant(-1.0, 0.0) == 1.0
 
 
+def test_array_forms_of_the_constants_agree_with_the_float_forms():
+    # the series branch, the formula and a zero distance, in one array
+    D = np.array([0.0, 1e-9, 2e-7, 1e-3, 0.3, 0.7, 1.2, 1.5])
+    for kappa in (-2.0, -0.5, 0.0, 0.5):
+        got = zeta_constant(kappa, D)
+        assert isinstance(got, np.ndarray) and got.shape == D.shape
+        assert_agree(got, [zeta_constant(kappa, float(d)) for d in D])
+    for K in (-1.0, 0.0, 0.25, 1.0):
+        got = sigma_constant(K, D)
+        assert isinstance(got, np.ndarray) and got.shape == D.shape
+        assert_agree(got, [sigma_constant(K, float(d)) for d in D])
+    # a float in, a float out
+    assert type(zeta_constant(-1.0, 0.5)) is float and type(sigma_constant(1.0, 0.5)) is float
+
+
+def test_array_forms_of_the_constants_raise_as_the_float_forms():
+    with pytest.raises(GeometryError, match="sigma undefined"):
+        sigma_constant(1.0, np.array([0.1, math.pi / 2, 0.2]))
+    with pytest.raises(GeometryError, match="sigma undefined"):
+        sigma_constant(4.0, np.array([[0.1], [0.8]]))
+    for f, c in ((sigma_constant, 1.0), (zeta_constant, -1.0)):
+        with pytest.raises(GeometryError, match="non-negative"):
+            f(c, np.array([0.1, -1e-12]))
+
+
 @given(K=st.floats(0.01, 20.0), D=st.floats(0.0, 1.0))
 def test_sigma_range(K, D):
     if math.sqrt(K) * D >= math.pi / 2:

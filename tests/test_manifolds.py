@@ -106,16 +106,54 @@ def test_spd_affine_invariance(rng):
         assert m.dist(Xc, Yc) == pytest.approx(m.dist(X, Y), abs=1e-8)
 
 
+def _spd_dist_log_cholesky(X, Y):
+    """The single-matrix affine-invariant dist and log, written out longhand
+    as SPD whitens: by the Cholesky factor L of X and its inverse."""
+    L = np.linalg.cholesky(0.5 * (X + X.T))
+    Li = np.linalg.inv(L)
+    M = Li @ Y @ Li.T
+    M = 0.5 * (M + M.T)
+    dist = float(np.linalg.norm(np.log(np.maximum(np.linalg.eigvalsh(M), 1e-300))))
+    wm, Vm = np.linalg.eigh(M)
+    G = L @ ((Vm * np.log(wm)) @ Vm.T) @ L.T
+    return dist, 0.5 * (G + G.T)
+
+
+# The textbook forms through the symmetric square root X^(1/2), a second
+# reference that shares no factorization with SPD's kernels.
+def _spd_sqrt_pair(X):
+    w, V = np.linalg.eigh(0.5 * (X + X.T))
+    return (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+
+
 def _spd_dist_log_reference(X, Y):
     """The single-matrix affine-invariant dist and log, written out longhand."""
-    w, V = np.linalg.eigh(0.5 * (X + X.T))
-    S, Si = (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+    S, Si = _spd_sqrt_pair(X)
     M = Si @ Y @ Si
     M = 0.5 * (M + M.T)
     dist = float(np.linalg.norm(np.log(np.maximum(np.linalg.eigvalsh(M), 1e-300))))
     wm, Vm = np.linalg.eigh(M)
     L = S @ ((Vm * np.log(wm)) @ Vm.T) @ S
     return dist, 0.5 * (L + L.T)
+
+
+def _spd_exp_reference(X, V):
+    S, Si = _spd_sqrt_pair(X)
+    w, Q = np.linalg.eigh(0.5 * (Si @ V @ Si + (Si @ V @ Si).T))
+    E = S @ ((Q * np.exp(w)) @ Q.T) @ S
+    return 0.5 * (E + E.T)
+
+
+def _spd_transport_reference(X, Y, V):
+    """(Y X^-1)^(1/2) V (Y X^-1)^(T/2), the root as X^(1/2) M^(1/2) X^(-1/2)."""
+    S, Si = _spd_sqrt_pair(X)
+    w, Q = np.linalg.eigh(0.5 * (Si @ Y @ Si + (Si @ Y @ Si).T))
+    E = S @ ((Q * np.sqrt(w)) @ Q.T) @ Si
+    return 0.5 * (E @ V @ E.T + (E @ V @ E.T).T)
+
+
+def _spd_inner_reference(X, U, V):
+    return float(np.trace(np.linalg.solve(X, U) @ np.linalg.solve(X, V)))
 
 
 def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
@@ -128,7 +166,7 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
         logs = m.log(x, cloud).coords
         for i, A in enumerate(anchors):
             y = Point(A, m.manifold_id)
-            ref_dist, ref_log = _spd_dist_log_reference(x.coords, A)
+            ref_dist, ref_log = _spd_dist_log_cholesky(x.coords, A)
             assert dists[i] == m.dist(x, y) == ref_dist
             assert np.array_equal(logs[i], m.log(x, y).coords)
             assert np.array_equal(logs[i], ref_log)
@@ -136,13 +174,33 @@ def test_spd_batched_dist_log_bitwise_equal_to_single_calls():
     assert m.dist(at_anchor, cloud)[7] < 1e-12
 
 
-def test_spd_log_dist_takes_log_and_dist_from_one_eigh(eig_calls):
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_spd_cholesky_whitening_agrees_with_the_symmetric_root_forms(d):
+    # the closed forms are invariant under congruence, so whitening by the
+    # Cholesky factor gives the textbook X^(1/2) forms up to rounding
+    m = SPD(d, eig_range=(0.2, 4.5))
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x, y = m.random_point(rng), m.random_point(rng)
+        u, v = (m.random_tangent(x, rng, norm=0.8) for _ in range(2))
+        X, Y = x.coords, y.coords
+        ref_dist, ref_log = _spd_dist_log_reference(X, Y)
+        assert_agree(m.dist(x, y), ref_dist, "dist")
+        assert_agree(m.log(x, y).coords, ref_log, "log")
+        assert_agree(m.exp(x, v).coords, _spd_exp_reference(X, v.coords), "exp")
+        moved = m.transport(x, y, v).coords
+        assert_agree(moved, _spd_transport_reference(X, Y, v.coords), "transport")
+        assert_agree(m.inner(x, u, v), _spd_inner_reference(X, u.coords, v.coords), "inner")
+
+
+def test_spd_log_dist_takes_log_and_dist_from_one_eigh(linalg_calls):
     m = SPD(10)
     anchors = np.stack(make_spd_dataset(10, 40, (0.2, 4.5), seed=3))
     cloud = Point(anchors, m.manifold_id)
     for x in (m.random_point(11), Point(anchors[7].copy(), m.manifold_id)):
         logs, dists = m._log_dist(x, cloud)
-        assert eig_calls[-2:] == [("eigh", ()), ("eigh", (40,))]
+        # the base's Cholesky factor, then one eigh over the whitened cloud
+        assert linalg_calls[-2:] == [("cholesky", ()), ("eigh", (40,))]
         # log is _log_dist's first half; dist takes eigvalsh, whose eigenvalues
         # round differently from eigh's
         assert np.array_equal(logs, m.log(x, cloud).coords)
@@ -262,8 +320,8 @@ def test_spd_memoized_factor_gives_the_bits_of_a_fresh_point():
     x, y = m.random_point(4), m.random_point(5)
     v = m.random_tangent(x, 6, norm=0.8).coords
     _spd_calls_at(m, x, y, v, anchors)
-    assert "spd_sqrt" in x.memo
-    # every call now reads the stored square roots; the copy factors afresh
+    assert "spd_chol" in x.memo
+    # every call now reads the stored factors; the copy factors afresh
     stored = _spd_calls_at(m, x, y, v, anchors)
     fresh = _spd_calls_at(m, x.copy(), y, v, anchors)
     for a, b in zip(stored, fresh):
@@ -325,9 +383,9 @@ def test_product_split_returns_the_same_factor_points():
     assert all(a is b for a, b in zip(parts, p.split(z)))
     v = p.random_tangent(z, 4)
     assert all(vi.base is xi for vi, xi in zip(p.split_tangent(v), parts))
-    # a factor's square root, stored through one joint operation, serves the next
+    # a factor's Cholesky factor, stored through one joint operation, serves the next
     p.exp(z, v)
-    assert "spd_sqrt" in parts[0].memo
+    assert "spd_chol" in parts[0].memo
 
 
 def test_spd_and_product_norm_equal_inner_with_a_distinct_copy():
@@ -695,6 +753,59 @@ def test_spd_exp_counts_the_scale_of_the_base_point():
         m.exp(X, TangentVector(X, np.stack([np.zeros((2, 2)), v.coords])))
 
 
+def test_spd_exp_cap_reads_the_largest_diagonal_entry():
+    # max diag X = 1 < lambda_max(X) = 1.9: the cap on a whitened eigenvalue
+    # is log(float max) - log(2 * 1), above the old log(2 * 1.9) bound
+    m = SPD(2)
+    x = m.project(np.array([[1.0, 0.9], [0.9, 1.0]]))
+    L = np.linalg.cholesky(x.coords)
+    cap = math.log(np.finfo(float).max) - math.log(2.0)
+    assert cap > math.log(np.finfo(float).max) - math.log(2.0 * 1.9)
+
+    def step(c):
+        # whitened by L^-1, this step is diag(c, 0)
+        return TangentVector(x, L @ np.diag([c, 0.0]) @ L.T)
+
+    y = m.exp(x, step(cap - 0.01))
+    assert np.isfinite(y.coords).all()
+    with pytest.raises(GeometryError, match="exp overflows"):
+        m.exp(x, step(cap + 0.01))
+
+
+def _non_pd_bases():
+    inf_off_diagonal = np.eye(3)
+    inf_off_diagonal[0, 1] = inf_off_diagonal[1, 0] = np.inf
+    return {
+        "indefinite": np.diag([1.0, -1.0, 2.0]),
+        "zero": np.zeros((3, 3)),
+        "nan": np.diag([1.0, np.nan, 2.0]),
+        "inf": np.diag([1.0, np.inf, 2.0]),
+        "inf_off_diagonal": inf_off_diagonal,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_non_pd_bases()))
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_spd_non_pd_or_non_finite_base_raises_and_never_returns_nan(kind, stacked):
+    m = SPD(3)
+    coords = _non_pd_bases()[kind]
+    if stacked:
+        coords = np.stack([np.eye(3), coords])
+    bad = Point(coords, m.manifold_id)
+    y = Point(np.broadcast_to(2.0 * np.eye(3), coords.shape).copy(), m.manifold_id)
+    v = TangentVector(bad, np.broadcast_to(0.1 * np.eye(3), coords.shape).copy())
+    for call in (
+        lambda: m.exp(bad, v),
+        lambda: m.log(bad, y),
+        lambda: m.dist(bad, y),
+        lambda: m.transport(bad, y, v),
+        lambda: m.inner(bad, v, v),
+    ):
+        with pytest.raises(GeometryError, match="matrix is not positive definite"):
+            call()
+    assert bad.memo == {}
+
+
 # ------------------------------------------------- stacked kernels, stacks
 @pytest.mark.parametrize("d", [2, 4, 10])
 def test_numpy_stacked_kernels_give_each_matrix_the_bits_of_a_single_call(d):
@@ -713,6 +824,8 @@ def test_numpy_stacked_kernels_give_each_matrix_the_bits_of_a_single_call(d):
         assert _bits(w[i]) == _bits(wi) and _bits(V[i]) == _bits(Vi)
         assert _bits(np.linalg.eigvalsh(A)[i]) == _bits(np.linalg.eigvalsh(A[i]))
         assert (sign[i], logdet[i]) == np.linalg.slogdet(A[i])
+        assert _bits(np.linalg.cholesky(A)[i]) == _bits(np.linalg.cholesky(A[i]))
+        assert _bits(np.linalg.inv(A)[i]) == _bits(np.linalg.inv(A[i]))
         assert _bits(np.linalg.solve(A, B)[i]) == _bits(np.linalg.solve(A[i], B[i]))
         assert _bits((A @ B)[i]) == _bits(A[i] @ B[i])
         # a matrix against a stack, as a single base against its targets
@@ -727,24 +840,17 @@ def test_a_stack_shares_each_factorization_with_its_rows(monkeypatch):
     m = SPD(3)
     rng = np.random.default_rng(1)
     a, b, c = (m.random_point(rng) for _ in range(3))
-    m._sqrt_pair(a)  # a is factored before it joins a stack
-    calls = []
-    original = np.linalg.eigh
-
-    def counting(M, *args, **kwargs):
-        calls.append(len(M) if M.ndim == 3 else 1)
-        return original(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    pair = m._sqrt_pair(m.stack([a, b, b, c]))
+    m._factor(a)  # a is factored before it joins a stack
+    calls = _count(monkeypatch, "cholesky")
+    pair = m._factor(m.stack([a, b, b, c]))
     # only b and c are factored, b once, in one call
     assert calls == [2]
     for row, p in zip(pair[0], (a, b, b, c)):
-        assert _bits(row) == _bits(m._sqrt_pair(p)[0])
-    assert _bits(pair[0][1]) == _bits(m._sqrt_pair(b.copy())[0])
+        assert _bits(row) == _bits(m._factor(p)[0])
+    assert _bits(pair[0][1]) == _bits(m._factor(b.copy())[0])
     assert calls == [2, 1]  # b.copy() is a new point
-    # the rows now hold their square roots: a new stack of them factors nothing
-    m._sqrt_pair(m.stack([c, b]))
+    # the rows now hold their factors: a new stack of them factors nothing
+    m._factor(m.stack([c, b]))
     assert calls == [2, 1]
 
 
@@ -833,16 +939,16 @@ def test_product_row_forms_bitwise_equal_the_factorwise_path_and_single_calls(p)
     assert_agree(p.log(x, Y).coords, [p.log(x, y).coords for y in ys])
 
 
-def _count_eigh(monkeypatch):
-    """The number of matrices in each np.linalg.eigh call, as calls happen."""
+def _count(monkeypatch, name):
+    """The number of matrices in each np.linalg.<name> call, as calls happen."""
     calls = []
-    original = np.linalg.eigh
+    original = getattr(np.linalg, name)
 
     def counting(M, *args, **kwargs):
         calls.append(int(np.prod(np.shape(M)[:-2])))
         return original(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -850,19 +956,20 @@ def test_folded_rows_share_square_roots_with_their_single_points(monkeypatch):
     p = Product([SPD(3), SPD(3)])
     rng = np.random.default_rng(5)
     a, b = (p.random_point(rng) for _ in range(2))
-    va, vb = (p.random_tangent(z, rng, norm=0.3) for z in (a, b))
+    # drawn at copies: a norm factors its base
+    va, vb = (p.random_tangent(z.copy(), rng, norm=0.3) for z in (a, b))
     p.exp(a, va)  # factors a's two matrices, one by one
-    calls = _count_eigh(monkeypatch)
+    chol, eigh = _count(monkeypatch, "cholesky"), _count(monkeypatch, "eigh")
     X = p.stack([a, b])
     p.exp(X, TangentVector(X, np.stack([va.coords, vb.coords])))
-    # b's two square roots in one call (a keeps its own), then one exp call
-    # over all four matrices
-    assert calls == [2, 4]
-    p.exp(b, vb)  # b's factors hold their square roots: only the exps
-    assert calls == [2, 4, 1, 1]
+    # b's two Cholesky factors in one call (a keeps its own), then one exp
+    # call over all four matrices
+    assert chol == [2] and eigh == [4]
+    p.exp(b, vb)  # b's factors hold their Cholesky factors: only the exps
+    assert chol == [2] and eigh == [4, 1, 1]
     # a one-row tangent at single points folds too: one call over both factors
     p.transport(a, b, TangentVector(a, va.coords[None]))
-    assert calls == [2, 4, 1, 1, 2]
+    assert chol == [2] and eigh == [4, 1, 1, 2]
 
 
 def test_single_product_calls_make_one_eigh_per_matrix(monkeypatch):
@@ -872,7 +979,7 @@ def test_single_product_calls_make_one_eigh_per_matrix(monkeypatch):
     rng = np.random.default_rng(6)
     x, y = (p.random_point(rng) for _ in range(2))
     v = p.random_tangent(x, rng, norm=0.3)
-    calls = _count_eigh(monkeypatch)
+    calls = _count(monkeypatch, "eigh")
     p.exp(x, v), p.log(x, y), p.transport(x, y, v), p.exp(y, p.log(y, x))
     assert len(calls) > 0 and set(calls) == {1}
 
