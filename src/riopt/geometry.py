@@ -156,22 +156,18 @@ def sigma_constant(K: float, D):
     """Minimum distortion rate sigma(K, D) = sqrt(K) D / tan(sqrt(K) D).
 
     Equals 1 for K <= 0. Continuous in K at 0; for K > 0 requires
-    sqrt(K) D < pi/2 (conjugate-point limit). D may be an array, as the
-    triangle suite's diameters are: the rates then come as an array over it,
-    from numpy's tan, and agree with the float form to rounding.
+    sqrt(K) D < pi/2 (conjugate-point limit). D may be a numpy array, as
+    the triangle suite's diameters are: see ``_rates``.
     """
-    Da = np.asarray(D, dtype=float)
-    if (Da < 0).any():
+    if isinstance(D, np.ndarray):
+        return _rates(K, D, np.tan, -1.0, "sigma")
+    if D < 0:
         raise GeometryError("D must be non-negative")
     if K <= 0:
-        return np.ones_like(Da) if Da.ndim else 1.0
-    x = math.sqrt(K) * Da
-    if (x >= math.pi / 2.0).any():
-        raise GeometryError(f"sigma undefined: sqrt(K)*D = {x.max():.6g} >= pi/2")
-    if Da.ndim:
-        small = x < _SERIES_CUTOFF
-        return np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
-    x = float(x)
+        return 1.0
+    x = math.sqrt(K) * D
+    if x >= math.pi / 2.0:
+        raise GeometryError(f"sigma undefined: sqrt(K)*D = {x:.6g} >= pi/2")
     if x < _SERIES_CUTOFF:
         return 1.0 - x * x / 3.0
     return x / math.tan(x)
@@ -180,22 +176,37 @@ def sigma_constant(K: float, D):
 def zeta_constant(kappa: float, D):
     """Maximum distortion rate zeta(kappa, D) = sqrt(-kappa) D / tanh(sqrt(-kappa) D).
 
-    Equals 1 for kappa >= 0, tends to 1 as D -> 0. D may be an array, as
-    ``sigma_constant``'s.
+    Equals 1 for kappa >= 0, tends to 1 as D -> 0. D may be a numpy array:
+    see ``_rates``.
     """
-    Da = np.asarray(D, dtype=float)
-    if (Da < 0).any():
+    if isinstance(D, np.ndarray):
+        return _rates(-kappa, D, np.tanh, 1.0)
+    if D < 0:
         raise GeometryError("D must be non-negative")
     if kappa >= 0:
-        return np.ones_like(Da) if Da.ndim else 1.0
-    x = math.sqrt(-kappa) * Da
-    if Da.ndim:
-        small = x < _SERIES_CUTOFF
-        return np.where(small, 1.0 + x * x / 3.0, x / np.tanh(np.where(small, 1.0, x)))
-    x = float(x)
+        return 1.0
+    x = math.sqrt(-kappa) * D
     if x < _SERIES_CUTOFF:
         return 1.0 + x * x / 3.0
     return x / math.tanh(x)
+
+
+def _rates(c: float, D, f, sign: float, limited: str = "") -> np.ndarray:
+    """The array forms of the two constants, x / f(x) at x = sqrt(c) D over
+    an array D: 1 where c <= 0, the series 1 + sign x^2 / 3 below the
+    cutoff. sigma is c = K, f = tan, sign -1 and ``limited`` "sigma" (tan's
+    pi/2 limit); zeta is c = -kappa, f = tanh, sign +1. One numpy formula,
+    which agrees with the float forms to rounding."""
+    D = np.asarray(D, dtype=float)
+    if (D < 0).any():
+        raise GeometryError("D must be non-negative")
+    if c <= 0:
+        return np.ones_like(D)
+    x = math.sqrt(c) * D
+    if limited and (x >= math.pi / 2.0).any():
+        raise GeometryError(f"{limited} undefined: sqrt(K)*D = {x.max():.6g} >= pi/2")
+    small = x < _SERIES_CUTOFF
+    return np.where(small, 1.0 + sign * x * x / 3.0, x / f(np.where(small, 1.0, x)))
 
 
 class Manifold(ABC):
