@@ -14,16 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    GeometryError,
-    Manifold,
-    Point,
-    TangentVector,
-    as_rng,
-    ball_draws,
-    sigma_constant,
-    zeta_constant,
-)
+from .geometry import GeometryError, Manifold, Point, TangentVector, as_rng, ball_draws
 
 # Central differences at h = 1e-4 balance truncation against rounding for
 # doubles; probes compare at a matching relative tolerance of 1e-4.
@@ -117,6 +108,8 @@ def triangle_comparison_suite(
     with evaluating the triangles one at a time with single points. A
     non-finite distance or inner product raises GeometryError.
     """
+    from .geometry import sigma_constant, zeta_constant
+
     if n_triangles < 1:
         raise ValueError("n_triangles must be >= 1")
     base = manifold.base_point()
