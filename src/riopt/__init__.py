@@ -22,9 +22,9 @@ from .online import (
     OptimisticState,
     RegretLedger,
     StepSizePool,
+    aoogd_commit,
     aoogd_configure,
-    aoogd_round,
-    grad_variation,
+    aoogd_update,
     regret_update,
     rogd_step,
     roogd_corrected_init,

@@ -44,9 +44,9 @@ from .manifolds import SPD, Euclidean, Hyperbolic, Sphere
 from .online import (
     MetaWeights,
     RegretLedger,
+    aoogd_commit,
     aoogd_configure,
-    aoogd_round,
-    grad_variation,
+    aoogd_update,
     regret_update,
     rogd_step,
     roogd_corrected_init,
@@ -300,20 +300,22 @@ def frechet_manifold(cfg: ExperimentConfig) -> Manifold:
     return Hyperbolic(cfg.dim)
 
 
-def frechet_constants(cfg: ExperimentConfig) -> FrechetConstants:
-    """Conservative region-scale constants for the fixed-step safety caps.
-
-    D0 is the a-priori diameter of the region containing clouds, comparators
-    and iterates; the loss Hessian within it is bounded by the distortion at
-    that scale, so L = zeta(kappa, D0). kappa <= K are the curvature bounds
-    of ``frechet_manifold``.
-    """
+def _constants_at(cfg: ExperimentConfig, D: float, G: float) -> FrechetConstants:
+    """The constants at diameter D and gradient bound G: the loss Hessian
+    within a region of diameter D is bounded by the distortion at that
+    scale, so L = zeta0 = zeta(kappa, D), and sigma0 = sigma(K, D), where
+    kappa <= K are the curvature bounds of ``frechet_manifold``."""
     curv = frechet_manifold(cfg).curvature
+    zeta0 = zeta_constant(curv.kappa, D)
+    return FrechetConstants(D0=D, G=G, L=zeta0, sigma0=sigma_constant(curv.K, D), zeta0=zeta0)
+
+
+def frechet_constants(cfg: ExperimentConfig) -> FrechetConstants:
+    """Conservative region-scale constants for the fixed-step safety caps:
+    D0 = G is the a-priori diameter of the region containing clouds,
+    comparators and iterates."""
     D0 = cfg.center_diam + 2.0 * cfg.ball_radius
-    zeta0 = zeta_constant(curv.kappa, D0)
-    return FrechetConstants(
-        D0=D0, G=D0, L=zeta0, sigma0=sigma_constant(curv.K, D0), zeta0=zeta0
-    )
+    return _constants_at(cfg, D0, D0)
 
 
 def frechet_meta_constants(cfg: ExperimentConfig) -> FrechetConstants:
@@ -321,20 +323,11 @@ def frechet_meta_constants(cfg: ExperimentConfig) -> FrechetConstants:
 
     The pool is a search grid, not a safety cap: it is configured at the
     scale the environment actually moves (center-set diameter D, gradients of
-    the cloud scale, L = zeta(kappa, D)), so it brackets the empirically good
-    steps; the hedge then adapts within it. The top of the grid still sits
-    near the corresponding theoretical cap by construction.
+    the cloud scale), so it brackets the empirically good steps; the hedge
+    then adapts within it. The top of the grid still sits near the
+    corresponding theoretical cap by construction.
     """
-    curv = frechet_manifold(cfg).curvature
-    D = cfg.center_diam
-    G = cfg.center_diam / 2.0 + cfg.ball_radius
-    return FrechetConstants(
-        D0=D,
-        G=G,
-        L=zeta_constant(curv.kappa, D),
-        sigma0=sigma_constant(curv.K, D),
-        zeta0=zeta_constant(curv.kappa, D),
-    )
+    return _constants_at(cfg, cfg.center_diam, cfg.center_diam / 2.0 + cfg.ball_radius)
 
 
 def default_eta(cfg: ExperimentConfig, name: str) -> Optional[float]:
@@ -380,8 +373,11 @@ def run_experiment(cfg: ExperimentConfig, out: Optional[str] = None) -> BenchRes
 def write_outputs(result: BenchResult, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    csv = out_dir / "results.csv"
     if result.rows:
-        (out_dir / "results.csv").write_text(result.csv_text(), encoding="utf-8", newline="")
+        csv.write_text(result.csv_text(), encoding="utf-8", newline="")
+    else:  # a run without rows leaves no earlier run's rows beside its summary
+        csv.unlink(missing_ok=True)
     (out_dir / "summary.json").write_text(
         json.dumps(result.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -400,19 +396,17 @@ def _step_sizes(cfg: ExperimentConfig) -> dict[str, Optional[float]]:
 
 
 def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
-    """Online learner ``name`` started at x0, as ``(point, play)`` callables.
+    """Online learner ``name`` started at x0, as ``(commit, update)`` callables.
 
-    Round protocol: every learner commits its point x_t before the round's
-    loss is touched, and each stack of points takes its gradients from one
-    ``grad`` call. ``point()`` is x_t, or None for R-AOOGD, whose x_t
-    depends on the previous loss. The runner stacks the other learners'
-    points and passes each the gradient at its row to ``play(loss,
-    prev_loss, g_t)``, which returns ``(x_t, g_t)`` and advances the learner.
-    R-AOOGD's ``play`` (given None) runs ``aoogd_round``: it commits x_t, then
-    takes its experts' gradients and the gradient at x_t from one
-    ``loss.grad`` call on their stack. ``prev_loss`` is None in round 1; only
-    R-AOOGD reads it, for its optimism. R-AOOGD ignores ``eta`` and hedges over its
-    own pool of R-OOGD experts, which advance as one stacked step.
+    Round protocol: before the round's loss is touched, ``commit(prev_loss)``
+    returns the (k, ambient) rows the learner needs the loss's gradients at,
+    its played point x_t the last row: x_t alone for R-OGD, R-OOGD and the
+    corrected variant, R-AOOGD's experts and then x_t (``aoogd_commit``).
+    ``prev_loss`` is None in round 1; only R-AOOGD reads it, for its
+    optimism. The runner takes every learner's rows from one ``loss.grad``
+    call, and ``update(grads)`` advances the learner from the gradients at
+    its rows. R-AOOGD ignores ``eta`` and hedges over its own pool of R-OOGD
+    experts, which advance as one stacked step (``aoogd_update``).
     """
     if name == "raoogd":
         mc = frechet_meta_constants(cfg)
@@ -422,20 +416,23 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
         pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
         experts = roogd_init_rows(manifold, x0, pool.etas)
         weights = MetaWeights.uniform(pool.N)
+        x_play = None
 
-        def play(loss, prev_loss, _):
-            nonlocal experts, weights
+        def commit(prev_loss):
+            nonlocal x_play, weights
             prev_grad = prev_loss.grad if prev_loss is not None else None
-            x_t, experts, weights, diag = aoogd_round(
-                manifold, experts, weights, beta, loss.grad, prev_grad
-            )
-            return x_t, diag.g_play
+            x_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad)
+            return np.vstack([experts.x_cur.coords, x_play.coords])
 
-        return (lambda: None), play
+        def update(grads):
+            nonlocal experts, weights
+            experts, weights = aoogd_update(manifold, experts, weights, x_play, grads)
+
+        return commit, update
 
     if name == "rogd":
         state = x0
-        point = lambda: state  # noqa: E731
+        point = lambda s: s  # noqa: E731
         advance = lambda x, g: rogd_step(manifold, x, g, eta)  # noqa: E731
     else:
         init, step = (
@@ -444,16 +441,14 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
             else (roogd_corrected_init, roogd_corrected_step)
         )
         state = init(manifold, x0, eta)
-        point = lambda: state.x_cur  # noqa: E731
+        point = lambda s: s.x_cur  # noqa: E731
         advance = lambda s, g: step(manifold, s, g)  # noqa: E731
 
-    def play(loss, prev_loss, g_t):
+    def update(grads):
         nonlocal state
-        x_t = point()
-        state = advance(state, g_t)
-        return x_t, g_t
+        state = advance(state, TangentVector(point(state), grads[0]))
 
-    return point, play
+    return (lambda _: point(state).coords[None]), update
 
 
 def _comparator_track(manifold: Manifold, losses: list) -> tuple[np.ndarray, ...]:
@@ -516,50 +511,42 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     later = Point(comps[1:], manifold.manifold_id)
     hops = [0.0] + manifold.dist(later, Point(comps[:-1], manifold.manifold_id)).tolist()
     comp_vals = comp_vals.tolist()
+    # the squared change of the comparator's gradient, rounds 2 to T
+    comp_change = TangentVector(later, comp_now - comp_before)
+    comp_vts = [v**2 for v in manifold.norm(later, comp_change).tolist()]
 
-    # Each round, the gradient variation at the shared probes (the fixed
-    # points and the comparator) is computed once; each learner then folds
-    # in only its own point. The probes never move, so each loss's probe
-    # gradients, one grad call on the stacked probes, also serve as the
-    # next round's previous values.
+    # Each round, every learner commits its rows before the loss is touched,
+    # and one grad call on the fixed probes and those rows gives every
+    # gradient under this loss; each learner then advances from its slice.
+    # The gradient variation at the shared probes (the fixed points and the
+    # comparator) is computed once; each learner then folds in only its own
+    # point. The probes never move, so each loss's probe gradients also
+    # serve as the next round's previous values.
     rows: list[ResultRow] = []
-    prev_loss = None
-    prev_probe_grads: list = []
+    prev_loss = prev_probe_grads = None
     for t in range(1, cfg.T + 1):
         loss = stream.losses[t - 1]
         comp_val, hop = comp_vals[t - 1], hops[t - 1]
-        probe_grads = [
-            TangentVector(p, g) for p, g in zip(probes, loss.grad(probe_stack).coords)
-        ]
+        committed = [commit(prev_loss) for commit, _ in players.values()]
+        stack = np.concatenate([probe_stack.coords, *committed])
+        grads = loss.grad(Point(stack, manifold.manifold_id)).coords
+        ends = N_FIXED_PROBES + np.cumsum([len(c) for c in committed])
+        for (_, update), c, end in zip(players.values(), committed, ends):
+            update(grads[end - len(c) : end])
         shared_vt = 0.0
         if prev_loss is not None:
-            u_t = Point(later.coords[t - 2], manifold.manifold_id)
-            shared_pairs = list(zip(probe_grads, prev_probe_grads))
-            shared_pairs.append(
-                (TangentVector(u_t, comp_now[t - 2]), TangentVector(u_t, comp_before[t - 2]))
-            )
-            shared_vt = grad_variation(manifold, shared_pairs)
-
-        # every learner commits x_t before the loss is touched; the committed
-        # points take their gradients from one grad call, then each
-        # learner plays in the configured order
-        points = {name: point() for name, (point, _) in players.items()}
-        committed = [name for name, x in points.items() if x is not None]
-        grads = dict.fromkeys(players)
-        if committed:
-            stack = Point(np.stack([points[n].coords for n in committed]), manifold.manifold_id)
-            for name, g in zip(committed, loss.grad(stack).coords):
-                grads[name] = TangentVector(points[name], g)
-        played = [play(loss, prev_loss, grads[name]) for name, (_, play) in players.items()]
+            change = TangentVector(probe_stack, grads[:N_FIXED_PROBES] - prev_probe_grads)
+            probe_vts = [v**2 for v in manifold.norm(probe_stack, change).tolist()]
+            shared_vt = max(probe_vts + [comp_vts[t - 2]])
 
         # each per-learner quantity from one call on the stacked points, row
         # i the single call at learner i's point to rounding
-        xs = Point(np.stack([x.coords for x, _ in played]), manifold.manifold_id)
-        gs = TangentVector(xs, np.stack([g.coords for _, g in played]))
+        xs = Point(np.stack([c[-1] for c in committed]), manifold.manifold_id)
+        gs = TangentVector(xs, grads[ends - 1])
         inst = loss.value(xs).tolist()
         grad_norms = manifold.norm(xs, gs).tolist()
         anchor_dists = manifold.dist(xs, anchor).tolist()
-        vts = [shared_vt] * len(played)
+        vts = [shared_vt] * len(committed)
         if prev_loss is not None:
             change = TangentVector(xs, gs.coords - prev_loss.grad(xs).coords)
             vts = [max(shared_vt, v**2) for v in manifold.norm(xs, change).tolist()]
@@ -577,7 +564,7 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
                 )
             )
         prev_loss = loss
-        prev_probe_grads = probe_grads
+        prev_probe_grads = grads[:N_FIXED_PROBES]
 
     summary = {
         "experiment": cfg.experiment,

@@ -301,6 +301,13 @@ def _congruence(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return _sym(A @ M @ A.mT)
 
 
+def _require_pd_target(w: np.ndarray, op: str) -> None:
+    """Raise unless every whitened target, by its ascending eigenvalues w,
+    is positive definite."""
+    if (w[..., 0] <= 0).any():
+        raise GeometryError(f"{op} undefined: a target is not positive definite")
+
+
 class SPD(Manifold):
     """Symmetric positive definite d x d matrices, affine-invariant metric.
 
@@ -323,7 +330,9 @@ class SPD(Manifold):
     A base that is not positive definite (indefinite, singular, zero, or
     with a NaN or infinite entry), single or a row of a stack, stores
     nothing and raises GeometryError "matrix is not positive definite" on
-    every call; no operation returns NaN for it.
+    every call; no operation returns NaN for it. A target of ``dist``,
+    ``log`` or ``transport`` whose whitened matrix has an eigenvalue <= 0
+    raises GeometryError "<op> undefined: a target is not positive definite".
     """
 
     point_ndim = 2
@@ -378,7 +387,8 @@ class SPD(Manifold):
     def dist(self, x, y):
         Li = self._cloud(x, y, self._factor(x)[1])
         w = np.linalg.eigvalsh(_congruence(Li, y.coords))
-        d = _row_norm(np.log(np.maximum(w, 1e-300)))
+        _require_pd_target(w, "dist")
+        d = _row_norm(np.log(w))
         return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
@@ -394,8 +404,7 @@ class SPD(Manifold):
         """log_x(y)'s coords and dist(x, y), from one eigh of L^-1 Y L^-T."""
         L, Li = (self._cloud(x, y, a) for a in self._factor(x)[:2])
         w, V = np.linalg.eigh(_congruence(Li, y.coords))
-        if (w[..., 0] <= 0).any():
-            raise GeometryError("log undefined: a target is not positive definite")
+        _require_pd_target(w, "log")
         lw = np.log(w)
         return _congruence(L, (V * lw[..., None, :]) @ V.mT), _row_norm(lw)
 
@@ -407,6 +416,7 @@ class SPD(Manifold):
         self._require_base(x, v)
         L, Li, _ = self._factor(x)
         w, V = np.linalg.eigh(_congruence(Li, y.coords))
+        _require_pd_target(w, "transport")
         E = L @ ((V * np.sqrt(w)[..., None, :]) @ V.mT) @ Li
         return TangentVector(y, _congruence(E, v.coords))
 

@@ -5,6 +5,13 @@ corrected variant that replaces parallel transport by a base-point change,
 the plain online gradient descent baseline, and the adaptive meta-expert
 learner that hedges over a geometric grid of step sizes and combines expert
 points through weighted Frechet means.
+
+Round protocol: a learner commits its point x_t before the round's loss is
+revealed, then advances from the loss's gradients. The single learners'
+steps take the gradient at x_t. The meta-expert round is split at the
+reveal: ``aoogd_commit`` plays x_t from the previous loss alone, and
+``aoogd_update`` takes the gradients at its experts' points and at x_t, so
+one gradient call on a stack of rows can serve every learner of a round.
 """
 
 from __future__ import annotations
@@ -219,14 +226,6 @@ def aoogd_configure(
     return pool, beta
 
 
-@dataclass(frozen=True)
-class AoogdDiagnostics:
-    x_bar: Point
-    optimism: np.ndarray
-    surrogate_losses: np.ndarray
-    g_play: TangentVector
-
-
 def _hedge_weights(beta: float, scores: np.ndarray) -> np.ndarray:
     z = -beta * scores
     z = z - z.max()
@@ -242,75 +241,65 @@ def _linear_scores(
     return manifold.inner(x, g, manifold.log(x, Point(targets, x.manifold_id)))
 
 
-def aoogd_round(
+def _require_pool(experts: OptimisticState, weights: MetaWeights) -> int:
+    n = len(experts.x_cur.coords)
+    if weights.w.shape != (n,):
+        raise ValueError("weights length must match the number of experts")
+    return n
+
+
+def aoogd_commit(
     manifold: Manifold,
     experts: OptimisticState,
     weights: MetaWeights,
     beta: float,
-    grad_fn: GradFn,
     prev_grad_fn: Optional[GradFn] = None,
-) -> tuple[Point, OptimisticState, MetaWeights, AoogdDiagnostics]:
-    """One meta-expert round over a stacked pool of R-OOGD experts.
+) -> tuple[Point, MetaWeights]:
+    """The first half of a meta-expert round, before the loss is revealed.
 
-    Combines expert points by a weighted Frechet mean under last round's
-    weights, forms optimistic surrogates from the previous loss evaluated at
-    that combined point (zero on the first round, when no previous loss
-    exists), re-weights by hedge over cumulative surrogates plus optimism,
-    plays the mean under the new weights, scores every expert against the
-    revealed gradient, and advances the experts with their own step sizes.
-
-    Round protocol: the played point is committed before the revealed loss is
-    touched. ``grad_fn`` then takes a stacked point and gives the gradient at
-    each row (``FrechetMeanLoss.grad``): one call gives the experts'
-    gradients and the played point's, the last row. ``prev_grad_fn`` takes
-    the single point x_bar. The optimism and surrogate scores each come from
-    one ``log`` call on the experts' cloud and one ``inner`` call, and the
-    experts advance as one ``roogd_step`` on their stacked state.
-    ``experts`` is a state of ``roogd_init_rows``; ``diag.g_play`` is the
-    gradient at the played point.
+    Combines the expert points by a weighted Frechet mean x_bar under last
+    round's weights, scores the experts by the optimism <g, log_x_bar(x_i)>
+    with g the previous loss's gradient at x_bar (``prev_grad_fn``, which
+    takes the single point x_bar; zero on the first round, when no previous
+    loss exists), re-weights by hedge over cumulative surrogates plus
+    optimism, and returns the played point, the mean under the new weights,
+    with the new weights over the unchanged cumulative surrogates.
+    ``experts`` is a state of ``roogd_init_rows``.
     """
-    stacked = experts.x_cur.coords
-    n = len(stacked)
-    if weights.w.shape != (n,):
-        raise ValueError("weights length must match the number of experts")
-    xs = [Point(row, manifold.manifold_id) for row in stacked]
-
+    n = _require_pool(experts, weights)
+    xs = [Point(row, manifold.manifold_id) for row in experts.x_cur.coords]
     x_bar = weighted_frechet_mean(manifold, xs, weights.w)
     if prev_grad_fn is None:
         optimism = np.zeros(n)
     else:
-        optimism = _linear_scores(manifold, x_bar, prev_grad_fn(x_bar), stacked)
-
+        optimism = _linear_scores(manifold, x_bar, prev_grad_fn(x_bar), experts.x_cur.coords)
     w_new = _hedge_weights(beta, weights.cumulative_surrogate + optimism)
     x_play = weighted_frechet_mean(manifold, xs, w_new)
-
-    rows = Point(np.vstack([stacked, x_play.coords]), manifold.manifold_id)
-    grads = grad_fn(rows).coords
-    g_play = TangentVector(x_play, grads[-1])
-    surrogate = _linear_scores(manifold, x_play, g_play, stacked)
-    meta = MetaWeights(w_new, weights.cumulative_surrogate + surrogate)
-
-    advanced = roogd_step(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
-    diag = AoogdDiagnostics(
-        x_bar=x_bar, optimism=optimism, surrogate_losses=surrogate, g_play=g_play
-    )
-    return x_play, advanced, meta, diag
+    return x_play, MetaWeights(w_new, weights.cumulative_surrogate)
 
 
-def grad_variation(
-    manifold: Manifold, grad_samples: Sequence[tuple[TangentVector, TangentVector]]
-) -> float:
-    """Largest squared gradient difference over the probes, 0 for none.
+def aoogd_update(
+    manifold: Manifold,
+    experts: OptimisticState,
+    weights: MetaWeights,
+    x_play: Point,
+    grads: np.ndarray,
+) -> tuple[OptimisticState, MetaWeights]:
+    """The second half of a meta-expert round, after the loss is revealed.
 
-    ``grad_samples`` pairs the current and previous losses' gradients taken at
-    identical probe points. The result is a deterministic lower bound on the
-    round's gradient variation, the supremum over the feasible set.
+    ``weights`` and ``x_play`` are what ``aoogd_commit`` returned; ``grads``
+    holds the revealed loss's gradients at the experts' rows and, last, at
+    x_play. Scores every expert by the surrogate <g_play, log_x_play(x_i)>,
+    adds it to the cumulative surrogates, and advances the experts with
+    their own step sizes as one ``roogd_step`` on their stacked state.
     """
-    vt = 0.0
-    for g_now, g_before in grad_samples:
-        diff = g_now - g_before
-        vt = max(vt, manifold.norm(g_now.base, diff) ** 2)
-    return vt
+    n = _require_pool(experts, weights)
+    if len(grads) != n + 1:
+        raise ValueError("grads must hold one row per expert and one at the played point")
+    g_play = TangentVector(x_play, grads[-1])
+    surrogate = _linear_scores(manifold, x_play, g_play, experts.x_cur.coords)
+    advanced = roogd_step(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
+    return advanced, MetaWeights(weights.w, weights.cumulative_surrogate + surrogate)
 
 
 def regret_update(

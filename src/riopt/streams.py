@@ -167,10 +167,10 @@ class FrechetMeanLoss:
     shape (m, N, ...) stack m losses, loss i paired with row i of a stacked
     point.
 
-    In a frechet round the learners commit their points before the loss is
-    touched; each stack of points then takes its gradients from one
-    ``grad`` call (R-AOOGD's experts with its played point, and the other
-    learners' points), and the learners' values from one ``value`` call.
+    In a frechet round every learner commits its rows (its played point,
+    after R-AOOGD's experts) before the loss is touched; one ``grad`` call on
+    the fixed probes and all those rows then gives every gradient the round
+    takes under this loss, and one ``value`` call the learners' values.
     """
 
     def __init__(self, manifold: Manifold, targets: np.ndarray):

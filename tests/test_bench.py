@@ -11,6 +11,7 @@ from riopt import (
     FrechetMeanLoss,
     Hyperbolic,
     ZeroSumGame,
+    fixed_probe_points,
     frechet_mean,
     gen_frechet_stream,
     run_experiment,
@@ -223,6 +224,90 @@ def test_frechet_runner_evaluates_each_gradient_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+FOUR_LEARNERS = ["rogd", "roogd", "roogd_corrected", "raoogd"]
+
+
+def test_a_frechet_round_takes_one_grad_call_under_its_loss(monkeypatch):
+    # outside the comparator track, round 1 makes one call: the probes and
+    # every learner's rows (R-AOOGD's experts and x_play) under f_1. Each
+    # later round adds R-AOOGD's optimism at x_bar and the learners' points
+    # under f_{t-1}: 1 + 3(T - 1) calls (it was 3 + 5(T - 1))
+    calls, counting = [0], [1]
+    grad, track = FrechetMeanLoss.grad, bench._comparator_track
+
+    def counted(self, x):
+        calls[0] += counting[0]
+        return grad(self, x)
+
+    def uncounted(*args):
+        counting[0] = 0
+        try:
+            return track(*args)
+        finally:
+            counting[0] = 1
+
+    monkeypatch.setattr(FrechetMeanLoss, "grad", counted)
+    monkeypatch.setattr(bench, "_comparator_track", uncounted)
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 10, "S": 4,
+         "algorithms": FOUR_LEARNERS}
+    )
+    run_experiment(cfg)
+    assert calls[0] == 1 + 3 * (cfg.T - 1)
+
+
+def test_grad_variation_estimate_is_the_per_pair_longhand(monkeypatch):
+    # each round from 2 on adds the largest ||grad f_t(p) - grad f_{t-1}(p)||^2
+    # over the fixed probes, the comparator u_t and the learner's own x_t,
+    # here each pair from single calls
+    played = {}
+    online_learner = bench._online_learner
+
+    def recording(cfg, name, *args):
+        commit, update = online_learner(cfg, name, *args)
+
+        def recorded(prev_loss):
+            rows = commit(prev_loss)
+            played.setdefault(name, []).append(Point(rows[-1].copy(), "hyperbolic(3)"))
+            return rows
+
+        return recorded, update
+
+    monkeypatch.setattr(bench, "_online_learner", recording)
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 8, "mode": "drift", "S": 3,
+         "drift": 0.3, "seed": 3, "algorithms": FOUR_LEARNERS}
+    )
+    summary = run_experiment(cfg).summary
+    h = bench.frechet_manifold(cfg)
+    stream = gen_frechet_stream(
+        h, T=cfg.T, n_points=cfg.n_points, mode=cfg.mode, S=cfg.S, drift=cfg.drift, seed=cfg.seed
+    )
+    losses = stream.losses
+    probes = fixed_probe_points(h, stream.anchor, 1.5, N_FIXED_PROBES, cfg.seed)
+    comps = [frechet_mean(h, [Point(p, h.manifold_id) for p in f.targets]) for f in losses]
+
+    def vt(p, t):
+        return h.norm(p, losses[t].grad(p) - losses[t - 1].grad(p)) ** 2
+
+    for name in FOUR_LEARNERS:
+        longhand = sum(
+            max(vt(p, t) for p in probes + [comps[t], played[name][t]]) for t in range(1, cfg.T)
+        )
+        assert longhand > 0
+        assert_agree(summary["algorithms"][name]["grad_variation_estimate"], longhand, name)
+
+
+def test_a_run_without_rows_removes_a_stale_results_csv(tmp_path):
+    # verify writes no rows: a quadgame's results.csv left in its out dir
+    # used to stay beside verify's summary.json and config.json
+    quad = {"experiment": "quadgame", "d": 2, "T": 3, "algorithms": ["rgda"]}
+    assert _run_cli(tmp_path, "quadgame", quad) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+    assert _run_cli(tmp_path, "verify", {"experiment": "verify", "n_triangles": 5}) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "summary.json"]
+
+
 @pytest.mark.parametrize("n_points", [1, 4])
 def test_frechet_single_round(n_points):
     # no round 2: the comparator's hop and gradient stacks are empty
@@ -316,13 +401,16 @@ def test_wide_cloud_comparator_failure_exits_3_before_any_learner_plays(
 ):
     # A wide hyperbolic cloud defeats the unit-step Karcher iteration: at
     # seed 0 in round 1, at seed 2 first in round 9. The comparator track is
-    # solved before round 1, so no learner commits a point or plays either way.
+    # solved before round 1, so no learner commits a point or updates either way.
     played = []
     online_learner = bench._online_learner
 
     def recording(*args):
-        point, play = online_learner(*args)
-        return (lambda: played.append(1) or point()), (lambda *a: played.append(1) or play(*a))
+        commit, update = online_learner(*args)
+        return (
+            lambda *a: played.append(1) or commit(*a),
+            lambda *a: played.append(1) or update(*a),
+        )
 
     monkeypatch.setattr(bench, "_online_learner", recording)
     config = {"experiment": "frechet", "ball_radius": 3, "center_diam": 6, "T": 20, "S": 5}

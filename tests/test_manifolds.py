@@ -714,6 +714,26 @@ def test_spd_log_of_a_target_not_positive_definite_raises_one_error(eig):
             call()
 
 
+@pytest.mark.parametrize("eig", [0.0, -1.0])
+def test_spd_dist_and_transport_to_a_target_not_positive_definite_raise(eig):
+    # dist clamped the whitened eigenvalues at 1e-300 and returned 690.78 for
+    # diag(1, -1); transport took their square roots, which warned and gave
+    # NaN coordinates below 0
+    m = SPD(2)
+    x, y = m.base_point(), Point(np.diag([1.0, eig]), m.manifold_id)
+    X, Y = _stack(m, [x, x]), _stack(m, [x, y])
+    v, V = TangentVector(x, 0.1 * np.eye(2)), TangentVector(X, np.stack([0.1 * np.eye(2)] * 2))
+    for op, call in (
+        ("dist", lambda: m.dist(x, y)),
+        ("dist", lambda: m.dist(X, Y)),
+        ("dist", lambda: m.dist(x, Point(np.stack([x.coords, y.coords]), m.manifold_id))),
+        ("transport", lambda: m.transport(x, y, v)),
+        ("transport", lambda: m.transport(X, Y, V)),
+    ):
+        with pytest.raises(GeometryError, match=f"{op} undefined: a target is not positive"):
+            call()
+
+
 @pytest.mark.parametrize("m", ROW_MANIFOLDS, ids=ROW_IDS)
 def test_row_exp_rejects_a_non_finite_tangent(m):
     xs, _, vs, _ = _row_cases(m)

@@ -11,9 +11,9 @@ from riopt import (
     MetaWeights,
     RegretLedger,
     StepSizePool,
+    aoogd_commit,
     aoogd_configure,
-    aoogd_round,
-    grad_variation,
+    aoogd_update,
     regret_update,
     rogd_step,
     roogd_corrected_init,
@@ -22,7 +22,13 @@ from riopt import (
     roogd_init_rows,
     roogd_step,
 )
-from riopt.geometry import Point, TangentVector, weighted_frechet_mean, zeta_constant
+from riopt.geometry import (
+    GeometryError,
+    Point,
+    TangentVector,
+    weighted_frechet_mean,
+    zeta_constant,
+)
 from riopt.online import OptimisticState, _hedge_weights
 from riopt.streams import FrechetMeanLoss, gen_frechet_stream
 
@@ -175,13 +181,23 @@ def log_grad(h, target):
     return lambda x: -1.0 * h.log(x, target)
 
 
+def aoogd_round(manifold, experts, weights, beta, grad_fn, prev_grad_fn=None):
+    """A whole meta-expert round: commit x_play, then update from ``grad_fn``
+    at the stack of the experts' points and x_play, as the frechet runner
+    does (one call)."""
+    x_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad_fn)
+    rows = Point(np.vstack([experts.x_cur.coords, x_play.coords]), manifold.manifold_id)
+    experts, weights = aoogd_update(manifold, experts, weights, x_play, grad_fn(rows).coords)
+    return x_play, experts, weights
+
+
 def test_aoogd_round_single_expert(rng):
     h = Hyperbolic(2)
     x0 = h.random_point(rng)
     experts = roogd_init_rows(h, x0, [0.1])
     weights = MetaWeights.uniform(1)
     target = h.random_point(rng, center=x0, radius=1.0)
-    x_play, experts2, weights2, _ = aoogd_round(h, experts, weights, 0.5, log_grad(h, target))
+    x_play, experts2, weights2 = aoogd_round(h, experts, weights, 0.5, log_grad(h, target))
     assert h.dist(x_play, x0) < 1e-12
     assert weights2.w[0] == pytest.approx(1.0)
     assert experts2.rounds == 1
@@ -194,12 +210,35 @@ def test_aoogd_round_coincident_experts_and_symmetry(rng):
     weights = MetaWeights.uniform(2)
     target = h.random_point(rng, center=x0, radius=1.0)
     grad_fn = log_grad(h, target)
-    x_play, _, weights2, diag = aoogd_round(
-        h, experts, weights, 0.7, grad_fn, prev_grad_fn=grad_fn
-    )
+    x_play, weights2 = aoogd_commit(h, experts, weights, 0.7, prev_grad_fn=grad_fn)
     assert h.dist(x_play, x0) < 1e-12  # mean of coincident points
     assert np.allclose(weights2.w, [0.5, 0.5], atol=1e-12)  # hedge symmetry
-    assert np.allclose(diag.optimism, diag.optimism[0])
+    # the optimism by its definition <g_{t-1}(x_bar), log_x_bar(x_i)>, with
+    # x_bar the mean under the old weights: equal for coincident experts
+    x_bar = weighted_frechet_mean(h, [x0, x0], weights.w)
+    g = grad_fn(x_bar)
+    xs = [Point(x, h.manifold_id) for x in experts.x_cur.coords]
+    optimism = [h.inner(x_bar, g, h.log(x_bar, x)) for x in xs]
+    assert np.allclose(optimism, optimism[0])
+    assert_agree(weights2.w, _hedge_weights(0.7, weights.cumulative_surrogate + optimism))
+    assert weights2.cumulative_surrogate is weights.cumulative_surrogate
+
+
+def test_aoogd_halves_check_the_pool():
+    h = Hyperbolic(2)
+    x0 = h.base_point()
+    experts = roogd_init_rows(h, x0, [0.05, 0.1])
+    with pytest.raises(ValueError, match="weights length"):
+        aoogd_commit(h, experts, MetaWeights.uniform(3), 0.5)
+    x_play, weights = aoogd_commit(h, experts, MetaWeights.uniform(2), 0.5)
+    grads = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="weights length"):
+        aoogd_update(h, experts, MetaWeights.uniform(3), x_play, grads)
+    with pytest.raises(ValueError, match="one row per expert"):
+        aoogd_update(h, experts, weights, x_play, grads[:2])
+    # the experts' step checks its gradients
+    with pytest.raises(GeometryError, match="non-finite"):
+        aoogd_update(h, experts, weights, x_play, np.full((3, 3), np.nan))
 
 
 def test_meta_weights_normalized_over_rounds(rng):
@@ -211,7 +250,7 @@ def test_meta_weights_normalized_over_rounds(rng):
     for t in range(30):
         target = h.random_point(rng, center=base, radius=1.0)
         grad_fn = log_grad(h, target)
-        _, experts, weights, _ = aoogd_round(h, experts, weights, 0.3, grad_fn, prev)
+        _, experts, weights = aoogd_round(h, experts, weights, 0.3, grad_fn, prev)
         prev = grad_fn
         assert weights.w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights.w >= 0)
@@ -298,6 +337,8 @@ def _aoogd_round_reference(manifold, experts, weights, beta, grad_fn, prev_grad_
 
 @pytest.mark.parametrize("mode", ["abrupt", "drift"])
 def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
+    # commit, then update from one grad call on the experts and x_play (the
+    # runner's round), against the longhand round
     h = Hyperbolic(4)
     base = h.base_point()
     etas = [0.04 * 2.0**i for i in range(5)]
@@ -308,22 +349,24 @@ def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
     prev = None
     for loss in losses:
         prev_grad = None if prev is None else prev.grad
-        x_play, pool, weights, diag = aoogd_round(h, pool, weights, 0.6, loss.grad, prev_grad)
+        cum = weights.cumulative_surrogate
+        x_play, committed = aoogd_commit(h, pool, weights, 0.6, prev_grad)
+        # the committed weights are the new hedge weights over the old sums
+        assert committed.cumulative_surrogate is cum
+        rows = Point(np.vstack([pool.x_cur.coords, x_play.coords]), h.manifold_id)
+        pool, weights = aoogd_update(h, pool, committed, x_play, loss.grad(rows).coords)
         ref = _aoogd_round_reference(h, experts, ref_weights, 0.6, loss.grad, prev_grad)
         x_ref, experts, ref_weights, (x_bar, optimism, surrogate, g_play) = ref
         assert_agree(x_play.coords, x_ref.coords)
-        assert_agree(weights.w, ref_weights.w)
+        assert_agree(committed.w, ref_weights.w)
+        assert _bits(weights.w) == _bits(committed.w)
         assert_agree(weights.cumulative_surrogate, ref_weights.cumulative_surrogate)
-        assert_agree(diag.x_bar.coords, x_bar.coords)
-        assert_agree(diag.optimism, optimism)
-        assert_agree(diag.surrogate_losses, surrogate)
-        assert diag.g_play.base is x_play
-        assert_agree(diag.g_play.coords, g_play.coords)
+        assert_agree(weights.cumulative_surrogate - cum, surrogate)
         _assert_pool_is(pool, experts)
         prev = loss
     # the hedge moved away from uniform, and the optimism term was live
     assert not np.allclose(weights.w, weights.w[0])
-    assert diag.optimism.any()
+    assert optimism.any()
 
 
 def test_roogd_init_rows_rejects_bad_step_sizes():
@@ -343,11 +386,12 @@ def test_regret_update_examples(rng):
     m = Hyperbolic(2)
     u1 = m.base_point()
     u2 = m.exp(u1, m.random_tangent(u1, rng, norm=1.0))
-    led = regret_update(RegretLedger(), 1.0, 0.5, 0.0, grad_variation(m, []))
+    # the variation with no probes is 0
+    led = regret_update(RegretLedger(), 1.0, 0.5, 0.0, 0.0)
     assert led.path_length == 0.0
     assert led.grad_variation == 0.0
     g = m.random_tangent(u1, rng, norm=0.7)
-    led = regret_update(led, 2.0, 0.5, m.dist(u2, u1), grad_variation(m, [(g, g)]))
+    led = regret_update(led, 2.0, 0.5, m.dist(u2, u1), m.norm(u1, g - g) ** 2)
     assert led.path_length == pytest.approx(1.0, abs=1e-10)
     assert led.grad_variation == 0.0  # identical gradients
     assert led.regret == pytest.approx((1.0 + 2.0) - (0.5 + 0.5))
@@ -361,15 +405,23 @@ def test_regret_update_vt_is_max_over_probes(rng):
         (grad_at(x, [1.0, 0.0]), grad_at(x, [0.0, 0.0])),
         (grad_at(x, [3.0, 0.0]), grad_at(x, [0.0, 0.0])),
     ]
-    assert grad_variation(m, pairs) == pytest.approx(9.0)
-    # the frechet runner's fold: each learner's own pair, its norm from one
-    # norm call on the stack, folded onto the shared probes' value as max(shared, v**2)
+    # the round's variation: the largest squared gradient change at a probe
+    longhand = max(m.norm(x, now - before) ** 2 for now, before in pairs)
+    assert longhand == pytest.approx(9.0)
+
+    def stacked_vts(pairs):
+        # the frechet runner's form: one norm call on the stacked changes
+        xs = Point(np.stack([x.coords] * len(pairs)), m.manifold_id)
+        change = TangentVector(xs, np.stack([a.coords - b.coords for a, b in pairs]))
+        return [v**2 for v in m.norm(xs, change).tolist()]
+
+    assert stacked_vts(pairs) == [m.norm(x, a - b) ** 2 for a, b in pairs]
+    # the runner's fold: each learner's own pair folded onto the shared
+    # probes' value as max(shared, v**2)
     for own, shared in ((pairs[:1], pairs[1:]), (pairs[1:], pairs[:1])):
-        xs = Point(np.stack([x.coords]), m.manifold_id)
-        change = TangentVector(xs, np.stack([own[0][0].coords - own[0][1].coords]))
-        (v,) = m.norm(xs, change).tolist()
-        assert max(grad_variation(m, shared), v**2) == grad_variation(m, pairs)
-    led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, grad_variation(m, pairs))
+        (v2,) = stacked_vts(own)
+        assert max(max(stacked_vts(shared)), v2) == longhand
+    led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, longhand)
     assert led.grad_variation == pytest.approx(9.0)
 
 
