@@ -20,12 +20,10 @@ from .online import (
     CorrectedState,
     MetaWeights,
     OptimisticState,
-    RegretLedger,
     StepSizePool,
     aoogd_commit,
     aoogd_configure,
     aoogd_update,
-    regret_update,
     rogd_step,
     roogd_corrected_init,
     roogd_corrected_step,

@@ -43,11 +43,9 @@ from .geometry import (
 from .manifolds import SPD, Euclidean, Hyperbolic, Sphere
 from .online import (
     MetaWeights,
-    RegretLedger,
     aoogd_commit,
     aoogd_configure,
     aoogd_update,
-    regret_update,
     rogd_step,
     roogd_corrected_init,
     roogd_corrected_step,
@@ -416,17 +414,17 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
         pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
         experts = roogd_init_rows(manifold, x0, pool.etas)
         weights = MetaWeights.uniform(pool.N)
-        x_play = None
+        logs_play = None
 
         def commit(prev_loss):
-            nonlocal x_play, weights
+            nonlocal logs_play, weights
             prev_grad = prev_loss.grad if prev_loss is not None else None
-            x_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad)
-            return np.vstack([experts.x_cur.coords, x_play.coords])
+            logs_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad)
+            return np.vstack([experts.x_cur.coords, logs_play.base.coords])
 
         def update(grads):
             nonlocal experts, weights
-            experts, weights = aoogd_update(manifold, experts, weights, x_play, grads)
+            experts, weights = aoogd_update(manifold, experts, weights, logs_play, grads)
 
         return commit, update
 
@@ -501,16 +499,19 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     players = {
         name: _online_learner(cfg, name, manifold, anchor, eta) for name, eta in etas.items()
     }
-    ledgers = dict.fromkeys(players, RegretLedger())
+    cum_loss = dict.fromkeys(players, 0.0)
+    grad_variation = dict.fromkeys(players, 0.0)
     max_dist = dict.fromkeys(players, 0.0)
 
     # The comparator u_t = argmin f_t depends on no learner, so its whole
     # track comes first, and a comparator failure at any round is raised
-    # before the learners play round 1.
+    # before the learners play round 1. Its running loss and path length
+    # are summed once for every learner, in round order, as cumsum adds.
     comps, comp_vals, comp_now, comp_before = _comparator_track(manifold, stream.losses)
     later = Point(comps[1:], manifold.manifold_id)
-    hops = [0.0] + manifold.dist(later, Point(comps[:-1], manifold.manifold_id)).tolist()
-    comp_vals = comp_vals.tolist()
+    hops = manifold.dist(later, Point(comps[:-1], manifold.manifold_id))
+    path_length = np.cumsum(np.concatenate(([0.0], hops)))[-1].item()
+    comp_cum = np.cumsum(comp_vals).tolist()
     # the squared change of the comparator's gradient, rounds 2 to T
     comp_change = TangentVector(later, comp_now - comp_before)
     comp_vts = [v**2 for v in manifold.norm(later, comp_change).tolist()]
@@ -526,7 +527,6 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
     prev_loss = prev_probe_grads = None
     for t in range(1, cfg.T + 1):
         loss = stream.losses[t - 1]
-        comp_val, hop = comp_vals[t - 1], hops[t - 1]
         committed = [commit(prev_loss) for commit, _ in players.values()]
         stack = np.concatenate([probe_stack.coords, *committed])
         grads = loss.grad(Point(stack, manifold.manifold_id)).coords
@@ -551,18 +551,10 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
             change = TangentVector(xs, gs.coords - prev_loss.grad(xs).coords)
             vts = [max(shared_vt, v**2) for v in manifold.norm(xs, change).tolist()]
         for name, val, norm, dist, vt in zip(players, inst, grad_norms, anchor_dists, vts):
-            led = ledgers[name] = regret_update(ledgers[name], val, comp_val, hop, vt)
+            cum = cum_loss[name] = cum_loss[name] + val
+            grad_variation[name] += vt
             max_dist[name] = max(max_dist[name], dist)
-            rows.append(
-                ResultRow(
-                    round=t,
-                    algorithm=name,
-                    instantaneous_loss=val,
-                    cumulative_loss=led.cum_alg_loss,
-                    cumulative_regret=led.regret,
-                    grad_norm=norm,
-                )
-            )
+            rows.append(ResultRow(t, name, val, cum, cum - comp_cum[t - 1], norm))
         prev_loss = loss
         prev_probe_grads = grads[:N_FIXED_PROBES]
 
@@ -570,17 +562,17 @@ def _run_frechet(cfg: ExperimentConfig) -> tuple[list, dict]:
         "experiment": cfg.experiment,
         "T": cfg.T,
         "seed": cfg.seed,
-        "comparator_path_length": next(iter(ledgers.values())).path_length,
+        "comparator_path_length": path_length,
         "constants": dataclasses.asdict(frechet_constants(cfg)),
         "algorithms": {},
     }
-    for name, led in ledgers.items():
+    for name in players:
         summary["algorithms"][name] = {
             "eta": etas[name],
-            "final_cumulative_loss": led.cum_alg_loss,
-            "final_cumulative_regret": led.regret,
-            "comparator_cumulative_loss": led.cum_comparator_loss,
-            "grad_variation_estimate": led.grad_variation,
+            "final_cumulative_loss": cum_loss[name],
+            "final_cumulative_regret": cum_loss[name] - comp_cum[-1],
+            "comparator_cumulative_loss": comp_cum[-1],
+            "grad_variation_estimate": grad_variation[name],
             "max_dist_to_center": max_dist[name],
         }
     return rows, summary

@@ -391,7 +391,8 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
     point come from one ``SPD._log_dist`` call (one stacked ``eigh``) with
     the anchors as the cloud of every base of a stacked point. Both are kept
     in one entry of the point's memo, which the payoff and the gradient at
-    that point share. Sums run in anchor order, as n single calls would.
+    that point share. Sums run in anchor order, as n single calls would
+    (a cumsum: ``sum`` of floats is compensated from Python 3.12 on).
     """
     if len(data) == 0:
         raise ValueError("data must be nonempty")
@@ -418,7 +419,7 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         xc = x.coords
         quad = (xc[..., None, :] @ a.coords @ xc[..., :, None])[..., 0, 0]
         dists = anchor_log_dists(a)[1]
-        spread = np.reshape([sum(row) for row in dists.reshape(-1, n).tolist()], quad.shape)
+        spread = np.cumsum(dists, axis=-1)[..., -1].reshape(quad.shape)
         val = quad + alpha / n * spread
         return val if val.ndim else float(val)
 

@@ -408,7 +408,7 @@ KARCHER_MAX_ITER = 200
 
 def _karcher(
     manifold: Manifold, x: Point, targets: np.ndarray, w: np.ndarray, tol: float, max_iter: int
-) -> Point:
+) -> tuple[Point, Optional[TangentVector]]:
     """Karcher iterations x <- exp_x(sum_i w_i log_x(p_i)), unit step.
 
     x is a single point with its (n, ...) cloud ``targets``, or a stack of m
@@ -417,23 +417,25 @@ def _karcher(
     cloud, sums them in point order and steps with one ``norm`` and one
     ``exp`` call, on the single point or the stack. A cloud whose residual is
     <= tol stops moving and is never touched again. After max_iter
-    iterations, FrechetMeanError for the lowest cloud still moving.
+    iterations, FrechetMeanError for the lowest cloud still moving. Returns
+    the mean with, for a single x, its last step's logs (None for a stack).
     """
     single = manifold._single(x)
     w = w.reshape((-1,) + (1,) * manifold.point_ndim)
     out, active, residual = x.coords.copy(), np.arange(len(targets)), math.inf
     cloud = Point(targets, x.manifold_id)
     for _ in range(max_iter):
-        direction = TangentVector(x, (w * manifold.log(x, cloud).coords).sum(axis=-w.ndim))
+        logs = manifold.log(x, cloud)
+        direction = TangentVector(x, (w * logs.coords).sum(axis=-w.ndim))
         residual = manifold.norm(x, direction)
         done = residual <= tol
         if np.any(done):
             if single:
-                return x
+                return x, logs
             out[active[done]] = x.coords[done]
             keep = ~done
             if not keep.any():
-                return Point(out, manifold.manifold_id)
+                return Point(out, manifold.manifold_id), None
             active, residual = active[keep], residual[keep]
             cloud = Point(cloud.coords[keep], manifold.manifold_id)
             x = Point(x.coords[keep], manifold.manifold_id)
@@ -477,7 +479,7 @@ def weighted_frechet_mean(
 
     keep = np.flatnonzero(w != 0.0)
     targets = np.stack([points[i].coords for i in keep])
-    return _karcher(manifold, points[int(np.argmax(w))], targets, w[keep], tol, max_iter)
+    return _karcher(manifold, points[int(np.argmax(w))], targets, w[keep], tol, max_iter)[0]
 
 
 def frechet_mean(manifold: Manifold, points: Sequence[Point], **kwargs) -> Point:
@@ -506,7 +508,7 @@ def frechet_mean_rows(manifold: Manifold, clouds: np.ndarray) -> Point:
     n = clouds.shape[1]
     x = Point(clouds[:, 0], manifold.manifold_id)
     try:
-        return _karcher(manifold, x, clouds, np.full(n, 1.0 / n), KARCHER_TOL, KARCHER_MAX_ITER)
+        return _karcher(manifold, x, clouds, np.full(n, 1.0 / n), KARCHER_TOL, KARCHER_MAX_ITER)[0]
     except GeometryError:
         means = [frechet_mean(manifold, [Point(p, x.manifold_id) for p in c]) for c in clouds]
         return Point(np.stack([p.coords for p in means]), x.manifold_id)

@@ -20,6 +20,8 @@ makes one call per factor, or one on the folded stack (see ``Product``).
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -520,7 +522,7 @@ class Product(Manifold):
 
     def dist(self, x, y):
         xs, ys = self.split(x), self.split(y)
-        sq = sum(f.dist(xi, yi) ** 2 for f, xi, yi in zip(self.factors, xs, ys))
+        sq = reduce(add, (f.dist(xi, yi) ** 2 for f, xi, yi in zip(self.factors, xs, ys)), 0.0)
         return math.sqrt(sq) if self._single(x, y) else np.sqrt(sq)
 
     def exp(self, x, v):
@@ -554,7 +556,9 @@ class Product(Manifold):
         tangents at x), single or stacked: the product coords of its points or
         tangents, or the sum over factors of its numbers. It runs once on the
         folded stacks when there is one leading axis, else once per factor;
-        an argument passed twice is folded or split once."""
+        an argument passed twice is folded or split once. Sums over factors
+        (here and in ``dist``) add left to right: ``sum`` of floats is
+        compensated from Python 3.12 on."""
         chain = (x, *args)
         lead = max((a.coords.shape[:-1] for a in chain), key=len)
         if self._common is None or len(lead) != 1:
@@ -562,7 +566,9 @@ class Product(Manifold):
                      for a in chain}
             outs = [getattr(f, op)(*p)
                     for f, *p in zip(self.factors, *(parts[id(a)] for a in chain))]
-            return self._join([o.coords for o in outs]) if hasattr(outs[0], "coords") else sum(outs)
+            if hasattr(outs[0], "coords"):
+                return self._join([o.coords for o in outs])
+            return reduce(add, outs, 0.0)
         X = self._fold(x, lead)
         folded = {id(x): X}
         for a in args:
@@ -573,7 +579,7 @@ class Product(Manifold):
         if hasattr(out, "coords"):
             return out.coords.reshape(lead + (self.ambient,))
         rows = out.reshape(lead + (len(self.factors),))
-        return sum(rows[..., j] for j in range(len(self.factors)))
+        return reduce(add, rows.T, 0.0)
 
     def _draw(self, rng):
         return self.join([f.random_point(rng) for f in self.factors])

@@ -1,10 +1,12 @@
-"""Online learners on Riemannian manifolds and their regret accounting.
+"""Online learners on Riemannian manifolds.
 
 Contains the optimistic gradient learner (transported-memory form), the
 corrected variant that replaces parallel transport by a base-point change,
 the plain online gradient descent baseline, and the adaptive meta-expert
 learner that hedges over a geometric grid of step sizes and combines expert
-points through weighted Frechet means.
+points through weighted Frechet means. The regret accounting (losses,
+comparator path length, gradient variation) is the frechet runner's, in
+``bench``.
 
 Round protocol: a learner commits its point x_t before the round's loss is
 revealed, then advances from the loss's gradients. The single learners'
@@ -23,10 +25,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    KARCHER_MAX_ITER,
+    KARCHER_TOL,
     Manifold,
     Point,
     TangentVector,
-    weighted_frechet_mean,
+    _karcher,
+    weighted_frechet_mean,  # noqa: F401 - kept importable from riopt.online
 )
 
 GradFn = Callable[[Point], TangentVector]
@@ -94,21 +99,6 @@ class MetaWeights:
     @classmethod
     def uniform(cls, n: int) -> "MetaWeights":
         return cls(np.full(n, 1.0 / n), np.zeros(n))
-
-
-@dataclass(frozen=True)
-class RegretLedger:
-    """Cumulative losses and regularity measures of one online run."""
-
-    cum_alg_loss: float = 0.0
-    cum_comparator_loss: float = 0.0
-    path_length: float = 0.0
-    grad_variation: float = 0.0
-    round: int = 0
-
-    @property
-    def regret(self) -> float:
-        return self.cum_alg_loss - self.cum_comparator_loss
 
 
 def roogd_init(manifold: Manifold, x0: Point, eta: float) -> OptimisticState:
@@ -233,19 +223,23 @@ def _hedge_weights(beta: float, scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _linear_scores(
-    manifold: Manifold, x: Point, g: TangentVector, targets: np.ndarray
-) -> np.ndarray:
-    """<g, log_x(p_i)>_x for every stacked point p_i: the logs from one
-    ``log`` call on the cloud, the products from one ``inner`` call."""
-    return manifold.inner(x, g, manifold.log(x, Point(targets, x.manifold_id)))
-
-
 def _require_pool(experts: OptimisticState, weights: MetaWeights) -> int:
     n = len(experts.x_cur.coords)
     if weights.w.shape != (n,):
         raise ValueError("weights length must match the number of experts")
     return n
+
+
+def _pool_mean(manifold: Manifold, experts: OptimisticState, w: np.ndarray) -> TangentVector:
+    """The logs log_m(x_i) of every expert at m, the experts' mean under
+    weights w, from the last Karcher step (``.base`` is m). m is the mean of
+    ``weighted_frechet_mean``, which normalises w the same way and starts at
+    the heaviest expert; an expert of weight 0 stays in the cloud (adding
+    0 log) and so keeps its log."""
+    w = w / w.sum()
+    cloud = experts.x_cur.coords
+    x0 = Point(cloud[int(np.argmax(w))], manifold.manifold_id)
+    return _karcher(manifold, x0, cloud, w, KARCHER_TOL, KARCHER_MAX_ITER)[1]
 
 
 def aoogd_commit(
@@ -254,7 +248,7 @@ def aoogd_commit(
     weights: MetaWeights,
     beta: float,
     prev_grad_fn: Optional[GradFn] = None,
-) -> tuple[Point, MetaWeights]:
+) -> tuple[TangentVector, MetaWeights]:
     """The first half of a meta-expert round, before the loss is revealed.
 
     Combines the expert points by a weighted Frechet mean x_bar under last
@@ -262,56 +256,42 @@ def aoogd_commit(
     with g the previous loss's gradient at x_bar (``prev_grad_fn``, which
     takes the single point x_bar; zero on the first round, when no previous
     loss exists), re-weights by hedge over cumulative surrogates plus
-    optimism, and returns the played point, the mean under the new weights,
-    with the new weights over the unchanged cumulative surrogates.
+    optimism, and plays x_t, the mean under the new weights. Returns the
+    experts' logs at x_t (``logs.base`` is x_t) with the new weights over
+    the unchanged cumulative surrogates. Both means are ``_pool_mean``s, and
+    each score reads the logs of its mean's last Karcher step.
     ``experts`` is a state of ``roogd_init_rows``.
     """
     n = _require_pool(experts, weights)
-    xs = [Point(row, manifold.manifold_id) for row in experts.x_cur.coords]
-    x_bar = weighted_frechet_mean(manifold, xs, weights.w)
+    logs_bar = _pool_mean(manifold, experts, weights.w)
     if prev_grad_fn is None:
         optimism = np.zeros(n)
     else:
-        optimism = _linear_scores(manifold, x_bar, prev_grad_fn(x_bar), experts.x_cur.coords)
+        optimism = manifold.inner(logs_bar.base, prev_grad_fn(logs_bar.base), logs_bar)
     w_new = _hedge_weights(beta, weights.cumulative_surrogate + optimism)
-    x_play = weighted_frechet_mean(manifold, xs, w_new)
-    return x_play, MetaWeights(w_new, weights.cumulative_surrogate)
+    return _pool_mean(manifold, experts, w_new), MetaWeights(w_new, weights.cumulative_surrogate)
 
 
 def aoogd_update(
     manifold: Manifold,
     experts: OptimisticState,
     weights: MetaWeights,
-    x_play: Point,
+    logs_play: TangentVector,
     grads: np.ndarray,
 ) -> tuple[OptimisticState, MetaWeights]:
     """The second half of a meta-expert round, after the loss is revealed.
 
-    ``weights`` and ``x_play`` are what ``aoogd_commit`` returned; ``grads``
-    holds the revealed loss's gradients at the experts' rows and, last, at
-    x_play. Scores every expert by the surrogate <g_play, log_x_play(x_i)>,
-    adds it to the cumulative surrogates, and advances the experts with
-    their own step sizes as one ``roogd_step`` on their stacked state.
+    ``weights`` and ``logs_play`` (the experts' logs at x_play) are what
+    ``aoogd_commit`` returned; ``grads`` holds the revealed loss's gradients
+    at the experts' rows and, last, at x_play. Scores every expert by the
+    surrogate <g_play, log_x_play(x_i)>, adds it to the cumulative
+    surrogates, and advances the experts with their own step sizes as one
+    ``roogd_step`` on their stacked state.
     """
     n = _require_pool(experts, weights)
     if len(grads) != n + 1:
         raise ValueError("grads must hold one row per expert and one at the played point")
-    g_play = TangentVector(x_play, grads[-1])
-    surrogate = _linear_scores(manifold, x_play, g_play, experts.x_cur.coords)
+    x_play = logs_play.base
+    surrogate = manifold.inner(x_play, TangentVector(x_play, grads[-1]), logs_play)
     advanced = roogd_step(manifold, experts, TangentVector(experts.x_cur, grads[:-1]))
     return advanced, MetaWeights(weights.w, weights.cumulative_surrogate + surrogate)
-
-
-def regret_update(
-    ledger: RegretLedger, f_val_alg: float, f_val_comp: float, hop: float, vt: float
-) -> RegretLedger:
-    """Fold one round into the ledger: the losses of the learner and of the
-    comparator, the comparator's move ``hop`` and the round's gradient
-    variation ``vt``."""
-    return RegretLedger(
-        cum_alg_loss=ledger.cum_alg_loss + f_val_alg,
-        cum_comparator_loss=ledger.cum_comparator_loss + f_val_comp,
-        path_length=ledger.path_length + hop,
-        grad_variation=ledger.grad_variation + vt,
-        round=ledger.round + 1,
-    )

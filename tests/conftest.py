@@ -1,3 +1,6 @@
+import builtins
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -26,3 +29,19 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Swaps ``builtins.sum`` for one that sums floats exactly rounded
+    (``math.fsum``), as a compensated sum (Python 3.12 on) can differ from
+    left-to-right adds. Sums of anything else go to the original."""
+    original = builtins.sum
+
+    def fsum(items, start=0):
+        items = list(items)
+        if type(start) in (int, float) and all(type(v) is float for v in items):
+            return math.fsum([start, *items])
+        return original(items, start)
+
+    monkeypatch.setattr(builtins, "sum", fsum)

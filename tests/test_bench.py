@@ -298,6 +298,41 @@ def test_grad_variation_estimate_is_the_per_pair_longhand(monkeypatch):
         assert_agree(summary["algorithms"][name]["grad_variation_estimate"], longhand, name)
 
 
+def test_regret_and_comparator_path_are_the_single_call_longhand():
+    # round t's cumulative_regret is the learner's cumulative_loss minus the
+    # comparator's running loss sum_{s<=t} f_s(u_s), and the path length is
+    # sum_t d(u_t, u_{t-1}), here each from single calls
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "frechet", "dim": 3, "n_points": 5, "T": 8, "mode": "drift", "S": 3,
+         "drift": 0.3, "seed": 3, "algorithms": FOUR_LEARNERS}
+    )
+    result = run_experiment(cfg)
+    h = bench.frechet_manifold(cfg)
+    losses = gen_frechet_stream(
+        h, T=cfg.T, n_points=cfg.n_points, mode=cfg.mode, S=cfg.S, drift=cfg.drift, seed=cfg.seed
+    ).losses
+    comps = [frechet_mean(h, [Point(p, h.manifold_id) for p in f.targets]) for f in losses]
+    comp_loss, running = [], 0.0
+    for f, u in zip(losses, comps):
+        running += f.value(u)
+        comp_loss.append(running)
+    own_loss = dict.fromkeys(FOUR_LEARNERS, 0.0)
+    for row in result.rows:
+        own_loss[row.algorithm] += row.instantaneous_loss
+        assert row.cumulative_loss == own_loss[row.algorithm]
+        assert_agree(row.cumulative_regret, row.cumulative_loss - comp_loss[row.round - 1])
+    assert len(result.rows) == cfg.T * len(FOUR_LEARNERS)
+    for name, s in result.summary["algorithms"].items():
+        assert s["final_cumulative_loss"] == own_loss[name]
+        assert_agree(s["comparator_cumulative_loss"], comp_loss[-1], name)
+        assert_agree(s["final_cumulative_regret"], own_loss[name] - comp_loss[-1], name)
+    path = 0.0
+    for u, u_prev in zip(comps[1:], comps):
+        path += h.dist(u, u_prev)
+    assert path > 0
+    assert_agree(result.summary["comparator_path_length"], path)
+
+
 def test_a_run_without_rows_removes_a_stale_results_csv(tmp_path):
     # verify writes no rows: a quadgame's results.csv left in its out dir
     # used to stay beside verify's summary.json and config.json

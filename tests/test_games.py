@@ -388,6 +388,22 @@ def test_robust_pca_gradients_match_finite_differences():
     assert rep.max_violation < 1e-5
 
 
+def test_robust_pca_payoff_adds_its_anchor_distances_left_to_right(request):
+    # 40 anchors and 60 stacked points: a compensated sum of the anchor
+    # distances moves the last bit of many rows, so a payoff that took the
+    # builtin sum would move with it
+    data = make_spd_dataset(3, 40, (0.2, 4.5), seed=7)
+    game = robust_pca_game(data, alpha=1.0)
+    spd, sphere = game.space.factors
+    pts = [game.join(spd.random_point(100 + i), sphere.random_point(200 + i)) for i in range(60)]
+    z = game.space.stack(pts)
+    before = [game.value(z), [game.value(p) for p in pts]]
+    request.getfixturevalue("compensated_sum")
+    after = [game.value(z), [game.value(p) for p in pts]]
+    assert before[0].tobytes() == after[0].tobytes()
+    assert np.array(before[1]).tobytes() == np.array(after[1]).tobytes()
+
+
 # ------------------------------------------------------- stacked points
 def _games_and_stacks():
     """Both game families at d = 4, each with 5 joint points stacked by

@@ -421,6 +421,25 @@ def test_product_factorwise_exactness(rng):
     )
 
 
+def test_product_sums_over_factors_add_left_to_right(request):
+    # a single dist or inner sums one float per factor; over six factors a
+    # compensated sum moves the last bit of some, so a product that took
+    # the builtin sum would move with it
+    p = Product([Hyperbolic(2), Sphere(2), SPD(2), Euclidean(2), Sphere(3), Hyperbolic(3)])
+    rng = np.random.default_rng(3)
+    xs = [p.random_point(rng) for _ in range(40)]
+    ys = [p.random_point(rng, center=x, radius=1.0) for x in xs]
+    vs = [p.random_tangent(x, rng) for x in xs]
+
+    def values():
+        return np.array([[p.dist(x, y), p.inner(x, v, p.log(x, y))]
+                         for x, y, v in zip(xs, ys, vs)])
+
+    before = values()
+    request.getfixturevalue("compensated_sum")
+    assert before.tobytes() == values().tobytes()
+
+
 def test_product_curvature_envelope():
     p = Product([SPD(2), Sphere(2)])
     assert p.curvature.kappa == -0.5

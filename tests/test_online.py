@@ -9,12 +9,10 @@ from riopt import (
     Euclidean,
     Hyperbolic,
     MetaWeights,
-    RegretLedger,
     StepSizePool,
     aoogd_commit,
     aoogd_configure,
     aoogd_update,
-    regret_update,
     rogd_step,
     roogd_corrected_init,
     roogd_corrected_step,
@@ -185,10 +183,10 @@ def aoogd_round(manifold, experts, weights, beta, grad_fn, prev_grad_fn=None):
     """A whole meta-expert round: commit x_play, then update from ``grad_fn``
     at the stack of the experts' points and x_play, as the frechet runner
     does (one call)."""
-    x_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad_fn)
-    rows = Point(np.vstack([experts.x_cur.coords, x_play.coords]), manifold.manifold_id)
-    experts, weights = aoogd_update(manifold, experts, weights, x_play, grad_fn(rows).coords)
-    return x_play, experts, weights
+    logs_play, weights = aoogd_commit(manifold, experts, weights, beta, prev_grad_fn)
+    rows = Point(np.vstack([experts.x_cur.coords, logs_play.base.coords]), manifold.manifold_id)
+    experts, weights = aoogd_update(manifold, experts, weights, logs_play, grad_fn(rows).coords)
+    return logs_play.base, experts, weights
 
 
 def test_aoogd_round_single_expert(rng):
@@ -210,8 +208,9 @@ def test_aoogd_round_coincident_experts_and_symmetry(rng):
     weights = MetaWeights.uniform(2)
     target = h.random_point(rng, center=x0, radius=1.0)
     grad_fn = log_grad(h, target)
-    x_play, weights2 = aoogd_commit(h, experts, weights, 0.7, prev_grad_fn=grad_fn)
-    assert h.dist(x_play, x0) < 1e-12  # mean of coincident points
+    logs_play, weights2 = aoogd_commit(h, experts, weights, 0.7, prev_grad_fn=grad_fn)
+    assert h.dist(logs_play.base, x0) < 1e-12  # mean of coincident points
+    assert not logs_play.coords.any()  # the logs at x_play of the experts there
     assert np.allclose(weights2.w, [0.5, 0.5], atol=1e-12)  # hedge symmetry
     # the optimism by its definition <g_{t-1}(x_bar), log_x_bar(x_i)>, with
     # x_bar the mean under the old weights: equal for coincident experts
@@ -230,15 +229,15 @@ def test_aoogd_halves_check_the_pool():
     experts = roogd_init_rows(h, x0, [0.05, 0.1])
     with pytest.raises(ValueError, match="weights length"):
         aoogd_commit(h, experts, MetaWeights.uniform(3), 0.5)
-    x_play, weights = aoogd_commit(h, experts, MetaWeights.uniform(2), 0.5)
+    logs_play, weights = aoogd_commit(h, experts, MetaWeights.uniform(2), 0.5)
     grads = np.zeros((3, 3))
     with pytest.raises(ValueError, match="weights length"):
-        aoogd_update(h, experts, MetaWeights.uniform(3), x_play, grads)
+        aoogd_update(h, experts, MetaWeights.uniform(3), logs_play, grads)
     with pytest.raises(ValueError, match="one row per expert"):
-        aoogd_update(h, experts, weights, x_play, grads[:2])
+        aoogd_update(h, experts, weights, logs_play, grads[:2])
     # the experts' step checks its gradients
     with pytest.raises(GeometryError, match="non-finite"):
-        aoogd_update(h, experts, weights, x_play, np.full((3, 3), np.nan))
+        aoogd_update(h, experts, weights, logs_play, np.full((3, 3), np.nan))
 
 
 def test_meta_weights_normalized_over_rounds(rng):
@@ -350,14 +349,18 @@ def test_aoogd_round_bitwise_equal_per_expert_reference(mode):
     for loss in losses:
         prev_grad = None if prev is None else prev.grad
         cum = weights.cumulative_surrogate
-        x_play, committed = aoogd_commit(h, pool, weights, 0.6, prev_grad)
+        logs_play, committed = aoogd_commit(h, pool, weights, 0.6, prev_grad)
+        x_play = logs_play.base
         # the committed weights are the new hedge weights over the old sums
         assert committed.cumulative_surrogate is cum
         rows = Point(np.vstack([pool.x_cur.coords, x_play.coords]), h.manifold_id)
-        pool, weights = aoogd_update(h, pool, committed, x_play, loss.grad(rows).coords)
+        pool_logs = h.log(x_play, pool.x_cur)  # before the experts move
+        pool, weights = aoogd_update(h, pool, committed, logs_play, loss.grad(rows).coords)
         ref = _aoogd_round_reference(h, experts, ref_weights, 0.6, loss.grad, prev_grad)
         x_ref, experts, ref_weights, (x_bar, optimism, surrogate, g_play) = ref
         assert_agree(x_play.coords, x_ref.coords)
+        # the committed logs are the experts' logs at x_play, bit for bit
+        assert _bits(logs_play.coords) == _bits(pool_logs.coords)
         assert_agree(committed.w, ref_weights.w)
         assert _bits(weights.w) == _bits(committed.w)
         assert_agree(weights.cumulative_surrogate, ref_weights.cumulative_surrogate)
@@ -381,48 +384,83 @@ def test_meta_weights_validation():
         MetaWeights(np.array([0.7, 0.7]), np.zeros(2))
 
 
-# -------------------------------------------------------------------- ledger
-def test_regret_update_examples(rng):
-    m = Hyperbolic(2)
-    u1 = m.base_point()
-    u2 = m.exp(u1, m.random_tangent(u1, rng, norm=1.0))
-    # the variation with no probes is 0
-    led = regret_update(RegretLedger(), 1.0, 0.5, 0.0, 0.0)
-    assert led.path_length == 0.0
-    assert led.grad_variation == 0.0
-    g = m.random_tangent(u1, rng, norm=0.7)
-    led = regret_update(led, 2.0, 0.5, m.dist(u2, u1), m.norm(u1, g - g) ** 2)
-    assert led.path_length == pytest.approx(1.0, abs=1e-10)
-    assert led.grad_variation == 0.0  # identical gradients
-    assert led.regret == pytest.approx((1.0 + 2.0) - (0.5 + 0.5))
-    assert led.round == 2
+class CountingHyperbolic(Hyperbolic):
+    """H^n that counts its log and exp calls."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = {"log": 0, "exp": 0}
+
+    def log(self, x, y):
+        self.calls["log"] += 1
+        return super().log(x, y)
+
+    def exp(self, x, v):
+        self.calls["exp"] += 1
+        return super().exp(x, v)
 
 
-def test_regret_update_vt_is_max_over_probes(rng):
-    m = Euclidean(2)
-    x = m.base_point()
-    pairs = [
-        (grad_at(x, [1.0, 0.0]), grad_at(x, [0.0, 0.0])),
-        (grad_at(x, [3.0, 0.0]), grad_at(x, [0.0, 0.0])),
-    ]
-    # the round's variation: the largest squared gradient change at a probe
-    longhand = max(m.norm(x, now - before) ** 2 for now, before in pairs)
-    assert longhand == pytest.approx(9.0)
+def tilt(h, c):
+    """A gradient field that calls no log: the tangent part of the fixed
+    ambient vector c, at a point or at each row of a stack."""
+    return lambda x: h.to_tangent(x, np.broadcast_to(c, x.coords.shape))
 
-    def stacked_vts(pairs):
-        # the frechet runner's form: one norm call on the stacked changes
-        xs = Point(np.stack([x.coords] * len(pairs)), m.manifold_id)
-        change = TangentVector(xs, np.stack([a.coords - b.coords for a, b in pairs]))
-        return [v**2 for v in m.norm(xs, change).tolist()]
 
-    assert stacked_vts(pairs) == [m.norm(x, a - b) ** 2 for a, b in pairs]
-    # the runner's fold: each learner's own pair folded onto the shared
-    # probes' value as max(shared, v**2)
-    for own, shared in ((pairs[:1], pairs[1:]), (pairs[1:], pairs[:1])):
-        (v2,) = stacked_vts(own)
-        assert max(max(stacked_vts(shared)), v2) == longhand
-    led = regret_update(RegretLedger(), 0.0, 0.0, 0.0, longhand)
-    assert led.grad_variation == pytest.approx(9.0)
+def test_aoogd_round_logs_only_in_its_two_karcher_means(rng):
+    # Each Karcher iteration takes one log and, but for the last, one exp.
+    # So the commit's two means make exactly 2 logs more than exps, and no
+    # other step of the round calls log: the optimism and the surrogate
+    # read the logs of their mean's last Karcher step.
+    h = CountingHyperbolic(3)
+    pool = roogd_init_rows(h, h.base_point(), (0.1, 0.2, 0.4))
+    weights = MetaWeights.uniform(3)
+    prev, karcher_steps = None, 0
+    for _ in range(5):
+        grad_fn = tilt(h, rng.standard_normal(4))
+        h.calls.update(log=0, exp=0)
+        logs_play, committed = aoogd_commit(h, pool, weights, 0.5, prev)
+        assert h.calls["log"] == h.calls["exp"] + 2
+        karcher_steps += h.calls["exp"]
+        rows = Point(np.vstack([pool.x_cur.coords, logs_play.base.coords]), h.manifold_id)
+        h.calls.update(log=0, exp=0)
+        pool, weights = aoogd_update(h, pool, committed, logs_play, grad_fn(rows).coords)
+        assert h.calls["log"] == 0
+        prev = grad_fn
+    assert karcher_steps > 0  # the means iterated: the experts had spread
+
+
+def test_an_expert_of_weight_zero_stays_in_the_pool_means(rng):
+    # Expert 1 has weight exactly 0 under the old weights and, its large
+    # surrogate sum underflowing the hedge, under the new ones. Each mean is
+    # then weighted_frechet_mean's, which skips it, and its scores are still
+    # the longhand <g, log_mean(x_1)>.
+    h = Hyperbolic(3)
+    base = h.base_point()
+    pool = roogd_init_rows(h, base, (0.1, 0.2, 0.4))
+    grad_fn = log_grad(h, h.random_point(rng, center=base, radius=1.0))
+    _, pool, _ = aoogd_round(h, pool, MetaWeights.uniform(3), 0.5, grad_fn)
+    xs = [Point(x, h.manifold_id) for x in pool.x_cur.coords]
+
+    def scores(x, g):
+        return [h.inner(x, g, h.log(x, p)) for p in xs]
+
+    # the optimism at x_bar, which skips expert 1, moves its new weight
+    weights = MetaWeights(np.array([0.5, 0.0, 0.5]), np.zeros(3))
+    _, committed = aoogd_commit(h, pool, weights, 0.5, grad_fn)
+    x_bar = weighted_frechet_mean(h, xs, weights.w)
+    assert_agree(committed.w, _hedge_weights(0.5, np.array(scores(x_bar, grad_fn(x_bar)))))
+
+    # a hedge rate of 20 underflows a surrogate lead of 50
+    weights = MetaWeights(np.array([0.5, 0.0, 0.5]), np.array([0.0, 50.0, 0.0]))
+    logs_play, committed = aoogd_commit(h, pool, weights, 20.0, grad_fn)
+    assert committed.w[1] == 0.0 and np.all(committed.w[[0, 2]] > 0.0)
+    x_play = weighted_frechet_mean(h, xs, committed.w)
+    assert _bits(logs_play.base.coords) == _bits(x_play.coords)
+    rows = Point(np.vstack([pool.x_cur.coords, x_play.coords]), h.manifold_id)
+    grads = grad_fn(rows).coords
+    _, updated = aoogd_update(h, pool, committed, logs_play, grads)
+    surrogate = scores(x_play, TangentVector(x_play, grads[-1]))
+    assert_agree(updated.cumulative_surrogate - committed.cumulative_surrogate, surrogate)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
