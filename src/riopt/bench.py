@@ -602,22 +602,23 @@ def game_initial_point(cfg: ExperimentConfig, game: ZeroSumGame):
 def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     """Run every configured game solver from the shared start z0.
 
-    Round protocol (``games.play_round_rows``): every solver commits its
-    point z_t, then each stage of the round runs once, as one call on the
-    stack of the solvers that take part in it. Row i of each call agrees
-    with solver i's single call (see ``games``), and each solver's rows are
-    those it gives alone. Round 1 stacks z0 once per solver; z0 is factored once.
+    Round protocol (``games.play_round_rows``): the solvers' points z_t are
+    the rows of one stack, in the configured order, and each stage of the
+    round runs once, as one call on the stack of the solvers that take part
+    in it. Row i of each call agrees with solver i's single call (see
+    ``games``), and each solver's rows are those it gives alone. Round 1
+    stacks z0 once per solver.
     If a stacked stage fails (GeometryError, a numpy linear-algebra error,
     or a floating-point overflow, invalid value or division by zero), the
-    round is replayed solver by solver, ``play_round_rows`` on each alone in
-    the configured order, so the error raised is the one the first failing
-    solver meets alone.
+    round is replayed solver by solver, ``play_round_rows`` on each one-row
+    stack in the configured order, so the error raised is the one the first
+    failing solver meets alone.
     """
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
 
     etas = _step_sizes(cfg)
-    points = dict.fromkeys(etas, z0)
+    Z = game.space.stack([z0] * len(etas))
     avg = rogda_init(game, z0)
     cum = dict.fromkeys(etas, 0.0)
 
@@ -625,15 +626,16 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     for t in range(1, cfg.T + 1):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                points, avg, vals, norms = play_round_rows(game, etas, points, avg)
+                Z, avg, vals, norms = play_round_rows(game, etas, Z, avg)
         except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
-            new, vals, norms = {}, [], []
-            for name, eta in etas.items():
-                out, avg, val, norm = play_round_rows(game, {name: eta}, points, avg)
-                new.update(out)
+            new, vals, norms = [], [], []
+            for i, (name, eta) in enumerate(etas.items()):
+                row = Point(Z.coords[i : i + 1], Z.manifold_id)
+                out, avg, val, norm = play_round_rows(game, {name: eta}, row, avg)
+                new.append(out.coords)
                 vals += val
                 norms += norm
-            points = new
+            Z = Point(np.concatenate(new), Z.manifold_id)
         for name, inst, gn in zip(etas, vals, norms):
             cum[name] += inst
             rows.append(

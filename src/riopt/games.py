@@ -1,24 +1,29 @@
 """Zero-sum games on product manifolds and their first-order solvers.
 
 The optimistic descent-ascent solver keeps a transported gradient memory and
-a running geodesic average of the trajectory. Baselines: simultaneous
-gradient descent-ascent and the corrected extragradient method. Two payoff
-families ship with the package: the quadratic logdet game on SPD x SPD and
-the robust geometry-aware PCA game on SPD x sphere.
+a running geodesic average of the trajectory. Its memory is stored already
+transported: each step carries the field it was taken from along its own
+geodesic (``Manifold.exp_transport``), so the next step reads it at its
+base. Baselines: simultaneous gradient descent-ascent and the corrected
+extragradient method. Two payoff families ship with the package: the
+quadratic logdet game on SPD x SPD and the robust geometry-aware PCA game
+on SPD x sphere.
 
 Each step function (``rogda_step``, ``rgda_step``, ``rceg_step``) advances
 one solver. ``play_round_rows`` advances several together, one round with
 the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
 
-1. Every solver commits its point z_t. One ``field``, ``value`` and
-   ``norm`` call on their stack gives the field, payoff and field norm at
-   every z_t. On SPD the norm whitens by each z_t's Cholesky factor, which
-   its memo then keeps for the round's first step.
-2. R-OGDA transports its previous field to z_t: one ``transport`` call
-   at its single points with the field as a one-row stack, which on
-   SPD x SPD covers both factors (see ``Product``) and folds each point
-   once, into its memo. One ``exp`` call on the stack takes every solver's
-   first step; RCEG's is its midpoint w.
+1. The solvers' points z_t are the rows of one (k, ambient) stack, which
+   the round takes and returns. One ``field``, ``value`` and ``norm`` call
+   on it gives the field, payoff and field norm at every z_t. On SPD the
+   norm whitens by the stack's Cholesky factors, which its memo then keeps
+   for the round's first step.
+2. One ``exp_transport`` call on the stack takes every solver's first step
+   and carries the field along it. R-OGDA's step reads its memory, the
+   field of its last round already transported to z_t; its row of the
+   carried field is its memory for the next round. RCEG's step is its
+   midpoint w. On SPD x SPD the call folds both factors (see ``Product``)
+   and takes the step and the transport from one ``eigh``.
 3. Stage 2 stacks R-OGDA's running average and RCEG's correction: the field
    at w, one ``log`` call and one ``exp`` call on the stack.
 
@@ -64,9 +69,7 @@ class ZeroSumGame:
     all solvers; a zero of F is a candidate Nash equilibrium. ``payoff``,
     ``grad_x`` and ``grad_y`` also take stacked factor points, (n, ...) rows,
     so ``value`` and ``field`` take an (n, ambient) stack of joint points in
-    one call: row i is bitwise their single call at row i. A stack made by
-    ``space.stack`` shares its rows' factorizations both ways
-    (``memo_entry``). ``duality_gap_fn``
+    one call: row i is bitwise their single call at row i. ``duality_gap_fn``
     is the game's exact duality gap at an averaged pair, where it has one
     (``quad_duality_gap``).
     """
@@ -106,9 +109,9 @@ class ZeroSumGame:
 
 @dataclass(frozen=True)
 class GameState:
-    """Solver memory: last two joint points, last field value, running average."""
+    """Solver memory: the current joint point, the last field transported to
+    it, and the running average."""
 
-    z_prev: Point
     z_cur: Point
     grad_prev: TangentVector
     z_bar: Point
@@ -123,9 +126,7 @@ class NEDiagnostics:
 
 
 def rogda_init(game: ZeroSumGame, z0: Point) -> GameState:
-    return GameState(
-        z_prev=z0, z_cur=z0, grad_prev=game.space.zero_tangent(z0), z_bar=z0, round=0
-    )
+    return GameState(z_cur=z0, grad_prev=game.space.zero_tangent(z0), z_bar=z0, round=0)
 
 
 def rogda_step(
@@ -135,27 +136,20 @@ def rogda_step(
 
     z_{t+1} = exp_{z_t}(-2 eta F(z_t) + eta transported F(z_{t-1})); on the
     first step the missing previous field is taken equal to the current one.
-    The geodesic running average folds in the new point with weight 1/(t+1).
-    ``F`` is F(z_t) when the caller has already evaluated it.
+    The step carries F(z_t) to z_{t+1} (``exp_transport``), which the state
+    keeps as the next step's memory. The geodesic running average folds in
+    the new point with weight 1/(t+1). ``F`` is F(z_t) when the caller has
+    already evaluated it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = game.space
     F_cur = game.field(state.z_cur) if F is None else F
     m._require_finite(F_cur)
-    if state.round == 0:
-        prev_at_cur = F_cur
-    else:
-        prev_at_cur = m.transport(state.z_prev, state.z_cur, state.grad_prev)
-    z_next = m.exp(state.z_cur, -2.0 * eta * F_cur + eta * prev_at_cur)
+    prev_at_cur = F_cur if state.round == 0 else state.grad_prev
+    z_next, F_moved = m.exp_transport(state.z_cur, -2.0 * eta * F_cur + eta * prev_at_cur, F_cur)
     z_bar_next = geodesic_average(m, state.z_bar, z_next, state.round + 1)
-    return GameState(
-        z_prev=state.z_cur,
-        z_cur=z_next,
-        grad_prev=F_cur,
-        z_bar=z_bar_next,
-        round=state.round + 1,
-    )
+    return GameState(z_cur=z_next, grad_prev=F_moved, z_bar=z_bar_next, round=state.round + 1)
 
 
 def geodesic_average(manifold: Manifold, z_bar: Point, z_new: Point, t: int) -> Point:
@@ -203,16 +197,15 @@ def rceg_step(
     return m.exp(w, -eta * game.field(w) + m.log(w, z))
 
 
-def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState):
+def play_round_rows(game: ZeroSumGame, etas: dict, Z: Point, avg: GameState):
     """One round of the solvers ``etas`` (name -> step size), each stage one
     call on the stack of the solvers that take part in it (see the module
-    docstring). ``points`` maps each solver to its z_t and ``avg`` is
-    R-OGDA's state. Returns the new points and R-OGDA state, and per solver
-    the payoff and the field's norm at its z_t. The results agree with the
-    step functions run solver by solver, bitwise on SPD."""
+    docstring). ``Z`` is the (k, ambient) stack of their z_t, rows in
+    ``etas`` order, and ``avg`` is R-OGDA's state. Returns the stack of
+    their z_{t+1}, the new R-OGDA state, and per solver the payoff and the
+    field's norm at its z_t. The results agree with the step functions run
+    solver by solver, bitwise on SPD."""
     space, names = game.space, list(etas)
-    commits = [points[name] for name in names]
-    Z = space.stack(commits)
     F = game.field(Z)
     vals, norms = game.value(Z).tolist(), space.norm(Z, F).tolist()
 
@@ -221,46 +214,43 @@ def play_round_rows(game: ZeroSumGame, etas: dict, points: dict, avg: GameState)
         g = F.coords[i]
         if name != "rogda":
             steps[i] = -eta * g
-            continue
-        if avg.round == 0:
-            prev = g
         else:
-            G = TangentVector(avg.z_prev, avg.grad_prev.coords[None])
-            prev = space.transport(avg.z_prev, avg.z_cur, G).coords[0]
-        steps[i] = -2.0 * eta * g + eta * prev
-    ahead = space.exp(Z, TangentVector(Z, steps)).coords
-    new = {name: Point(c, space.manifold_id) for name, c in zip(names, ahead)}
+            prev = g if avg.round == 0 else avg.grad_prev.coords
+            steps[i] = -2.0 * eta * g + eta * prev
+    ahead, moved = space.exp_transport(Z, TangentVector(Z, steps), F)
+    new = ahead.coords.copy()
 
     # stage 2, rows [R-OGDA, RCEG] of those present: the running average
     # folds in R-OGDA's new point; RCEG corrects from its midpoint w
     bases, targets = [], []
     if "rogda" in etas:
-        bases.append(avg.z_bar)
-        targets.append(new["rogda"])
+        i = names.index("rogda")
+        bases.append(avg.z_bar.coords)
+        targets.append(new[i])
     if "rceg" in etas:
-        Fw = game.field(new["rceg"])
-        bases.append(new["rceg"])
-        targets.append(points["rceg"])
+        j = names.index("rceg")
+        Fw = game.field(Point(new[j], space.manifold_id))
+        bases.append(new[j])
+        targets.append(Z.coords[j])
     if bases:
-        B = space.stack(bases)
-        step = space.log(B, Point(np.stack([y.coords for y in targets]), B.manifold_id)).coords
+        B = Point(np.stack(bases), space.manifold_id)
+        step = space.log(B, Point(np.stack(targets), space.manifold_id)).coords
         if "rogda" in etas:
             step[0] = (1.0 / (avg.round + 2.0)) * step[0]
         if "rceg" in etas:
             step[-1] = -etas["rceg"] * Fw.coords + step[-1]
         after = space.exp(B, TangentVector(B, step)).coords
         if "rceg" in etas:
-            new["rceg"] = Point(after[-1], space.manifold_id)
+            new[j] = after[-1]
     if "rogda" in etas:
-        i = names.index("rogda")
+        z_cur = Point(new[i], space.manifold_id)
         avg = GameState(
-            z_prev=commits[i],
-            z_cur=new["rogda"],
-            grad_prev=TangentVector(commits[i], F.coords[i]),
+            z_cur=z_cur,
+            grad_prev=TangentVector(z_cur, moved.coords[i]),
             z_bar=Point(after[0], space.manifold_id),
             round=avg.round + 1,
         )
-    return new, avg, vals, norms
+    return Point(new, space.manifold_id), avg, vals, norms
 
 
 def ne_diagnostics(
@@ -283,16 +273,12 @@ def _slogdet(p: Point) -> tuple:
 def _logdets(x: Point, y: Point) -> tuple:
     """log det of the SPD points x and y, two single points (floats) or two
     stacks of one length (arrays over the rows), each computed once and
-    kept in its point's memo. What neither memo holds yet comes from one
-    ``slogdet`` call on their concatenated rows, which gives each matrix a
-    single call's bits."""
+    kept in its point's memo. When neither memo holds it yet, both come from
+    one ``slogdet`` call on their concatenated rows, which gives each matrix
+    a single call's bits."""
     if "logdet" not in x.memo and "logdet" not in y.memo:
         xs, ys = (p.coords.reshape((-1,) + p.coords.shape[-2:]) for p in (x, y))
-        xy = Point(np.concatenate((xs, ys)), x.manifold_id)
-        rows = [p.memo.get("rows", [p] if p.coords.ndim == 2 else None) for p in (x, y)]
-        if None not in rows:
-            xy.memo["rows"] = rows[0] + rows[1]
-        (val,) = memo_entry(xy, "logdet", _slogdet)
+        (val,) = _slogdet(Point(np.concatenate((xs, ys)), x.manifold_id))
         for p, v in ((x, val[: len(xs)]), (y, val[len(xs) :])):
             p.memo["logdet"] = (v.reshape(p.coords.shape[:-2]),)
     vals = (memo_entry(p, "logdet", _slogdet)[0] for p in (x, y))
@@ -431,9 +417,9 @@ def robust_pca_game(data: Sequence[np.ndarray], alpha: float) -> ZeroSumGame:
         far = dists > anchor_tols
         terms = np.zeros_like(logs)
         terms[far] = (alpha / n) * logs[far] / dists[far, None, None]
-        # in anchor order; an anchor at a contributes 0, and g - 0 is g
-        for i in range(n):
-            g = g - terms[..., i, :, :]
+        # g minus each term in anchor order, one subtraction at a time: an
+        # anchor at a contributes 0, and g - 0 is g
+        g = np.subtract.reduce(np.concatenate((g[..., None, :, :], terms), axis=-3), axis=-3)
         return TangentVector(a, _sym(g))
 
     def grad_max_player(a: Point, x: Point) -> TangentVector:

@@ -56,8 +56,11 @@ class Point:
     other coordinates makes a new array and a new Point. ``memo`` relies on
     this. Manifolds store there what they derive from ``coords`` alone (a
     factorization, the factor points of a product), so each point is
-    factored once however many operations use it. The memo lives exactly as
-    long as the point; ``copy`` and ``project`` start with an empty one.
+    factored once however many operations use it. A stack of points is a
+    point of its own, with its own memo: a solver round that keeps its
+    points as one stack factors each of them once per stack. The memo
+    lives exactly as long as the point; ``copy`` and ``project`` start with
+    an empty one.
     """
 
     coords: np.ndarray
@@ -75,28 +78,12 @@ class Point:
 def memo_entry(x: Point, key, compute: Callable[[Point], tuple]) -> tuple:
     """``x.memo[key]``: a tuple of arrays, made by ``compute(x)`` on first use.
 
-    On a stack that ``Manifold.stack`` made, each array runs over the rows.
-    Rows that already hold the entry pass it on; ``compute`` runs once, on
-    the stack of the distinct row points that lack it, and each of those
-    keeps its row. So a point is factored once, whichever stacks it joins.
+    On a stack each array runs over the rows. The entry belongs to x alone:
+    a stack and the single points of its rows are factored apart.
     """
     entry = x.memo.get(key)
-    if entry is not None:
-        return entry
-    rows = x.memo.get("rows")
-    missing = [] if rows is None else [p for p in dict.fromkeys(rows) if key not in p.memo]
-    if rows is None or len(missing) == len(rows):
-        entry = compute(x)
-        if rows is not None:
-            for p, *parts in zip(rows, *entry):
-                p.memo[key] = tuple(parts)
-    else:
-        if missing:
-            sub = Point(np.stack([p.coords for p in missing]), x.manifold_id)
-            sub.memo["rows"] = missing
-            memo_entry(sub, key, compute)
-        entry = tuple(map(np.stack, zip(*(p.memo[key] for p in rows))))
-    x.memo[key] = entry
+    if entry is None:
+        entry = x.memo[key] = compute(x)
     return entry
 
 
@@ -233,6 +220,10 @@ class Manifold(ABC):
     return (n,) or (m, n) distances and logs of Y's shape. The cloud axis
     broadcasts like numpy's leading axes: a cloud shared by a stack of bases
     is passed as (1, n, ...) or broadcast to (m, n, ...) by the caller.
+
+    ``exp_transport(x, v, u)`` steps and carries u along the step's geodesic
+    in one call, on the same shapes as ``exp``; an optimistic learner or
+    solver moves its memory with it.
     """
 
     manifold_id: str
@@ -299,12 +290,17 @@ class Manifold(ABC):
     def transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
         """Parallel transport of v along the minimizing geodesic x -> y."""
 
+    def exp_transport(self, x: Point, v: TangentVector, u: TangentVector):
+        """``(exp_x(v), transport of u from x to y)`` with y = exp_x(v): a step
+        that carries a tangent at x along the geodesic it walks. This body is
+        ``exp`` then ``transport``; a manifold whose step already holds the
+        transport's factors (SPD) overrides it."""
+        y = self.exp(x, v)
+        return y, self.transport(x, y, u)
+
     def stack(self, points: Sequence[Point]) -> Point:
-        """The (n, ...) stack of single points, which keeps them as its rows:
-        what is memoized on the stack (``memo_entry``) is shared with them."""
-        x = Point(np.stack([p.coords for p in points]), self.manifold_id)
-        x.memo["rows"] = list(points)
-        return x
+        """The (n, ...) stack of single points, with a memo of its own."""
+        return Point(np.stack([p.coords for p in points]), self.manifold_id)
 
     # -- sampling ----------------------------------------------------------
     @abstractmethod

@@ -5,12 +5,12 @@ space H^n in the Lorentz (hyperboloid) model, symmetric positive definite
 matrices with the affine-invariant metric, and products of the above.
 
 One rule holds for every operation (``to_tangent``, ``inner``, ``norm``,
-``dist``, ``exp``, ``log``, ``transport``): one name takes single points,
-stacks whose rows pair up, or a single point broadcast against stacked
-operands. On Euclidean, the sphere and SPD, and for the other hyperbolic
-operations, it is one numpy formula, which broadcasts over the leading axes
-and over none; a single call returns a float where an array would have no
-axis. Hyperbolic ``exp`` and ``inner`` alone keep a scalar ``math`` body for
+``dist``, ``exp``, ``log``, ``transport``, ``exp_transport``): one name
+takes single points, stacks whose rows pair up, or a single point broadcast
+against stacked operands. On Euclidean, the sphere and SPD, and for the
+other hyperbolic operations, it is one numpy formula, which broadcasts over
+the leading axes and over none; a single call returns a float where an
+array would have no axis. Hyperbolic ``exp`` and ``inner`` alone keep a scalar ``math`` body for
 single operands: R-AOOGD's Karcher means and the single learners make them
 one at a time, where a one-row numpy kernel costs 2-2.5x as much. A product
 makes one call per factor, or one on the folded stack (see ``Product``).
@@ -323,8 +323,9 @@ class SPD(Manifold):
     Each point stores (L, L^-1), from one ``cholesky`` and one ``inv``, in
     its memo on first use, for every operation at that base (a stack stores
     all its pairs in one entry). One ``eigh`` of the whitened L^-1 Y L^-T or
-    L^-1 V L^-T is then each exp, log and transport; ``_log_dist`` gives log
-    and dist from log's one eigh, ``dist`` alone takes eigvalsh, and
+    L^-1 V L^-T is then each exp, log and transport; ``exp_transport``
+    takes both from exp's one eigh, ``_log_dist`` gives log and dist from
+    log's one eigh, ``dist`` alone takes eigvalsh, and
     ``inner`` is the Frobenius product of the two whitened tangents. Each
     operation is one formula over matrices, stacks and clouds, each matrix
     with a single call's bits.
@@ -394,13 +395,26 @@ class SPD(Manifold):
         return float(d) if self._single(x, y) else d
 
     def exp(self, x, v):
+        return self._exp(x, v)[0]
+
+    def exp_transport(self, x, v, u):
+        # The step's own eigh gives the transport: Y = L e^W L^T with
+        # W = L^-1 V L^-T, so E = (Y X^-1)^(1/2) = L e^(W/2) L^-1
+        self._require_base(x, u)
+        y, L, Li, w, V = self._exp(x, v)
+        E = L @ ((V * np.exp(0.5 * w)[..., None, :]) @ V.mT) @ Li
+        return y, TangentVector(y, _congruence(E, u.coords))
+
+    def _exp(self, x, v) -> tuple:
+        """exp_x(v), with L, L^-1 and the eigh (w, V) of the whitened step."""
         self._require_base(x, v)
         self._require_finite(v)
         L, Li, cap = self._factor(x)
         w, V = np.linalg.eigh(_congruence(Li, v.coords))
         if (w[..., -1] > cap).any():
             raise GeometryError("exp overflows: the step is too long for float64")
-        return Point(_congruence(L, (V * np.exp(w)[..., None, :]) @ V.mT), self.manifold_id)
+        y = Point(_congruence(L, (V * np.exp(w)[..., None, :]) @ V.mT), self.manifold_id)
+        return y, L, Li, w, V
 
     def _log_dist(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """log_x(y)'s coords and dist(x, y), from one eigh of L^-1 Y L^-T."""
@@ -438,11 +452,11 @@ class Product(Manifold):
     take (n, ambient) stacks. Every operation makes one call per factor,
     which takes single operands or the factor's rows. When the k factors are
     one manifold (one ``manifold_id``) and the operands have one leading
-    axis, ``exp``, ``log``, ``inner`` and ``transport`` fold instead: the
-    (n, k * size) rows are, as a reshape, one (n k, ...) stack of that
-    factor, which it takes in a single call. The fold's rows are the rows'
-    factor points, so each is factored once (an SPD factor's Cholesky
-    factor, say) whichever stack it joins.
+    axis, ``exp``, ``log``, ``inner``, ``transport`` and ``exp_transport``
+    fold instead: the (n, k * size) rows are, as a reshape, one (n k, ...)
+    stack of that factor, which it takes in a single call. The fold is kept
+    in the stack's memo, so a stack is factored once (an SPD factor's
+    Cholesky factors, say) however many operations it takes part in.
     Single operands and a cloud at a stacked base go through the per-factor
     calls.
     """
@@ -484,15 +498,6 @@ class Product(Manifold):
 
     def join(self, parts: Sequence[Point]) -> Point:
         return Point(self._join([p.coords for p in parts]), self.manifold_id)
-
-    def stack(self, points):
-        """The stack of single points; each factor's stack keeps their factor
-        points as its rows, so a factorization any of them holds is reused."""
-        z = super().stack(points)
-        parts = self.split(z)
-        for part, rows in zip(parts, zip(*map(self.split, points))):
-            part.memo["rows"] = list(rows)
-        return z
 
     def split_tangent(self, v: TangentVector) -> list[TangentVector]:
         bases = self.split(v.base)
@@ -536,25 +541,30 @@ class Product(Manifold):
         self._require_base(x, v)
         return TangentVector(y, self._on_factors("transport", x, y, v))
 
+    def exp_transport(self, x, v, u):
+        self._require_base(x, v)
+        self._require_base(x, u)
+        y, w = self._on_factors("exp_transport", x, v, u)
+        y = Point(y, self.manifold_id)
+        return y, TangentVector(y, w)
+
     def _fold(self, p: Point, lead: tuple) -> Point:
         """The factor points of p's rows as one stack of the common factor,
         kept in p's memo. A single p is one row, or is repeated to ``lead``
-        rows."""
+        rows, each factored on its own."""
         if p.coords.ndim == 1 and lead != (1,):
             p = self.stack([p] * lead[0])
         z = p.memo.get("product_fold")
         if z is None:
             z = Point(p.coords.reshape((-1,) + self._shapes[0]), self._common.manifold_id)
-            rows = p.memo.get("rows", [p] if p.coords.ndim == 1 else None)
-            if rows is not None:
-                z.memo["rows"] = [q for r in rows for q in self.split(r)]
             p.memo["product_fold"] = z
         return z
 
     def _on_factors(self, op: str, x: Point, *args):
         """The factors' operation ``op`` at x and ``args`` (points, or
         tangents at x), single or stacked: the product coords of its points or
-        tangents, or the sum over factors of its numbers. It runs once on the
+        tangents (a pair of them for ``exp_transport``), or the sum over
+        factors of its numbers. It runs once on the
         folded stacks when there is one leading axis, else once per factor;
         an argument passed twice is folded or split once. Sums over factors
         (here and in ``dist``) add left to right: ``sum`` of floats is
@@ -566,6 +576,8 @@ class Product(Manifold):
                      for a in chain}
             outs = [getattr(f, op)(*p)
                     for f, *p in zip(self.factors, *(parts[id(a)] for a in chain))]
+            if isinstance(outs[0], tuple):
+                return tuple(self._join([o.coords for o in part]) for part in zip(*outs))
             if hasattr(outs[0], "coords"):
                 return self._join([o.coords for o in outs])
             return reduce(add, outs, 0.0)
@@ -576,6 +588,8 @@ class Product(Manifold):
                 folded[id(a)] = (self._fold(a, lead) if isinstance(a, Point)
                                  else TangentVector(X, a.coords.reshape(X.coords.shape)))
         out = getattr(self._common, op)(*(folded[id(a)] for a in chain))
+        if isinstance(out, tuple):
+            return tuple(o.coords.reshape(lead + (self.ambient,)) for o in out)
         if hasattr(out, "coords"):
             return out.coords.reshape(lead + (self.ambient,))
         rows = out.reshape(lead + (len(self.factors),))

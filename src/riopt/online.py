@@ -1,6 +1,8 @@
 """Online learners on Riemannian manifolds.
 
-Contains the optimistic gradient learner (transported-memory form), the
+Contains the optimistic gradient learner (transported-memory form: each
+step carries its gradient along the geodesic it walks, ``exp_transport``,
+and the next step reads it at its base), the
 corrected variant that replaces parallel transport by a base-point change,
 the plain online gradient descent baseline, and the adaptive meta-expert
 learner that hedges over a geometric grid of step sizes and combines expert
@@ -39,7 +41,8 @@ GradFn = Callable[[Point], TangentVector]
 
 @dataclass(frozen=True)
 class OptimisticState:
-    """Memory of the optimistic learner: last two points and last gradient.
+    """Memory of the optimistic learner: its point and the last gradient,
+    already transported to that point.
 
     ``rounds`` counts completed updates; on the very first update the missing
     previous gradient is taken equal to the current one, which makes the first
@@ -50,7 +53,6 @@ class OptimisticState:
     per learner and ``step_size`` is the column of their step sizes.
     """
 
-    x_prev: Point
     x_cur: Point
     grad_prev: TangentVector
     step_size: float
@@ -105,9 +107,7 @@ def roogd_init(manifold: Manifold, x0: Point, eta: float) -> OptimisticState:
     """Fresh optimistic learner state anchored at x0."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return OptimisticState(
-        x_prev=x0, x_cur=x0, grad_prev=manifold.zero_tangent(x0), step_size=eta, rounds=0
-    )
+    return OptimisticState(x_cur=x0, grad_prev=manifold.zero_tangent(x0), step_size=eta, rounds=0)
 
 
 def roogd_init_rows(manifold: Manifold, x0: Point, etas: Sequence[float]) -> OptimisticState:
@@ -117,9 +117,7 @@ def roogd_init_rows(manifold: Manifold, x0: Point, etas: Sequence[float]) -> Opt
     if column.size == 0 or np.any(column <= 0):
         raise ValueError("step sizes must be positive")
     x = Point(np.repeat(x0.coords[None], len(column), axis=0), manifold.manifold_id)
-    return OptimisticState(
-        x_prev=x, x_cur=x, grad_prev=manifold.zero_tangent(x), step_size=column, rounds=0
-    )
+    return OptimisticState(x_cur=x, grad_prev=manifold.zero_tangent(x), step_size=column, rounds=0)
 
 
 def roogd_step(
@@ -127,26 +125,20 @@ def roogd_step(
 ) -> OptimisticState:
     """One optimistic update: exp_x(-2 eta g_t + eta transported g_{t-1}).
 
-    On a stacked state every learner steps at once, with its own step size
-    from the column; row i agrees with ``roogd_step`` of learner i alone to
-    rounding.
+    The step carries g_t to its new point (``exp_transport``), where the
+    state keeps it for the next update. On a stacked state every learner
+    steps at once, with its own step size from the column; row i agrees
+    with ``roogd_step`` of learner i alone to rounding.
     """
     manifold._require_base(state.x_cur, grad_cur)
     manifold._require_finite(grad_cur)
     eta = state.step_size
-    if state.rounds == 0:
-        prev_at_cur = grad_cur
-    else:
-        prev_at_cur = manifold.transport(state.x_prev, state.x_cur, state.grad_prev)
+    prev_at_cur = grad_cur if state.rounds == 0 else state.grad_prev
     step = (-2.0 * eta) * grad_cur.coords + eta * prev_at_cur.coords
-    x_next = manifold.exp(state.x_cur, TangentVector(state.x_cur, step))
-    return OptimisticState(
-        x_prev=state.x_cur,
-        x_cur=x_next,
-        grad_prev=grad_cur,
-        step_size=eta,
-        rounds=state.rounds + 1,
+    x_next, grad_moved = manifold.exp_transport(
+        state.x_cur, TangentVector(state.x_cur, step), grad_cur
     )
+    return OptimisticState(x_next, grad_moved, eta, state.rounds + 1)
 
 
 def roogd_corrected_init(manifold: Manifold, x0: Point, eta: float) -> CorrectedState:

@@ -149,26 +149,27 @@ def test_game_runner_factors_each_point_once(monkeypatch):
     cfg = ExperimentConfig.from_dict(GOLDEN_CONFIGS["quadgame"][1])
     run_experiment(cfg)
     # one logdet per SPD factor of each field point: R-OGDA 2, RGDA 2, RCEG 4
-    # per round; the 4 the solvers share at z0 equal the 4 of R-OGDA's two
-    # summary residuals
-    assert matrices["slogdet"] == 8 * cfg.T
+    # per round, and 4 for R-OGDA's two summary residuals
+    assert matrices["slogdet"] == 8 * cfg.T + 4
     # cholesky and inv: one Cholesky factor and its inverse per factor of
-    # each new base point; eigh: one inside every exp/log/transport, on a
-    # whitened matrix; no solve, the norms read the whitened tangents.
-    # Factoring a point twice anywhere raises these totals.
-    assert matrices["cholesky"] == matrices["inv"] == 194
-    assert matrices["eigh"] == 318
+    # each base point of a stack: 6 for the committed points and 4 for the
+    # stage-2 bases per round; eigh: one inside every exp, log and
+    # exp_transport, on a whitened matrix (14 per round); no solve, the
+    # norms read the whitened tangents. Round 1 factors z0 once per solver
+    # row and again as the running average, since a stack's memo is its own.
+    # Factoring a point twice within a stack raises these totals.
+    assert matrices["cholesky"] == matrices["inv"] == 10 * cfg.T
+    assert matrices["eigh"] == 14 * cfg.T
     assert matrices["solve"] == 0
     # the calls: one slogdet on both factors per round for the committed
-    # points and for RCEG's midpoint (z0 once in round 1), plus one for each
-    # of the two residuals. The stacked calls fold both factors into one
-    # stack, so per round one cholesky each for the committed points and
-    # the stage-2 bases (only the midpoint in round 1, where the running
-    # average is z0), and one eigh each for R-OGDA's transport (from round
-    # 2), the first step, log and exp
+    # points and for RCEG's midpoint, plus one for each of the two
+    # residuals. The stacked calls fold both factors into one stack, so per
+    # round one cholesky each for the committed points and the stage-2
+    # bases, and one eigh each for the first step (which also transports
+    # R-OGDA's field), the log and the exp
     assert calls["slogdet"] == 2 * cfg.T + 2
     assert calls["cholesky"] == calls["inv"] == 2 * cfg.T
-    assert calls["eigh"] == 4 * cfg.T - 1
+    assert calls["eigh"] == 3 * cfg.T
     assert calls["solve"] == 0
 
 

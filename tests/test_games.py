@@ -314,8 +314,9 @@ def test_quad_logdet_iterates_follow_the_scalar_logdet_recursion(d, c1):
     # so its logdets follow a recursion in two scalars. eta = 0.2 / d^2 is
     # the c1 >= 0.25 default; the c1 = 0 default 0.5 / d^2 makes RGDA
     # diverge at d = 2 (spectral radius 1.031) before round 300.
-    # Measured: at most 2.0e-14 of max |w_0| (8.7e-14 through symmetric
-    # square roots, before Cholesky whitening).
+    # Measured: at most 1.9e-14 of max |w_0| (2.0e-14 when R-OGDA's memory
+    # took a transport of its own, 8.7e-14 through symmetric square roots,
+    # before Cholesky whitening).
     c2, eta, T = 1.0, 0.2 / d**2, 300
     game = quad_logdet_game(d, c1, c2)
     spd = game.space.factors[0]
@@ -327,12 +328,12 @@ def test_quad_logdet_iterates_follow_the_scalar_logdet_recursion(d, c1):
     w0 = np.array(logdets(z0))
     want = _logdet_recursion(d, c1, c2, eta, w0, T)
     etas = dict.fromkeys(want, eta)
-    points, avg = dict.fromkeys(etas, z0), rogda_init(game, z0)
+    Z, avg = game.space.stack([z0] * len(etas)), rogda_init(game, z0)
     got = {name: [] for name in etas}
     for _ in range(T):
-        points, avg, _, _ = play_round_rows(game, etas, points, avg)
-        for name in etas:
-            got[name].append(logdets(points[name]))
+        Z, avg, _, _ = play_round_rows(game, etas, Z, avg)
+        for name, z in zip(etas, Z.coords):
+            got[name].append(logdets(Point(z, Z.manifold_id)))
     scale = np.abs(w0).max()
     for name in etas:
         err = np.abs(np.array(got[name]) - want[name]).max()
@@ -432,21 +433,23 @@ def test_field_rows_and_value_rows_are_bitwise_the_single_calls(k):
         assert type(game.value(fresh)) is float
 
 
-def _round_by_step_functions(game, etas, points, avg):
+def _round_by_step_functions(game, etas, Z, avg):
     """The round of ``play_round_rows``, solver by solver through
-    ``rogda_step``, ``rgda_step`` and ``rceg_step``."""
-    new, vals, norms = {}, [], []
-    for name, eta in etas.items():
-        z_t = points[name]
+    ``rogda_step``, ``rgda_step`` and ``rceg_step`` on the single points of
+    the rows of ``Z``."""
+    new, vals, norms = [], [], []
+    for name, eta, row in zip(etas, etas.values(), Z.coords):
+        z_t = avg.z_cur if name == "rogda" else Point(row.copy(), Z.manifold_id)
+        assert z_t.coords.tobytes() == row.tobytes()
         F = game.field(z_t)
         if name == "rogda":
             avg = rogda_step(game, avg, eta, F)
-            new[name] = avg.z_cur
+            new.append(avg.z_cur)
         else:
-            new[name] = (rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F)
+            new.append((rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F))
         vals.append(game.value(z_t))
         norms.append(game.space.norm(z_t, F))
-    return new, avg, vals, norms
+    return game.space.stack(new), avg, vals, norms
 
 
 @pytest.mark.parametrize("c1", [0.0, 0.5])
@@ -460,17 +463,68 @@ def test_play_round_rows_is_bitwise_play_round(c1):
     sides = []
     for play in (play_round_rows, _round_by_step_functions):
         z = z0.copy()
-        sides.append([play, dict.fromkeys(etas, z), rogda_init(game, z)])
+        sides.append([play, game.space.stack([z] * len(etas)), rogda_init(game, z)])
     for _ in range(12):
         outs = []
         for side in sides:
-            play, points, avg = side
-            points, avg, vals, norms = play(game, etas, points, avg)
-            side[1:] = points, avg
-            coords = [p.coords for p in points.values()]
-            coords += [avg.z_cur.coords, avg.z_bar.coords, avg.grad_prev.coords]
+            play, Z, avg = side
+            Z, avg, vals, norms = play(game, etas, Z, avg)
+            side[1:] = Z, avg
+            coords = [*Z.coords, avg.z_cur.coords, avg.z_bar.coords, avg.grad_prev.coords]
             outs.append((np.stack(coords).tobytes(), vals, norms))
         assert outs[0] == outs[1]
+
+
+def test_a_round_takes_the_transport_from_its_step(monkeypatch, linalg_calls):
+    # R-OGDA's memory rides in the round's first step: per round one eigh
+    # for that step (both factors of the 3 solvers), one for stage 2's log
+    # and one for its exp (R-OGDA's average and RCEG's correction), and no
+    # transport call
+    game = quad_logdet_game(4, 0.5, 1.0)
+    spd = game.space.factors[0]
+    z0 = game.join(spd.random_point(1), spd.random_point(2))
+    etas = {"rogda": 0.01, "rgda": 0.02, "rceg": 0.01}
+    Z, avg = game.space.stack([z0] * len(etas)), rogda_init(game, z0)
+    transports = []
+    for cls in (SPD, Product):
+        def counting(self, *args, _original=cls.transport):
+            transports.append(type(self).__name__)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, "transport", counting)
+    for _ in range(3):  # round 1 has no memory yet; rounds 2 and 3 carry it
+        del linalg_calls[:]
+        Z, avg, _, _ = play_round_rows(game, etas, Z, avg)
+        eighs = [shape for name, shape in linalg_calls if name == "eigh"]
+        assert eighs == [(6,), (4,), (4,)] and transports == []
+
+
+def test_robust_pca_min_player_gradient_subtracts_anchor_by_anchor():
+    # g - term_1 - term_2 - ... in anchor order, bit for bit, on a single
+    # point and on a stack of them
+    data = make_spd_dataset(4, 9, (0.2, 4.5), seed=4)
+    alpha = 1.7
+    game = robust_pca_game(data, alpha=alpha)
+    spd, sphere = game.space.factors
+    pts = [(spd.random_point(30 + i), sphere.random_point(40 + i)) for i in range(5)]
+    anchors = np.stack([spd.project(A).coords for A in data])
+    tols, _ = _anchor_tols(data)
+
+    def longhand(a, x):
+        g = a.coords @ np.outer(x.coords, x.coords) @ a.coords
+        logs, dists = spd._log_dist(a, Point(anchors, spd.manifold_id))
+        for log, dist, tol in zip(logs, dists, tols):
+            term = (alpha / len(data)) * log / dist if dist > tol else np.zeros_like(log)
+            g = g - term
+        return 0.5 * (g + g.T)
+
+    want = [longhand(a, x) for a, x in pts]
+    for a, x in pts:
+        got = game.grad_x(Point(a.coords.copy(), a.manifold_id), x).coords
+        assert got.tobytes() == longhand(a, x).tobytes()
+    A = Point(np.stack([a.coords for a, _ in pts]), spd.manifold_id)
+    X = Point(np.stack([x.coords for _, x in pts]), sphere.manifold_id)
+    assert game.grad_x(A, X).coords.tobytes() == np.stack(want).tobytes()
 
 
 def test_robust_pca_payoff_and_field_share_each_anchor_distance(linalg_calls):
@@ -485,8 +539,9 @@ def test_robust_pca_payoff_and_field_share_each_anchor_distance(linalg_calls):
     assert linalg_calls[1:] == [("cholesky", ()), ("eigh", (6,))]
     Z = game.space.stack(pts[1:])
     game.field(Z), game.value(Z)
-    # the 3 distinct points of the stack (one is there twice), in one call each
-    assert linalg_calls[3:] == [("cholesky", (3,)), ("eigh", (3, 6))]
+    # the 4 rows of the stack (one point is there twice), in one call each,
+    # which the stack's field and payoff share
+    assert linalg_calls[3:] == [("cholesky", (4,)), ("eigh", (4, 6))]
 
 
 def test_robust_pca_anchor_tolerances_bitwise_equal_to_the_per_anchor_loop():

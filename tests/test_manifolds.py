@@ -875,24 +875,6 @@ def test_numpy_stacked_kernels_give_each_matrix_the_bits_of_a_single_call(d):
         assert _bits(((2.0 * A) @ x[..., None])[i, :, 0]) == _bits(2.0 * A[i] @ x[i])
 
 
-def test_a_stack_shares_each_factorization_with_its_rows(monkeypatch):
-    m = SPD(3)
-    rng = np.random.default_rng(1)
-    a, b, c = (m.random_point(rng) for _ in range(3))
-    m._factor(a)  # a is factored before it joins a stack
-    calls = _count(monkeypatch, "cholesky")
-    pair = m._factor(m.stack([a, b, b, c]))
-    # only b and c are factored, b once, in one call
-    assert calls == [2]
-    for row, p in zip(pair[0], (a, b, b, c)):
-        assert _bits(row) == _bits(m._factor(p)[0])
-    assert _bits(pair[0][1]) == _bits(m._factor(b.copy())[0])
-    assert calls == [2, 1]  # b.copy() is a new point
-    # the rows now hold their factors: a new stack of them factors nothing
-    m._factor(m.stack([c, b]))
-    assert calls == [2, 1]
-
-
 def test_product_rows_forms_bitwise_equal_single_calls():
     p = Product([SPD(2), Sphere(2)])
     rng = np.random.default_rng(4)
@@ -991,24 +973,111 @@ def _count(monkeypatch, name):
     return calls
 
 
-def test_folded_rows_share_square_roots_with_their_single_points(monkeypatch):
+def test_folded_rows_make_one_call_over_every_factor(monkeypatch):
     p = Product([SPD(3), SPD(3)])
     rng = np.random.default_rng(5)
     a, b = (p.random_point(rng) for _ in range(2))
     # drawn at copies: a norm factors its base
     va, vb = (p.random_tangent(z.copy(), rng, norm=0.3) for z in (a, b))
-    p.exp(a, va)  # factors a's two matrices, one by one
     chol, eigh = _count(monkeypatch, "cholesky"), _count(monkeypatch, "eigh")
     X = p.stack([a, b])
     p.exp(X, TangentVector(X, np.stack([va.coords, vb.coords])))
-    # b's two Cholesky factors in one call (a keeps its own), then one exp
-    # call over all four matrices
-    assert chol == [2] and eigh == [4]
-    p.exp(b, vb)  # b's factors hold their Cholesky factors: only the exps
-    assert chol == [2] and eigh == [4, 1, 1]
+    # the stack's four Cholesky factors in one call, then one exp call over
+    # all four matrices
+    assert chol == [4] and eigh == [4]
+    p.log(X, p.stack([b, a]))  # the stack keeps its factors: only the log
+    assert chol == [4] and eigh == [4, 4]
+    # a single point is factored on its own, factor by factor
+    p.exp(b, vb)
+    assert chol == [4, 1, 1] and eigh == [4, 4, 1, 1]
     # a one-row tangent at single points folds too: one call over both factors
     p.transport(a, b, TangentVector(a, va.coords[None]))
-    assert chol == [2] and eigh == [4, 1, 1, 2]
+    assert chol == [4, 1, 1, 2] and eigh == [4, 4, 1, 1, 2]
+
+
+# ------------------------------------------------------------ exp_transport
+ET_MANIFOLDS = ROW_MANIFOLDS + FOLD_PRODUCTS[1:5]
+ET_IDS = ROW_IDS + FOLD_IDS[1:5]
+
+
+def _exp_then_transport(m, x, v, u):
+    y = m.exp(x, v)
+    return y.coords, m.transport(x, y, u).coords
+
+
+def _exp_transport_cases(m):
+    """Single bases, tangents v (the steps) and u (the carried tangents),
+    and their stacks, with the edge rows of ``_row_cases``."""
+    xs, _, vs, raw = _row_cases(m)
+    us = [m.to_tangent(x, r) for x, r in zip(xs, raw)]
+    X = _stack(m, xs)
+    V, U = (TangentVector(X, np.stack([t.coords for t in ts])) for ts in (vs, us))
+    return xs, vs, us, X, V, U
+
+
+@pytest.mark.parametrize("m", ET_MANIFOLDS, ids=ET_IDS)
+def test_exp_transport_is_exp_then_transport_single_and_stacked(m):
+    xs, vs, us, X, V, U = _exp_transport_cases(m)
+    Y, W = m.exp_transport(X, V, U)
+    assert W.base is Y
+    singles = [m.exp_transport(x, v, u) for x, v, u in zip(xs, vs, us)]
+    for (y, w), x in zip(singles, xs):
+        assert w.base is y and y.coords.shape == w.coords.shape == x.coords.shape
+    want = _exp_then_transport(m, X, V, U)
+    want_single = [_exp_then_transport(m, x, v, u) for x, v, u in zip(xs, vs, us)]
+    got_single = [(y.coords, w.coords) for y, w in singles]
+    if _has_spd(m):
+        # SPD takes the transport from the step's own eigh: it agrees with
+        # exp then transport, and each stacked row is bitwise its single call
+        for k in range(2):
+            assert_agree((Y, W)[k].coords, want[k])
+            assert_agree([g[k] for g in got_single], [w[k] for w in want_single])
+            assert _bits((Y, W)[k].coords) == _bits([g[k] for g in got_single])
+    else:
+        # the default body: bitwise exp, then transport
+        assert _bits(Y.coords) == _bits(want[0]) and _bits(W.coords) == _bits(want[1])
+        assert _bits(got_single) == _bits(want_single)
+
+
+@pytest.mark.parametrize("p", FOLD_PRODUCTS, ids=FOLD_IDS)
+def test_product_exp_transport_folded_rows_bitwise_equal_the_factorwise_calls(p):
+    xs, vs, us, X, V, U = _exp_transport_cases(p)
+    Y, W = p.exp_transport(X, V, U)
+    # factor by factor, on a copy of the stack that shares no memo
+    x = Point(X.coords.copy(), p.manifold_id)
+    parts = [
+        f.exp_transport(*a)
+        for f, *a in zip(p.factors, p.split(x), *(p.split_tangent(TangentVector(x, t.coords))
+                                                  for t in (V, U)))
+    ]
+    assert _bits(Y.coords) == _bits(p.join([y for y, _ in parts]).coords)
+    assert _bits(W.coords) == _bits(p._join([w.coords for _, w in parts]))
+    # and a single base broadcasts over the stacked tangents
+    x = xs[3]
+    Ys, Ws = p.exp_transport(x, TangentVector(x, V.coords), TangentVector(x, U.coords))
+    for k, (v, u) in enumerate(zip(V.coords, U.coords)):
+        y, w = p.exp_transport(x, TangentVector(x, v), TangentVector(x, u))
+        assert_agree(Ys.coords[k], y.coords)
+        assert_agree(Ws.coords[k], w.coords)
+
+
+@pytest.mark.parametrize("m", ET_MANIFOLDS, ids=ET_IDS)
+def test_exp_transport_carries_the_step_to_minus_the_log_back(m):
+    # along the geodesic y = exp_x(v), the transported velocity at y points
+    # away from x: -transport(v) = log_y(x). Row 1's step is zero: its
+    # carried tangent is exactly 0, while log_x(x) is the rounding noise of
+    # log at a coincident pair (on SPD up to d cond(x) eps), so that row is
+    # checked for the exact 0 instead
+    xs, vs, _, X, V, _ = _exp_transport_cases(m)
+    moving = [k for k, v in enumerate(vs) if v.coords.any()]
+    assert moving == [0, 2, 3, 4, 5, 6]
+    Y, W = m.exp_transport(X, V, V)
+    assert_agree(-W.coords[moving], m.log(Y, X).coords[moving])
+    assert not W.coords[1].any()
+    for k in moving:
+        y, w = m.exp_transport(xs[k], vs[k], vs[k])
+        assert_agree(-w.coords, m.log(y, xs[k]).coords)
+    assert not m.exp_transport(xs[1], vs[1], vs[1])[1].coords.any()
 
 
 def test_single_product_calls_make_one_eigh_per_matrix(monkeypatch):

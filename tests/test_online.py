@@ -42,7 +42,7 @@ def test_roogd_init_contract():
     m = Euclidean(2)
     x0 = m.project([1.0, -1.0])
     s = roogd_init(m, x0, 0.5)
-    assert m.dist(s.x_prev, s.x_cur) == 0.0
+    assert s.x_cur is x0 and s.grad_prev.base is x0
     assert m.norm(x0, s.grad_prev) == 0.0
     with pytest.raises(ValueError):
         roogd_init(m, x0, 0.0)
@@ -265,25 +265,23 @@ def _assert_pool_is(pool, experts):
     sizes bitwise, the points and gradients within the agreement bound."""
     assert pool.rounds == experts[0].rounds and all(s.rounds == pool.rounds for s in experts)
     assert _bits(pool.step_size[:, 0]) == _bits([s.step_size for s in experts])
-    for field in ("x_prev", "x_cur", "grad_prev"):
+    for field in ("x_cur", "grad_prev"):
         assert_agree(getattr(pool, field).coords, [getattr(s, field).coords for s in experts])
 
 
 def _experts_of(pool):
     """The single learner states at the rows of a stacked pool."""
     m_id, out = pool.x_cur.manifold_id, []
-    for p, c, g, eta in zip(pool.x_prev.coords, pool.x_cur.coords, pool.grad_prev.coords,
-                            pool.step_size[:, 0]):
-        x_prev = Point(p, m_id)
-        out.append(OptimisticState(x_prev, Point(c, m_id), TangentVector(x_prev, g),
-                                   float(eta), pool.rounds))
+    for c, g, eta in zip(pool.x_cur.coords, pool.grad_prev.coords, pool.step_size[:, 0]):
+        x = Point(c, m_id)
+        out.append(OptimisticState(x, TangentVector(x, g), float(eta), pool.rounds))
     return out
 
 
 def test_roogd_step_rows_bitwise_equal_per_expert_steps():
     # doubling step sizes from round 0; in round 2 expert 1 takes half its
-    # transported previous gradient, so its step is exactly zero and round 3
-    # transports a nonzero gradient over x_prev == x_cur. Each round steps
+    # transported previous gradient, so its step is exactly zero and carries
+    # a nonzero gradient from its point to itself. Each round steps
     # the single learners from the pool's rows: the largest step size
     # diverges, and over rounds it would amplify their rounding gap.
     h = Hyperbolic(3)
@@ -297,14 +295,14 @@ def test_roogd_step_rows_bitwise_equal_per_expert_steps():
         experts = _experts_of(pool) if t else [roogd_init(h, base, e) for e in etas]
         grads = [loss.grad(s.x_cur) for s in experts]
         if t == 2:
-            s = experts[1]
-            grads[1] = 0.5 * h.transport(s.x_prev, s.x_cur, s.grad_prev)
+            grads[1] = 0.5 * experts[1].grad_prev
         stacked = TangentVector(pool.x_cur, np.stack([g.coords for g in grads]))
-        pool = roogd_step(h, pool, stacked)
+        before, pool = pool.x_cur.coords, roogd_step(h, pool, stacked)
+        starts = [s.x_cur.coords for s in experts]
         experts = [roogd_step(h, s, g) for s, g in zip(experts, grads)]
         _assert_pool_is(pool, experts)
-        same = [np.array_equal(s.x_prev.coords, s.x_cur.coords) for s in experts]
-        assert same == [np.array_equal(*r) for r in zip(pool.x_prev.coords, pool.x_cur.coords)]
+        same = [np.array_equal(a, s.x_cur.coords) for a, s in zip(starts, experts)]
+        assert same == [np.array_equal(*r) for r in zip(before, pool.x_cur.coords)]
         if any(same):
             assert same == [False, True, False, False, False]
             assert experts[1].grad_prev.coords.any()
