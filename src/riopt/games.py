@@ -31,8 +31,8 @@ Row i of each stacked call agrees with the single call at row i: bitwise on
 SPD, whose stacks run its single-point formula, and to rounding on the
 sphere factor of robust PCA, whose stacks run numpy kernels. When a stage
 fails, the runner replays the round through ``play_round_rows`` once per
-solver, in the configured order, so the error raised is the one the first
-failing solver meets alone.
+solver, on its one-row stack, in the configured order, so the error raised
+is the one the first failing solver meets alone.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ takes single points, stacks whose rows pair up, or a single point broadcast
 against stacked operands. On Euclidean, the sphere and SPD, and for the
 other hyperbolic operations, it is one numpy formula, which broadcasts over
 the leading axes and over none; a single call returns a float where an
-array would have no axis. Hyperbolic ``exp`` and ``inner`` alone keep a scalar ``math`` body for
-single operands: R-AOOGD's Karcher means and the single learners make them
-one at a time, where a one-row numpy kernel costs 2-2.5x as much. A product
-makes one call per factor, or one on the folded stack (see ``Product``).
+array would have no axis. Hyperbolic ``exp`` and ``inner`` alone keep a
+scalar ``math`` body for single operands: R-AOOGD's Karcher means and the
+single learners make them one at a time, where a one-row numpy kernel
+costs 2-2.5x as much. A product makes one call per factor, or one on the
+folded stack (see ``Product``).
 ``dist`` and ``log`` also take a cloud per base (see ``Manifold``).
 """
 
