@@ -177,8 +177,6 @@ class ExperimentConfig:
     eig_high: float = 4.5
     # verification suite
     n_triangles: int = 1000
-    # io
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -188,8 +186,6 @@ class ExperimentConfig:
                 check_number(name, getattr(self, name), *rule)
         if self.mode not in ("abrupt", "drift"):
             raise ConfigError(f"mode must be 'abrupt' or 'drift', got {self.mode!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.experiment == "robust_pca" and self.d < 2:
             raise ConfigError(
                 f"d must be >= 2 for robust_pca (the max player lives on S^(d-1)), got {self.d}"
@@ -362,9 +358,8 @@ def run_experiment(cfg: ExperimentConfig, out: Optional[str] = None) -> BenchRes
     else:
         rows, summary = [], run_verification(cfg)
     result = BenchResult(config=cfg, rows=rows, summary=summary)
-    target = out or cfg.out
-    if target is not None:
-        write_outputs(result, Path(target))
+    if out is not None:
+        write_outputs(result, Path(out))
     return result
 
 
@@ -411,7 +406,10 @@ def _online_learner(cfg: ExperimentConfig, name: str, manifold, x0, eta):
         # the hedge rate wants the true gradient variation, which is not
         # causal; default to the sqrt-horizon scale (slowly mixing stream)
         v_bound = cfg.v_t_bound if cfg.v_t_bound is not None else mc.G**2 * math.sqrt(cfg.T)
-        pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
+        try:
+            pool, beta = aoogd_configure(cfg.T, mc.D0, mc.G, mc.L, mc.sigma0, mc.zeta0, v_bound)
+        except ValueError as exc:
+            raise ConfigError(f"raoogd at center_diam={cfg.center_diam!r}: {exc}")
         experts = roogd_init_rows(manifold, x0, pool.etas)
         weights = MetaWeights.uniform(pool.N)
         logs_play = None
@@ -611,8 +609,9 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
     If a stacked stage fails (GeometryError, a numpy linear-algebra error,
     or a floating-point overflow, invalid value or division by zero), the
     round is replayed solver by solver, ``play_round_rows`` on each one-row
-    stack in the configured order, so the error raised is the one the first
-    failing solver meets alone.
+    stack in the configured order and under the same floating-point
+    setting, so the error raised is the one the first failing solver meets
+    alone.
     """
     game = build_game(cfg)
     z0 = game_initial_point(cfg, game)
@@ -624,18 +623,18 @@ def _run_game(cfg: ExperimentConfig) -> tuple[list, dict]:
 
     rows: list[ResultRow] = []
     for t in range(1, cfg.T + 1):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
                 Z, avg, vals, norms = play_round_rows(game, etas, Z, avg)
-        except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
-            new, vals, norms = [], [], []
-            for i, (name, eta) in enumerate(etas.items()):
-                row = Point(Z.coords[i : i + 1], Z.manifold_id)
-                out, avg, val, norm = play_round_rows(game, {name: eta}, row, avg)
-                new.append(out.coords)
-                vals += val
-                norms += norm
-            Z = Point(np.concatenate(new), Z.manifold_id)
+            except (GeometryError, FloatingPointError, np.linalg.LinAlgError):
+                new, vals, norms = [], [], []
+                for i, (name, eta) in enumerate(etas.items()):
+                    row = Point(Z.coords[i : i + 1], Z.manifold_id)
+                    out, avg, val, norm = play_round_rows(game, {name: eta}, row, avg)
+                    new.append(out.coords)
+                    vals += val
+                    norms += norm
+                Z = Point(np.concatenate(new), Z.manifold_id)
         for name, inst, gn in zip(etas, vals, norms):
             cum[name] += inst
             rows.append(

@@ -37,8 +37,21 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"config file cannot be read: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+
+
+def _check_out(path: str) -> None:
+    """Raise ConfigError unless ``path`` is a directory or can be made one:
+    the path, or the nearest of its parents that exists, is a directory.
+    Checked before the run, and creates nothing."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out {path}: {p} is not a directory")
+            return
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +88,7 @@ def _resolve_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "sweep":
             if args.config is None:
                 raise ConfigError("sweep requires --config")

@@ -10,8 +10,10 @@ quadratic logdet game on SPD x SPD and the robust geometry-aware PCA game
 on SPD x sphere.
 
 Each step function (``rogda_step``, ``rgda_step``, ``rceg_step``) advances
-one solver. ``play_round_rows`` advances several together, one round with
-the same arithmetic (the benchmark runner, ``bench._run_game``, uses it):
+one solver from its point alone: it evaluates the field there itself.
+``play_round_rows`` advances several together, one round with the same
+arithmetic; the benchmark runner, ``bench._run_game``, calls it and never
+the step functions:
 
 1. The solvers' points z_t are the rows of one (k, ambient) stack, which
    the round takes and returns. One ``field``, ``value`` and ``norm`` call
@@ -129,25 +131,22 @@ def rogda_init(game: ZeroSumGame, z0: Point) -> GameState:
     return GameState(z_cur=z0, grad_prev=game.space.zero_tangent(z0), z_bar=z0, round=0)
 
 
-def rogda_step(
-    game: ZeroSumGame, state: GameState, eta: float, F: Optional[TangentVector] = None
-) -> GameState:
+def rogda_step(game: ZeroSumGame, state: GameState, eta: float) -> GameState:
     """Optimistic descent on x / ascent on y with transported memory.
 
     z_{t+1} = exp_{z_t}(-2 eta F(z_t) + eta transported F(z_{t-1})); on the
     first step the missing previous field is taken equal to the current one.
     The step carries F(z_t) to z_{t+1} (``exp_transport``), which the state
     keeps as the next step's memory. The geodesic running average folds in
-    the new point with weight 1/(t+1). ``F`` is F(z_t) when the caller has
-    already evaluated it.
+    the new point with weight 1/(t+1).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = game.space
-    F_cur = game.field(state.z_cur) if F is None else F
-    m._require_finite(F_cur)
-    prev_at_cur = F_cur if state.round == 0 else state.grad_prev
-    z_next, F_moved = m.exp_transport(state.z_cur, -2.0 * eta * F_cur + eta * prev_at_cur, F_cur)
+    F = game.field(state.z_cur)
+    m._require_finite(F)
+    prev_at_cur = F if state.round == 0 else state.grad_prev
+    z_next, F_moved = m.exp_transport(state.z_cur, -2.0 * eta * F + eta * prev_at_cur, F)
     z_bar_next = geodesic_average(m, state.z_bar, z_next, state.round + 1)
     return GameState(z_cur=z_next, grad_prev=F_moved, z_bar=z_bar_next, round=state.round + 1)
 
@@ -165,35 +164,23 @@ def geodesic_average(manifold: Manifold, z_bar: Point, z_new: Point, t: int) -> 
     return manifold.exp(z_bar, step)
 
 
-def rgda_step(
-    game: ZeroSumGame, z: Point, eta: float, F: Optional[TangentVector] = None
-) -> Point:
-    """Simultaneous gradient descent-ascent: exp_z(-eta F(z)).
-
-    ``F`` is F(z) when the caller has already evaluated it.
-    """
+def rgda_step(game: ZeroSumGame, z: Point, eta: float) -> Point:
+    """Simultaneous gradient descent-ascent: exp_z(-eta F(z))."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if F is None:
-        F = game.field(z)
-    return game.space.exp(z, -eta * F)
+    return game.space.exp(z, -eta * game.field(z))
 
 
-def rceg_step(
-    game: ZeroSumGame, z: Point, eta: float, F: Optional[TangentVector] = None
-) -> Point:
+def rceg_step(game: ZeroSumGame, z: Point, eta: float) -> Point:
     """Corrected extragradient: midpoint step, then correction toward z.
 
     w = exp_z(-eta F(z));  z+ = exp_w(-eta F(w) + log_w(z)). In flat space
     the correction term cancels and this is the classical extragradient.
-    ``F`` is F(z) when the caller has already evaluated it.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     m = game.space
-    if F is None:
-        F = game.field(z)
-    w = m.exp(z, -eta * F)
+    w = m.exp(z, -eta * game.field(z))
     return m.exp(w, -eta * game.field(w) + m.log(w, z))
 
 

@@ -194,17 +194,22 @@ def aoogd_configure(
     N = ceil(log2(sigma0 G^2 T / (D0^2 L^2)) / 2) + 1, and
     beta = min(1/sqrt(12 D0^4 L^2 + D0^2 G^2 zeta0^2),
                sqrt((2 + ln N) / (3 D0^2 (V_T + G^2)))),
-    with the gradient variation replaced by the supplied bound.
+    with the gradient variation replaced by the supplied bound. Raises
+    ValueError when a ratio overflows or underflows float64, so that the
+    pool or the rate would not be a finite positive number.
     """
     if min(T, D0, G, L, sigma0, zeta0) <= 0 or V_T_bound <= 0:
         raise ValueError("all configuration inputs must be positive")
-    eta1 = math.sqrt(sigma0 * D0**2 / (16.0 * zeta0**2 * G**2 * T))
-    N = max(1, math.ceil(0.5 * math.log2(sigma0 * G**2 * T / (D0**2 * L**2))) + 1)
-    pool = StepSizePool(tuple(eta1 * 2.0**i for i in range(N)))
-    beta = min(
-        1.0 / math.sqrt(12.0 * D0**4 * L**2 + D0**2 * G**2 * zeta0**2),
-        math.sqrt((2.0 + math.log(N)) / (3.0 * D0**2 * (V_T_bound + G**2))),
-    )
+    try:
+        eta1 = math.sqrt(sigma0 * D0**2 / (16.0 * zeta0**2 * G**2 * T))
+        N = max(1, math.ceil(0.5 * math.log2(sigma0 * G**2 * T / (D0**2 * L**2))) + 1)
+        pool = StepSizePool(tuple(eta1 * 2.0**i for i in range(N)))
+        beta = min(
+            1.0 / math.sqrt(12.0 * D0**4 * L**2 + D0**2 * G**2 * zeta0**2),
+            math.sqrt((2.0 + math.log(N)) / (3.0 * D0**2 * (V_T_bound + G**2))),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"the step-size pool is out of float64 range ({exc})") from None
     return pool, beta
 
 

@@ -103,10 +103,10 @@ def triangle_comparison_suite(
     so all draws come first, made in place by ``ball_draws`` with the same
     bits, and the triangles are evaluated on stacks, with
     ``random_point_rows`` and one ``dist``, ``log`` or ``inner`` call per
-    quantity on the stacked vertices; the bounds take the array forms of
-    ``zeta_constant`` and ``sigma_constant``. The report agrees to rounding
-    with evaluating the triangles one at a time with single points. A
-    non-finite distance or inner product raises GeometryError.
+    quantity on the stacked vertices; the bounds call ``zeta_constant`` and
+    ``sigma_constant`` once each, on arrays of diameters. The report agrees
+    to rounding with evaluating the triangles one at a time with single
+    points. A non-finite distance or inner product raises GeometryError.
     """
     from .geometry import sigma_constant, zeta_constant
 

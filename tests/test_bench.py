@@ -373,6 +373,24 @@ def test_diverging_solver_exits_3(tmp_path, capsys, name):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"d": 2, "c2": 1e155, "T": 3, "algorithms": [{"name": "rgda", "eta": 1e-160}]},
+        {"c2": 1e300, "T": 5},
+    ],
+    ids=["field_norm_overflows", "step_overflows"],
+)
+def test_overflow_in_the_replayed_round_exits_3(tmp_path, capsys, config):
+    # the one-row replay after a failed stacked round raises as that round
+    # does: no inf in the outputs, no numpy warning before the message
+    assert _run_cli(tmp_path, "quadgame", dict(config, experiment="quadgame")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 OVERFLOW = "exp overflows: the step is too long for float64"
 
 

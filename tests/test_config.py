@@ -104,6 +104,11 @@ def test_from_dict_ends_in_a_config_or_a_config_error(experiment, values):
         # the frechet constants read the curvature of the space it runs on
         ("frechet", {"experiment": "frechet", "curvature_mag": 4.0},
          "unknown config keys: ['curvature_mag']"),
+        # the output directory is --out alone
+        ("frechet", {"experiment": "frechet", "out": "x"}, "unknown config keys: ['out']"),
+        # raoogd's step-size pool overflows (1e-160) or divides by zero (1e-170)
+        ("frechet", {"experiment": "frechet", "center_diam": 1e-160, "T": 5}, "center_diam"),
+        ("frechet", {"experiment": "frechet", "center_diam": 1e-170, "T": 5}, "center_diam"),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config, field):
@@ -113,6 +118,33 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, config,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config_bytes, out, message",
+    [
+        (None, "out", "config file cannot be read"),
+        (b'{"T": 2}\xff', "out", "config file is not valid JSON"),
+        (b'{"T": 2}', "file", "file is not a directory"),
+        (b'{"T": 2}', "file/out", "file is not a directory"),
+    ],
+    ids=["config_is_a_directory", "config_not_utf8", "out_is_a_file", "out_under_a_file"],
+)
+def test_cli_path_errors_exit_2_with_one_line(tmp_path, capsys, config_bytes, out, message):
+    # a config path that is a directory (None) or not UTF-8, or an --out
+    # that cannot be a directory: checked before the run, nothing written
+    path = tmp_path / "config.json"
+    if config_bytes is None:
+        path.mkdir()
+    else:
+        path.write_bytes(config_bytes)
+    (tmp_path / "file").write_text("kept", encoding="utf-8")
+    assert main(["quadgame", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
     assert not (tmp_path / "out").exists()
 
 

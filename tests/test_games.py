@@ -441,14 +441,13 @@ def _round_by_step_functions(game, etas, Z, avg):
     for name, eta, row in zip(etas, etas.values(), Z.coords):
         z_t = avg.z_cur if name == "rogda" else Point(row.copy(), Z.manifold_id)
         assert z_t.coords.tobytes() == row.tobytes()
-        F = game.field(z_t)
         if name == "rogda":
-            avg = rogda_step(game, avg, eta, F)
+            avg = rogda_step(game, avg, eta)
             new.append(avg.z_cur)
         else:
-            new.append((rgda_step if name == "rgda" else rceg_step)(game, z_t, eta, F))
+            new.append((rgda_step if name == "rgda" else rceg_step)(game, z_t, eta))
         vals.append(game.value(z_t))
-        norms.append(game.space.norm(z_t, F))
+        norms.append(game.space.norm(z_t, game.field(z_t)))
     return game.space.stack(new), avg, vals, norms
 
 
