@@ -3,8 +3,9 @@
     bench frechet|quadgame|robust-pca|verify|sweep --config <path> --out <dir>
           [--seed N] [--rounds N]
 
-Exit codes: 0 success, 2 configuration error (including a run too large
-to allocate), 3 numeric failure (including a failing verification suite).
+Exit codes: 0 success, 2 configuration error (including an unreadable
+config file, an --out that cannot be a directory and a run too large to
+allocate), 3 numeric failure (including a failing verification suite).
 """
 
 from __future__ import annotations
